@@ -13,9 +13,9 @@ import sys
 import time
 
 from .errors import BoundExceeded, DslError
-from .report import (RingCache, analyze_report, canonical_json,
-                     revalidate_report, render_text, search_report,
-                     theorems_report, witness_report)
+from .report import (analyze_report, canonical_json, revalidate_report,
+                     render_text, search_report, theorems_report,
+                     witness_report)
 from .universe import DEFAULT_LIMITS, UniverseLimits
 
 
@@ -29,15 +29,6 @@ def _limits_from_args(args) -> UniverseLimits:
     if getattr(args, "no_products", False):
         overrides["product_component_max"] = 0
     return dataclasses.replace(DEFAULT_LIMITS, **overrides) if overrides else DEFAULT_LIMITS
-
-
-def _cache_from_args(args) -> RingCache | None:
-    if getattr(args, "no_cache", False):
-        return None
-    directory = getattr(args, "cache_dir", None)
-    if directory:
-        return RingCache(directory)
-    return RingCache.from_env()
 
 
 def _emit(report: dict, args, started: float) -> None:
@@ -55,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--timing", action="store_true",
                         help="attach wall-clock timing (non-deterministic field)")
-    common.add_argument("--cache-dir", dest="cache_dir",
-                        help="per-ring cache directory (default: $ZDBENCH_CACHE_DIR)")
-    common.add_argument("--no-cache", dest="no_cache", action="store_true")
     parser = argparse.ArgumentParser(
         prog="zdbench",
         description="zero-divisor analysis of finite commutative rings and modules")
@@ -100,13 +88,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze":
             report = analyze_report(args.ring, args.module,
-                                    limits=_limits_from_args(args),
-                                    cache=_cache_from_args(args))
+                                    limits=_limits_from_args(args))
             _emit(report, args, started)
             return 0
         if args.command == "theorems":
-            report = theorems_report(args.suite, limits=_limits_from_args(args),
-                                     cache=_cache_from_args(args))
+            report = theorems_report(args.suite, limits=_limits_from_args(args))
             if args.revalidate:
                 reval = revalidate_report(report)
                 report["revalidation"] = {"total": reval["total"],

@@ -480,6 +480,9 @@ def print_node(node) -> str:
 
 
 def resolve_element(node, R: FiniteRing):
+    if R.kind == "localized":
+        source, to_class = R.parts
+        return to_class[resolve_element(node, source)]
     if isinstance(node, IntElem):
         if R.kind == "zmod":
             return node.value % R.size
@@ -492,7 +495,7 @@ def resolve_element(node, R: FiniteRing):
             raise DslError(f"tuple element not valid in {R.descriptor}", node.span)
         if len(node.items) != 2:
             raise DslError("product elements are pairs", node.span)
-        left_ring, right_ring = _product_components(R)
+        left_ring, right_ring = R.parts
         return (resolve_element(node.items[0], left_ring),
                 resolve_element(node.items[1], right_ring))
     if isinstance(node, XPolyElem):
@@ -519,20 +522,6 @@ def _char_bound(R: FiniteRing) -> int:
         out = R.add(out, one)
         k += 1
     return k
-
-
-def _product_components(R: FiniteRing):
-    # reconstruct component rings from the descriptor for element resolution
-    inner = R.descriptor[len("Prod("):-1]
-    depth = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return build_ring(inner[:i]), build_ring(inner[i + 1:])
-    raise ValueError(f"cannot split product descriptor {R.descriptor}")
 
 
 def build_ring(spec) -> FiniteRing:
@@ -599,7 +588,7 @@ def build_algebra(spec) -> FiniteAlgebra:
     if B.same_ring(R):
         return self_algebra(R)
     if B.kind == "product" and isinstance(node.over, ProdNode):
-        left, right = _product_components(B)
+        left, right = B.parts
         if left.same_ring(R) and right.same_ring(R):
             return diagonal_algebra(R, B)
     if B.kind == "polyquot" and isinstance(node.over, PolyQuotNode):

@@ -106,10 +106,6 @@ def monomial_str(exp: tuple) -> str:
     return "*".join(parts)
 
 
-def _zero_of(base_kind, base):
-    return base.zero
-
-
 def make_ext(base_kind: str, base, support: dict | Iterable, variant: str = "monoid",
              arity: int = 1, precision: int | None = None) -> ExtElement:
     """Normalize a support mapping into an ExtElement, dropping zero coefficients."""
@@ -117,7 +113,7 @@ def make_ext(base_kind: str, base, support: dict | Iterable, variant: str = "mon
         items = support.items()
     else:
         items = support
-    zero = _zero_of(base_kind, base)
+    zero = base.zero
     cleaned = {}
     for exp, coeff in items:
         exp = tuple(exp) if isinstance(exp, (tuple, list)) else (exp,)

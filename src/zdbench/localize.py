@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .modules import FiniteModule, Submodule
-from .rings import FiniteRing, MultiplicativeSet, multiplicative_closure
+from .rings import (FiniteRing, MultiplicativeSet, coset_quotient,
+                    multiplicative_closure)
 
 RELATION_CHECK_PAIR_LIMIT = 64   # full pair-relation verification below this
 RELATION_CHECK_SAMPLE = 32       # deterministic sample size above it
@@ -87,28 +88,20 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
     degenerate = R.zero in S.elements
     elems = ",".join(R.element_str(e) for e in R.sorted_elements(S.elements))
     descriptor = f"Localize({R.descriptor}, {{{elems}}})"
-    # cosets of the kernel ideal, least-index representatives
-    coset_rep = {}
-    reps = []
-    for x in R.elements:
-        if x in coset_rep:
-            continue
-        reps.append(x)
-        for k in K:
-            coset_rep[R.add(x, k)] = x
-    to_class = {x: coset_rep[x] for x in R.elements}
+    to_class, reps = coset_quotient(R, K)
     ring_structure = FiniteRing(
         kind="localized",
         elements=reps,
-        add=lambda a, b: coset_rep[R.add(a, b)],
-        mul=lambda a, b: coset_rep[R.mul(a, b)],
-        neg=lambda a: coset_rep[R.neg(a)],
-        zero=coset_rep[R.zero],
-        one=coset_rep[R.one],
+        add=lambda a, b: to_class[R.add(a, b)],
+        mul=lambda a, b: to_class[R.mul(a, b)],
+        neg=lambda a: to_class[R.neg(a)],
+        zero=to_class[R.zero],
+        one=to_class[R.one],
         descriptor=descriptor,
         element_str=R.element_str,
         allow_trivial=True,
     )
+    ring_structure.parts = (R, to_class)
     loc = Localization(
         source=R, kind="ring", mult_set=S, kernel=K, structure=ring_structure,
         to_class=to_class,
@@ -151,27 +144,19 @@ def localize_module(M: FiniteModule, S: MultiplicativeSet,
     degenerate = ring_localization.degenerate
     elems = ",".join(R.element_str(e) for e in R.sorted_elements(S.elements))
     tag = f"Localize({M.tag}, {{{elems}}})"
-    coset_rep = {}
-    reps = []
-    for m in M.elements:
-        if m in coset_rep:
-            continue
-        reps.append(m)
-        for k in K:
-            coset_rep[M.add(m, k)] = m
+    to_class, reps = coset_quotient(M, K)
     # an R_S class representative is itself an element of R, and the action on
     # M/K is independent of the representative chosen
     structure = FiniteModule(
         ring=RS,
         elements=reps,
-        add=lambda a, b: coset_rep[M.add(a, b)],
-        neg=lambda a: coset_rep[M.neg(a)],
-        zero=coset_rep[M.zero],
-        act=lambda rc, a: coset_rep[M.act(rc, a)],
+        add=lambda a, b: to_class[M.add(a, b)],
+        neg=lambda a: to_class[M.neg(a)],
+        zero=to_class[M.zero],
+        act=lambda rc, a: to_class[M.act(rc, a)],
         tag=tag,
         element_str=M.element_str,
     )
-    to_class = {m: coset_rep[m] for m in M.elements}
     loc = Localization(
         source=M, kind="module", mult_set=S, kernel=K, structure=structure,
         to_class=to_class, inverse_action={}, degenerate=degenerate)
@@ -179,7 +164,7 @@ def localize_module(M: FiniteModule, S: MultiplicativeSet,
     for s in S.elements:
         forward = {}
         for c in structure.elements:
-            image = coset_rep[M.act(s, c)]
+            image = to_class[M.act(s, c)]
             if image in forward:
                 raise RuntimeError("localized action by a denominator is not injective")
             forward[image] = c

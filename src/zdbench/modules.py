@@ -14,7 +14,8 @@ from typing import Iterable, Optional
 
 from . import rings as _rings
 from .errors import BoundExceeded, PresentationUnavailable
-from .rings import FiniteRing, Ideal, ideal_generated
+from .rings import (FiniteRing, Ideal, coset_quotient, ideal_generated, span,
+                    subgroup_lattice)
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kernels
@@ -170,17 +171,9 @@ def zero_module(R: FiniteRing, tag: str = "Zero") -> FiniteModule:
 
 def quotient_module(M: FiniteModule, subgroup: frozenset, tag: str) -> FiniteModule:
     """M / K for a submodule element set K; cosets take least-index representatives."""
-    K = set(subgroup)
-    if M.zero not in K:
+    if M.zero not in subgroup:
         raise ValueError("quotient: subgroup must contain 0")
-    rep_of = {}
-    reps = []
-    for m in M.elements:
-        if m in rep_of:
-            continue
-        reps.append(m)
-        for k in K:
-            rep_of[M.add(m, k)] = m
+    rep_of, reps = coset_quotient(M, subgroup)
     return FiniteModule(
         ring=M.ring,
         elements=reps,
@@ -251,19 +244,8 @@ def submodule_generated(M: FiniteModule, gens: Iterable) -> Submodule:
         if g not in M:
             raise ValueError(f"{g!r} not in module {M.tag}")
     seed = {M.act(r, g) for r in M.ring.elements for g in gens}
-    seed.add(M.zero)
-    closed = set(seed)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closed):
-                s = M.add(a, b)
-                if s not in closed:
-                    closed.add(s)
-                    fresh.append(s)
-        frontier = fresh
-    return Submodule(M, tuple(M.sorted_elements(dict.fromkeys(gens))), frozenset(closed))
+    return Submodule(M, tuple(M.sorted_elements(dict.fromkeys(gens))),
+                     span(M.add, M.zero, seed))
 
 
 def generating_set(M: FiniteModule) -> tuple:
@@ -283,26 +265,10 @@ def generating_set(M: FiniteModule) -> tuple:
 
 
 def all_submodules(M: FiniteModule, max_count: int = 512) -> list[Submodule]:
-    """Every submodule, saturating cyclic submodules under pairwise sums."""
-    seen = {}
-    for m in M.elements:
-        sub = submodule_generated(M, [m])
-        seen.setdefault(sub.elements, sub)
-    frontier = list(seen.values())
-    while frontier:
-        fresh = []
-        current = list(seen.values())
-        for a in frontier:
-            for b in current:
-                union = submodule_generated(M, list(a.generators) + list(b.generators))
-                if union.elements not in seen:
-                    seen[union.elements] = union
-                    fresh.append(union)
-                    if len(seen) > max_count:
-                        raise BoundExceeded(f"submodule lattice of {M.tag} exceeds {max_count}")
-        frontier = fresh
-    return sorted(seen.values(),
-                  key=lambda s: (len(s.elements), tuple(sorted(map(M.index, s.elements)))))
+    """Every submodule exactly once, ordered by size, then by element indices."""
+    return subgroup_lattice(M, M.act, M.ring.elements,
+                            lambda gens, elements: Submodule(M, gens, elements),
+                            max_count)
 
 
 # ---------------------------------------------------------------------------
@@ -646,22 +612,7 @@ def _flat_by_local_freeness(M: FiniteModule) -> bool:
         if len(Me) == 1:
             continue  # zero factor component: free of rank 0
         # m_e * M_e as a subgroup
-        sub = {M.zero}
-        frontier = [M.zero]
-        seeds = {M.act(a, m) for a in nonunits for m in Me}
-        for s in seeds:
-            if s not in sub:
-                sub.add(s)
-                frontier.append(s)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in list(sub):
-                    c = M.add(a, b)
-                    if c not in sub:
-                        sub.add(c)
-                        fresh.append(c)
-            frontier = fresh
+        sub = span(M.add, M.zero, {M.act(a, m) for a in nonunits for m in Me})
         residue = len(S_elems) // max(len(nonunits), 1)
         quotient_size = len(Me) // len(sub)
         # rank = log_residue(quotient_size); freeness needs |Me| = |Se|^rank

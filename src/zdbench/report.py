@@ -1,19 +1,15 @@
-"""Structured reports, the per-ring disk cache, and witness re-validation.
+"""Structured reports and witness re-validation.
 
 Reports are single JSON documents with deterministic field order; identical
-inputs and bounds produce byte-identical output with the cache on or off.
-Wall-clock timing is deliberately excluded from the canonical document and
-only attached on request, since it would break byte-level determinism.
+inputs and bounds produce byte-identical output.  Wall-clock timing is
+deliberately excluded from the canonical document and only attached on
+request, since it would break byte-level determinism.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import math
-import os
-import tempfile
 
 from . import dsl
 from .encoding import from_jsonable, to_jsonable
@@ -24,152 +20,16 @@ from .modules import (ann, content_of_element, has_property_A, ideal_action,
                       is_auslander, is_content_module, is_faithfully_flat,
                       is_flat, is_torsion_free, regular_module,
                       zero_divisors_module)
-from .rings import FiniteRing, Ideal, ideal_generated, ring_predicates
+from .rings import FiniteRing, ideal_generated, ring_predicates
 from .statements import (faithfully_flat_mccoy_algebras, run_suite,
                          search_counterexample)
 from .universe import DEFAULT_LIMITS, UniverseLimits, generate_universe
 
-log = logging.getLogger(__name__)
-
 SCHEMA_VERSION = 1
-CACHE_ENV_VAR = "ZDBENCH_CACHE_DIR"
 
 
 def canonical_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# per-ring disk cache
-
-
-class RingCache:
-    """Content-addressed cache of per-ring ideal lattices and zero-divisor
-    sets.  Entries carry a structural checksum; anything that fails
-    validation is recomputed, never trusted."""
-
-    def __init__(self, directory: str | None):
-        self.directory = directory
-        self.memory: dict = {}
-        if directory:
-            try:
-                os.makedirs(directory, exist_ok=True)
-            except OSError as exc:
-                log.warning("cache directory unavailable (%s); using memory only", exc)
-                self.directory = None
-
-    @classmethod
-    def from_env(cls) -> "RingCache":
-        return cls(os.environ.get(CACHE_ENV_VAR))
-
-    def _path(self, descriptor: str) -> str:
-        digest = hashlib.sha256(descriptor.encode()).hexdigest()[:24]
-        return os.path.join(self.directory, f"{digest}.json")
-
-    @staticmethod
-    def _checksum(payload: dict) -> str:
-        body = json.dumps({k: payload[k] for k in ("descriptor", "ideals", "zero_divisors")},
-                          sort_keys=True)
-        return hashlib.sha256(body.encode()).hexdigest()
-
-    def load(self, descriptor: str) -> dict | None:
-        if descriptor in self.memory:
-            return self.memory[descriptor]
-        if not self.directory:
-            return None
-        path = self._path(descriptor)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("descriptor") != descriptor:
-                raise ValueError("descriptor mismatch")
-            if payload.get("checksum") != self._checksum(payload):
-                raise ValueError("checksum mismatch")
-            return payload
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            log.warning("corrupt cache entry for %s (%s); recomputing", descriptor, exc)
-            return None
-
-    def store(self, descriptor: str, ideals, zero_divisors):
-        payload = {
-            "descriptor": descriptor,
-            "ideals": to_jsonable(ideals),
-            "zero_divisors": to_jsonable(zero_divisors),
-        }
-        payload["checksum"] = self._checksum(payload)
-        self.memory[descriptor] = payload
-        if not self.directory:
-            return
-        path = self._path(descriptor)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except OSError as exc:
-            log.warning("cache write failed for %s (%s)", descriptor, exc)
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def prime_ring(self, R: FiniteRing) -> bool:
-        """Install cached lattice/zero-divisor data on R after structural
-        validation; returns True on a cache hit."""
-        payload = self.load(R.descriptor)
-        if payload is None:
-            return False
-        try:
-            ideal_sets = [frozenset(from_jsonable(x) for x in ideal)
-                          for ideal in payload["ideals"]]
-            zd = frozenset(from_jsonable(x) for x in payload["zero_divisors"])
-            for elems in ideal_sets:
-                if not _is_ideal_set(R, elems):
-                    raise ValueError("ideal set not closed")
-            if not zd <= set(R.elements):
-                raise ValueError("zero-divisor set outside carrier")
-        except (ValueError, KeyError, TypeError) as exc:
-            log.warning("invalid cache entry for %s (%s); recomputing", R.descriptor, exc)
-            return False
-        lattice = [Ideal(R, tuple(R.sorted_elements(elems)), elems)
-                   for elems in ideal_sets]
-        lattice.sort(key=lambda I: (len(I.elements),
-                                    tuple(sorted(map(R.index, I.elements)))))
-        R._ideals = tuple(lattice)
-        R._zero_divisors = zd
-        return True
-
-    def save_ring(self, R: FiniteRing):
-        ideal_elements = [[to_jsonable(e) for e in R.sorted_elements(I.elements)]
-                          for I in R.ideals()]
-        zd = [to_jsonable(e) for e in R.sorted_elements(R.zero_divisors(include_zero=True))]
-        self.store(R.descriptor, ideal_elements, zd)
-
-
-def _is_ideal_set(R: FiniteRing, elems: frozenset) -> bool:
-    if R.zero not in elems:
-        return False
-    for a in elems:
-        if a not in R:
-            return False
-        for b in elems:
-            if R.add(a, b) not in elems:
-                return False
-    for r in R.elements:
-        for a in elems:
-            if R.mul(r, a) not in elems:
-                return False
-    return True
-
-
-def _prime_and_save(R: FiniteRing, cache: RingCache | None):
-    if cache is None:
-        return
-    if not cache.prime_ring(R):
-        R.ideals()
-        cache.save_ring(R)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +50,9 @@ def _verdict_section(verdict, R, M, kind) -> dict:
         value = verdict.witness.get("element", verdict.witness.get("ideal"))
         display = ""
         if "element" in verdict.witness:
-            display = R.element_str(verdict.witness["element"])
+            # a content witness is an element of M, the others elements of R
+            owner = M if kind == "content" else R
+            display = owner.element_str(verdict.witness["element"])
         elif "ideal" in verdict.witness:
             display = "(" + ",".join(R.element_str(g)
                                      for g in verdict.witness["ideal"]) + ")"
@@ -202,10 +64,8 @@ def _verdict_section(verdict, R, M, kind) -> dict:
 
 
 def analyze_report(ring_text: str, module_text: str,
-                   limits: UniverseLimits = DEFAULT_LIMITS,
-                   cache: RingCache | None = None) -> dict:
+                   limits: UniverseLimits = DEFAULT_LIMITS) -> dict:
     R = dsl.build_ring(ring_text)
-    _prime_and_save(R, cache)
     M = dsl.build_module(R, module_text)
     preds = ring_predicates(R)
     report = {
@@ -227,6 +87,8 @@ def analyze_report(ring_text: str, module_text: str,
             "units": _zd_section(R, R.units()),
         },
     }
+    # a Tensor(...) module lives over its algebra, not over the input ring
+    S = M.ring
     ausl = is_auslander(M)
     tf = is_torsion_free(M)
     prop_a = has_property_A(M)
@@ -235,13 +97,13 @@ def analyze_report(ring_text: str, module_text: str,
         "descriptor": M.tag,
         "size": M.size,
         "is_zero": M.is_zero,
-        "zero_divisors": _zd_section(R, zero_divisors_module(M)),
+        "zero_divisors": _zd_section(S, zero_divisors_module(M)),
         "annihilator": "(" + ",".join(
-            R.element_str(g) for g in ann(M).small_generators()) + ")",
-        "auslander": _verdict_section(ausl, R, M, "auslander"),
-        "torsion_free": _verdict_section(tf, R, M, "torsion_free"),
-        "property_a": _verdict_section(prop_a, R, M, "property_a"),
-        "content_module": _verdict_section(content, R, M, "content"),
+            S.element_str(g) for g in ann(M).small_generators()) + ")",
+        "auslander": _verdict_section(ausl, S, M, "auslander"),
+        "torsion_free": _verdict_section(tf, S, M, "torsion_free"),
+        "property_a": _verdict_section(prop_a, S, M, "property_a"),
+        "content_module": _verdict_section(content, S, M, "content"),
         "natural_map_kernel_trivial": natural_map_kernel(M).is_zero,
     }
     try:
@@ -263,11 +125,8 @@ def analyze_report(ring_text: str, module_text: str,
 
 
 def theorems_report(suite: str = "all",
-                    limits: UniverseLimits = DEFAULT_LIMITS,
-                    cache: RingCache | None = None) -> dict:
+                    limits: UniverseLimits = DEFAULT_LIMITS) -> dict:
     U = generate_universe(limits)
-    for R in U.rings:
-        _prime_and_save(R, cache)
     reports = run_suite(suite, U)
     if not reports:
         raise ValueError(f"suite pattern {suite!r} matches no statements")
@@ -391,11 +250,6 @@ def revalidate_witness(entry: dict) -> bool:
         m = value
         coeffs = [from_jsonable(c) for _, c in entry["f_support"]]
         return m != R.zero and all(R.mul(c, m) == R.zero for c in coeffs)
-    if kind == "ext_zd":
-        R = dsl.build_ring(entry["ring"])
-        M = dsl.build_module(R, entry["module"])
-        coeffs = [from_jsonable(c) for _, c in entry["f_support"]]
-        return value != M.zero and all(M.act(c, value) == M.zero for c in coeffs)
     raise ValueError(f"no revalidator for witness kind {kind!r}")
 
 

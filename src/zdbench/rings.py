@@ -41,6 +41,9 @@ class FiniteRing:
             raise ValueError(f"carrier of {descriptor} has duplicate encodings")
         if not allow_trivial and zero == one:
             raise ValueError(f"{descriptor}: zero identity (0 = 1) not allowed")
+        # what element literals resolve through: (A, B) for a product A x B,
+        # (source ring, element -> class map) for a localization
+        self.parts = ()
         # lazily computed, write-once caches
         self._units = None
         self._zero_divisors = None
@@ -115,37 +118,18 @@ class FiniteRing:
         return frozenset(self.elements) - self.zero_divisors(include_zero=True)
 
     def ideals(self, bound: int = DEFAULT_LATTICE_BOUND) -> tuple["Ideal", ...]:
-        """Every ideal exactly once, saturating cyclic ideals under pairwise sums.
+        """Every ideal exactly once: the submodule lattice of the regular module.
 
         Raises BoundExceeded past `bound` so callers shrink the universe
-        rather than wait on an infeasible fixpoint.
+        rather than wait on an infeasible enumeration.
         """
         if self._ideals is None:
             if self.size > bound:
                 raise BoundExceeded(
                     f"ideal lattice of {self.descriptor} (size {self.size}) exceeds bound {bound}")
-            seen = {}
-            for r in self.elements:
-                ideal = ideal_generated(self, [r])
-                seen.setdefault(ideal.elements, ideal)
-            frontier = list(seen.values())
-            while frontier:
-                fresh = []
-                current = list(seen.values())
-                for i in frontier:
-                    for j in current:
-                        s = _close_under_addition(self, i.elements | j.elements)
-                        key = frozenset(s)
-                        if key not in seen:
-                            gens = tuple(self.sorted_elements(i.generators + j.generators))
-                            new = Ideal(self, gens, key)
-                            seen[key] = new
-                            fresh.append(new)
-                frontier = fresh
-            lattice = sorted(
-                seen.values(),
-                key=lambda I: (len(I.elements), tuple(sorted(map(self.index, I.elements)))))
-            self._ideals = tuple(lattice)
+            self._ideals = tuple(subgroup_lattice(
+                self, self.mul, self.elements,
+                lambda gens, elements: Ideal(self, gens, elements)))
         return self._ideals
 
     def maximal_ideals(self) -> tuple["Ideal", ...]:
@@ -228,7 +212,7 @@ def product_ring(A: FiniteRing, B: FiniteRing) -> FiniteRing:
     # carrier order: first component varies fastest, so Prod(Z2,Z2) lists
     # (0,0), (1,0), (0,1), (1,1)
     elements = [(a, b) for b in B.elements for a in A.elements]
-    return FiniteRing(
+    R = FiniteRing(
         kind="product",
         elements=elements,
         add=lambda u, v: (A.add(u[0], v[0]), B.add(u[1], v[1])),
@@ -239,6 +223,8 @@ def product_ring(A: FiniteRing, B: FiniteRing) -> FiniteRing:
         descriptor=f"Prod({A.descriptor},{B.descriptor})",
         element_str=lambda u: f"({A.element_str(u[0])},{B.element_str(u[1])})",
     )
+    R.parts = (A, B)
+    return R
 
 
 def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
@@ -336,23 +322,79 @@ def poly_str(coeffs: tuple[int, ...]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# ideals
+# subgroups: the closure, lattice walk and coset quotient behind ideals,
+# submodules, multiplicative sets, quotients and localizations
 
 
-def _close_under_addition(R: FiniteRing, seed: Iterable) -> set:
+def span(op, identity, seed: Iterable) -> frozenset:
+    """The smallest set holding `identity` and `seed` that `op` maps into itself.
+
+    `op` must be commutative.  With op = + on a finite carrier the result is
+    a subgroup, since every element has finite additive order.
+    """
     closed = set(seed)
-    closed.add(R.zero)
+    closed.add(identity)
     frontier = list(closed)
     while frontier:
         fresh = []
         for a in frontier:
             for b in list(closed):
-                s = R.add(a, b)
-                if s not in closed:
-                    closed.add(s)
-                    fresh.append(s)
+                c = op(a, b)
+                if c not in closed:
+                    closed.add(c)
+                    fresh.append(c)
         frontier = fresh
-    return closed
+    return frozenset(closed)
+
+
+def subgroup_lattice(S, act, scalars, make, max_count: int | None = None) -> list:
+    """Every subgroup of the ring or module S that `act` by `scalars` keeps, once.
+
+    Seeds are the cyclic subgroups {act(r, m)} in carrier order; members are
+    joined pairwise by their Minkowski sum {a + b}, which for finite
+    subgroups is already closed, until no join is new.  make(generators,
+    elements) builds one member.  Sorted by size, then by element indices.
+    `max_count` caps the members of a module's lattice (S.tag names it).
+    """
+    seen = {}
+    for m in S.elements:
+        elements = frozenset(act(r, m) for r in scalars)
+        if elements not in seen:
+            seen[elements] = make((m,), elements)
+    frontier = list(seen.values())
+    while frontier:
+        fresh = []
+        current = list(seen.values())
+        for a in frontier:
+            for b in current:
+                if a.elements <= b.elements or b.elements <= a.elements:
+                    continue
+                joined = frozenset(S.add(x, y) for x in a.elements for y in b.elements)
+                if joined not in seen:
+                    gens = tuple(S.sorted_elements(a.generators + b.generators))
+                    seen[joined] = member = make(gens, joined)
+                    fresh.append(member)
+                    if max_count is not None and len(seen) > max_count:
+                        raise BoundExceeded(f"submodule lattice of {S.tag} exceeds {max_count}")
+        frontier = fresh
+    return sorted(seen.values(),
+                  key=lambda N: (len(N.elements), tuple(sorted(map(S.index, N.elements)))))
+
+
+def coset_quotient(S, subgroup: Iterable) -> tuple[dict, list]:
+    """(class map, representatives) of S modulo a subgroup: each coset is
+    represented by its least-index element, representatives in carrier order."""
+    rep_of, reps = {}, []
+    for x in S.elements:
+        if x not in rep_of:
+            reps.append(x)
+            for k in subgroup:
+                rep_of[S.add(x, k)] = x
+    return rep_of, reps
+
+
+# ---------------------------------------------------------------------------
+# ideals
 
 
 @dataclass(frozen=True)
@@ -420,16 +462,15 @@ class Ideal:
         for e in R.sorted_elements(self.elements):
             if e == R.zero:
                 continue
-            if frozenset(_close_under_addition(R, {R.mul(r, e) for r in R.elements})) == self.elements:
+            if span(R.add, R.zero, {R.mul(r, e) for r in R.elements}) == self.elements:
                 return (e,)
         gens: list = []
-        span = {R.zero}
+        closed = {R.zero}
         for e in R.sorted_elements(self.elements):
-            if e not in span:
+            if e not in closed:
                 gens.append(e)
-                span = _close_under_addition(
-                    R, span | {R.mul(r, g) for r in R.elements for g in gens})
-                if frozenset(span) == self.elements:
+                closed = span(R.add, R.zero, closed | {R.mul(r, e) for r in R.elements})
+                if closed == self.elements:
                     break
         return tuple(gens) if gens else (R.zero,)
 
@@ -446,8 +487,8 @@ def ideal_generated(R: FiniteRing, gens: Iterable) -> Ideal:
         if g not in R:
             raise ValueError(f"{g!r} is not an element of {R.descriptor}")
     multiples = {R.mul(r, g) for r in R.elements for g in gens}
-    closed = _close_under_addition(R, multiples)
-    return Ideal(R, tuple(R.sorted_elements(dict.fromkeys(gens))), frozenset(closed))
+    return Ideal(R, tuple(R.sorted_elements(dict.fromkeys(gens))),
+                 span(R.add, R.zero, multiples))
 
 
 def zero_ideal(R: FiniteRing) -> Ideal:
@@ -518,22 +559,11 @@ class MultiplicativeSet:
 
 def multiplicative_closure(R: FiniteRing, seed: Iterable) -> MultiplicativeSet:
     """Close `seed` (plus 1) under multiplication."""
-    closed = set(seed)
-    for s in closed:
+    seed = set(seed)
+    for s in seed:
         if s not in R:
             raise ValueError(f"{s!r} is not an element of {R.descriptor}")
-    closed.add(R.one)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closed):
-                p = R.mul(a, b)
-                if p not in closed:
-                    closed.add(p)
-                    fresh.append(p)
-        frontier = fresh
-    return MultiplicativeSet(R, frozenset(closed))
+    return MultiplicativeSet(R, span(R.mul, R.one, seed))
 
 
 def all_mult_closed_subsets(R: FiniteRing, within: Iterable) -> list[MultiplicativeSet]:
@@ -545,8 +575,6 @@ def all_mult_closed_subsets(R: FiniteRing, within: Iterable) -> list[Multiplicat
     """
     allowed = frozenset(within) | {R.one}
     base = multiplicative_closure(R, [R.one])
-    if not base.elements <= allowed:
-        raise ValueError("candidate set does not even allow {1}")
     found = {base.elements: base}
     frontier = [base]
     while frontier:

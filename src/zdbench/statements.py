@@ -205,7 +205,7 @@ def _stmt_content_def(U: Universe) -> StatementReport:
         for m in M.elements:
             rep.checked += 1
             qualifying = [I for I in R.ideals()
-                          if m in _im_elements(U, R, M, I)]
+                          if m in ideal_action(I, M).elements]
             if not qualifying:
                 rep.failures.append({"member": _member(R, M),
                                      "element": to_jsonable(m),
@@ -218,10 +218,6 @@ def _stmt_content_def(U: Universe) -> StatementReport:
                                      "element": to_jsonable(m)})
     rep.notes.append("members with |M| <= 64 checked elementwise")
     return rep.finish()
-
-
-def _im_elements(U: Universe, R, M, I) -> frozenset:
-    return ideal_action(I, M).elements
 
 
 def _stmt_prop_2_2_1(U: Universe) -> StatementReport:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zdbench import dsl
 from zdbench.dsl import (AlgebraNode, CyclicNode, FreeNode, HomNode, IntElem,
                          LocalizeNode, PolyQuotNode, ProdNode, RegNode,
                          SumNode, TensorNode, TupleElem, TotalQuotientNode,
@@ -203,3 +204,20 @@ def test_module_tags_reparse():
         M = build_module(R, text)
         again = build_module(R, M.tag)
         assert again.size == M.size
+
+
+def test_product_literal_resolution_builds_no_ring(monkeypatch):
+    R = build_ring("Prod(Z2,Prod(Z3,Z4))")
+    calls = []
+    monkeypatch.setattr(dsl, "build_ring", lambda *args: calls.append(args))
+    node = parse_module("Cyclic((1,(2,3)))").generators[0]
+    assert dsl.resolve_element(node, R) == (1, (2, 3))
+    assert calls == []
+
+
+def test_literals_over_localized_rings_resolve_to_classes():
+    R = build_ring("Localize(Prod(Z2,Z2), {(1,0)})")
+    node = parse_module("Cyclic((1,1))").generators[0]
+    assert dsl.resolve_element(node, R) == (1, 0)
+    Q = build_ring("TotalQuotient(Z12)")
+    assert dsl.resolve_element(IntElem(14), Q) == 2

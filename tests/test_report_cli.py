@@ -3,10 +3,9 @@ import json
 import pytest
 
 from zdbench.cli import main
-from zdbench.report import (RingCache, analyze_report, canonical_json,
-                            collect_witnesses, render_text, revalidate_report,
-                            revalidate_witness, search_report,
-                            theorems_report, witness_report)
+from zdbench.report import (analyze_report, collect_witnesses, render_text,
+                            revalidate_report, revalidate_witness,
+                            search_report, theorems_report, witness_report)
 from zdbench.universe import UniverseLimits
 
 SMALL = UniverseLimits(zmod_max=4, product_component_max=2, max_module=20,
@@ -73,47 +72,6 @@ def test_witness_report():
     assert revalidate_witness(rep["witness"])
 
 
-def test_cache_roundtrip(tmp_path):
-    cache = RingCache(str(tmp_path))
-    first = analyze_report("Z12", "Reg", cache=cache)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    cache2 = RingCache(str(tmp_path))
-    second = analyze_report("Z12", "Reg", cache=cache2)
-    assert canonical_json(first) == canonical_json(second)
-    third = analyze_report("Z12", "Reg", cache=None)
-    assert canonical_json(first) == canonical_json(third)
-
-
-def test_cache_corruption_recovers(tmp_path, caplog):
-    cache = RingCache(str(tmp_path))
-    baseline = analyze_report("Z12", "Reg", cache=cache)
-    path = next(tmp_path.iterdir())
-    path.write_text("{ not json")
-    cache2 = RingCache(str(tmp_path))
-    with caplog.at_level("WARNING"):
-        again = analyze_report("Z12", "Reg", cache=cache2)
-    assert canonical_json(again) == canonical_json(baseline)
-    assert any("recomputing" in rec.message for rec in caplog.records)
-
-
-def test_cache_checksum_mismatch(tmp_path):
-    cache = RingCache(str(tmp_path))
-    analyze_report("Z12", "Reg", cache=cache)
-    path = next(tmp_path.iterdir())
-    payload = json.loads(path.read_text())
-    payload["zero_divisors"] = []
-    path.write_text(json.dumps(payload))
-    cache2 = RingCache(str(tmp_path))
-    assert cache2.load("Z12") is None
-
-
-def test_cache_memory_fallback():
-    cache = RingCache(None)
-    cache.store("Z6", [[0]], [0])
-    assert cache.load("Z6") is not None
-
-
 def test_render_text_derived_from_report():
     rep = analyze_report("Z6", "Reg")
     text = render_text(rep)
@@ -122,8 +80,7 @@ def test_render_text_derived_from_report():
 
 
 def test_cli_analyze_json(capsys):
-    code = main(["analyze", "--ring", "Prod(Z2,Z2)", "--module", "Cyclic((0,1))",
-                 "--no-cache"])
+    code = main(["analyze", "--ring", "Prod(Z2,Z2)", "--module", "Cyclic((0,1))"])
     assert code == 0
     out = capsys.readouterr().out
     rep = json.loads(out)
@@ -131,7 +88,7 @@ def test_cli_analyze_json(capsys):
 
 
 def test_cli_stdout_deterministic(capsys):
-    argv = ["analyze", "--ring", "Z12", "--module", "Free(2)", "--no-cache"]
+    argv = ["analyze", "--ring", "Z12", "--module", "Free(2)"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -140,10 +97,37 @@ def test_cli_stdout_deterministic(capsys):
 
 
 def test_cli_timing_flag_adds_field(capsys):
-    assert main(["analyze", "--ring", "Z4", "--module", "Reg", "--no-cache",
-                 "--timing"]) == 0
+    assert main(["analyze", "--ring", "Z4", "--module", "Reg", "--timing"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert "timing" in rep
+
+
+@pytest.mark.parametrize("ring, module", [
+    ("TotalQuotient(Z12)", "Cyclic(2)"),
+    ("Localize(Prod(Z2,Z2), {(1,0)})", "Cyclic((1,0))"),
+])
+def test_cli_analyze_literals_over_localized_rings(capsys, ring, module):
+    assert main(["analyze", "--ring", ring, "--module", module]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ring"]["descriptor"].startswith("Localize(")
+
+
+def test_cli_analyze_tensor_over_nontrivial_algebra(capsys):
+    module = "Tensor(Reg, Algebra(PolyQuot(Z2, x^2 + x + 1), Z2))"
+    assert main(["analyze", "--ring", "Z2", "--module", module]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    # the tensor is the field F4 over itself: Z(M) = {0} in F4's encoding
+    assert rep["module"]["size"] == 4
+    assert rep["module"]["zero_divisors"] == {"values": [[0, 0]], "display": ["0"]}
+
+
+@pytest.mark.parametrize("ring, module, display", [
+    ("PolyQuot(Z4, x^2)", "Sum(Cyclic(0),Cyclic(2))", "(0,x)"),
+    ("Z4", "Tensor(Cyclic(2), Algebra(PolyQuot(Z4, x^2), Z4))", "(x)"),
+])
+def test_content_witness_displayed_as_module_element(ring, module, display):
+    witness = analyze_report(ring, module)["module"]["content_module"]["witness"]
+    assert witness["display"] == display
 
 
 def test_cli_witness(capsys):
@@ -164,7 +148,7 @@ def test_cli_dsl_error(capsys):
 
 def test_cli_theorems_small(capsys):
     code = main(["theorems", "--suite", "rem-3.3-3", "--zmod-max", "4",
-                 "--max-module", "20", "--no-cache"])
+                 "--max-module", "20"])
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["passed"] is True
@@ -184,7 +168,7 @@ def test_cli_theorems_failing_suite_exits_one(capsys, monkeypatch):
 
     monkeypatch.setitem(statements.REGISTRY, "zz-test", failing)
     code = main(["theorems", "--suite", "zz-test", "--zmod-max", "2",
-                 "--max-module", "8", "--no-cache"])
+                 "--max-module", "8"])
     assert code == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["passed"] is False
@@ -192,17 +176,10 @@ def test_cli_theorems_failing_suite_exits_one(capsys, monkeypatch):
 
 def test_cli_search(capsys):
     code = main(["search", "--hyp", "reg_module", "--concl", "auslander",
-                 "--zmod-max", "4", "--no-cache"])
+                 "--zmod-max", "4"])
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["count"] == 0
-
-
-def test_cli_env_cache_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ZDBENCH_CACHE_DIR", str(tmp_path))
-    assert main(["analyze", "--ring", "Z6", "--module", "Reg"]) == 0
-    capsys.readouterr()
-    assert list(tmp_path.iterdir())
 
 
 def test_collect_witnesses_walks_nested():
