@@ -215,8 +215,13 @@ def revalidate_witness(entry: dict) -> bool:
             return math.gcd(value, n) > 1
         return False
     if kind in ("auslander", "torsion_free", "property_a", "content"):
-        R = dsl.build_ring(ring_desc)
-        M = dsl.build_module(R, module_tag)
+        node = dsl.parse_module(module_tag)
+        # Tensor(..., Algebra(B, R0)) is built over R0 and lives over B
+        base = node.algebra.base if isinstance(node, dsl.TensorNode) else ring_desc
+        M = dsl.build_module(dsl.build_ring(base), node)
+        if M.ring.descriptor != ring_desc:
+            return False
+        R = M.ring
         zr = R.zero_divisors(include_zero=True)
         zm = zero_divisors_module(M, include_zero=True)
         if kind == "auslander":

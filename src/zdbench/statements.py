@@ -1,9 +1,17 @@
 """Executable checks for every in-scope statement, plus counterexample search.
 
-Each registered statement sweeps the universe members satisfying its
-hypotheses, evaluates its conclusion, and reports pass/fail with re-checkable
-witnesses.  A statement never asserts on members failing its hypotheses, and
-zero applicable members surfaces as a warning instead of a silent pass.
+Every statement is one row of `STATEMENTS`: its id, its description, the
+sweep that checks it, the sweep's arguments and the static notes of its
+report.  Twenty-one rows run over four shared sweeps (an implication over the
+universe pairs, the extension-ring transfer, the McCoy tensor transfer and
+direct sums); the other twelve have sweeps of their own.  A sweep visits the
+universe members satisfying the statement's hypotheses, evaluates its
+conclusion, and reports pass/fail with re-checkable witnesses.  A statement
+never asserts on members failing its hypotheses, and zero applicable members
+surfaces as a warning instead of a silent pass.
+
+Hypotheses and conclusions are named by one predicate vocabulary, which the
+counterexample `search` reads too.
 
 Extension-ring statements quantify over the ideal lattice: a polynomial or
 series element is a zero-divisor on M[G] exactly when its content ideal kills
@@ -15,6 +23,7 @@ finitely supported element.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -78,6 +87,10 @@ def _member(R, M) -> str:
     return f"{R.descriptor} :: {M.tag}"
 
 
+def _set_str(R, S) -> str:
+    return "{" + ",".join(R.element_str(s) for s in R.sorted_elements(S.elements)) + "}"
+
+
 def witness_entry(kind, *, ring=None, module=None, algebra=None, value=None,
                   display="", variant=None) -> dict:
     entry = {"kind": kind, "display": display, "value": to_jsonable(value)}
@@ -98,16 +111,106 @@ def _nonzero_pairs(U: Universe):
             yield R, M
 
 
+def _memo(U: Universe, key, compute):
+    """U.caches[key], computed on first use; an exception is not cached."""
+    if key not in U.caches:
+        U.caches[key] = compute()
+    return U.caches[key]
+
+
 # ---------------------------------------------------------------------------
-# extension profiles (content-annihilator criterion over the ideal lattice)
+# predicate vocabulary, shared by the statement sweeps and `search`
+#
+# Each entry returns a truth value (a Verdict or a bool).  Entries look their
+# predicates up in this module's globals when called, so a patched or traced
+# predicate reaches every caller.
+
+
+_PAIR_VOCABULARY = {
+    "auslander": lambda U, R, M: is_auslander(M),
+    "torsion_free": lambda U, R, M: is_torsion_free(M),
+    "flat": lambda U, R, M: is_flat(M, budget=U.limits.presentation_budget),
+    "faithfully_flat": lambda U, R, M: is_faithfully_flat(
+        M, budget=U.limits.presentation_budget),
+    "content_module": lambda U, R, M: is_content_module(M),
+    "content_surjective": lambda U, R, M: content_surjective(M),
+    "property_a": lambda U, R, M: has_property_A(M),
+    "zero_annihilator": lambda U, R, M: ann(M).is_zero,
+    "reg_module": lambda U, R, M: M.tag == "Reg",
+    "nonzero": lambda U, R, M: not M.is_zero,
+    "domain": lambda U, R, M: ring_predicates(R).is_domain,
+    "field": lambda U, R, M: ring_predicates(R).is_field,
+    "local": lambda U, R, M: ring_predicates(R).is_local,
+}
+
+_ALGEBRA_VOCABULARY = {
+    "mccoy": lambda U, alg: is_mccoy_algebra(alg),
+    "ohm_rush": lambda U, alg: is_ohm_rush(alg),
+    "flat": lambda U, alg: is_flat(alg.as_module(),
+                                   budget=U.limits.presentation_budget),
+    "faithfully_flat": lambda U, alg: is_faithfully_flat(
+        alg.as_module(), budget=U.limits.presentation_budget),
+    "nontrivial_extension": lambda U, alg: not alg.is_trivial_extension,
+}
+
+
+def _meets(rep: StatementReport, U: Universe, R, M, hyp) -> bool:
+    """Whether (R, M) meets every named hypothesis; a bound hit is a noted skip."""
+    try:
+        return all(_PAIR_VOCABULARY[name](U, R, M) for name in hyp)
+    except BoundExceeded as exc:
+        rep.notes.append(f"skipped {_member(R, M)}: {exc}")
+        return False
+
+
+def _check(rep: StatementReport, member: str, concl, U: Universe, R, X) -> bool:
+    """Count `member` as checked on X; a failing conclusion is a failure."""
+    rep.applicable.append(member)
+    rep.checked += 1
+    for name in concl:
+        verdict = _PAIR_VOCABULARY[name](U, R, X)
+        if not verdict:
+            rep.failures.append({"member": member, "witness": verdict.witness})
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# shared sweeps
+
+
+def _implication(U: Universe, rep: StatementReport, hyp, concl, hom=False,
+                 adapter=None):
+    """Every nonzero pair meeting `hyp` satisfies `concl`, on M itself or, with
+    `hom`, on its module of linear self-maps.
+
+    `adapter` = (with the Z/n cases, label of Z itself) adds integer-adapter
+    members, whose conclusions their own classes decide analytically."""
+    for R, M in _nonzero_pairs(U):
+        if not _meets(rep, U, R, M, hyp):
+            continue
+        X = M
+        if hom:
+            if M.size ** len(generating_set(M)) > U.limits.hom_budget:
+                rep.notes.append(f"skipped {_member(R, M)}: hom budget")
+                continue
+            X = _memo(U, ("hom", R.descriptor, M.tag),
+                      lambda: hom_module(M, budget=U.limits.hom_budget))
+        _check(rep, _member(R, M), concl, U, R, X)
+    if adapter is not None:
+        with_quotients, z_label = adapter
+        members = [(f"Z :: {case.case_id}", case)
+                   for case in (z_adapter_cases() if with_quotients else [])]
+        members.append((f"Z :: {z_label}", ZRegularCase()))
+        for label, case in members:
+            rep.applicable.append(label)
+            rep.checked += 1
+            if not all(getattr(case, f"is_{name}")().holds for name in concl):
+                rep.failures.append({"member": f"Z :: {case.case_id}"})
 
 
 def _ext_profile(U: Universe, R, M, variant: str):
     """(auslander_ext, tf_ext, witnesses) for M[G] / M[[X]] over R[G] / R[[X]]."""
-    key = ("extp", R.descriptor, M.tag, variant)
-    cached = U.caches.get(key)
-    if cached is not None:
-        return cached
     reg = U.regular(R)
     ausl, tf = True, True
     ausl_wit = tf_wit = None
@@ -120,24 +223,20 @@ def _ext_profile(U: Universe, R, M, variant: str):
             f = ring_series(R, support, U.limits.series_precision)
         zd_ring = is_zd_on_extension(f, reg).holds
         zd_mod = is_zd_on_extension(f, M).holds
-        if zd_ring and not zd_mod and ausl:
-            ausl = False
-            ausl_wit = witness_entry("ext_ideal", ring=R, module=M,
-                                     value=gens, variant=variant,
-                                     display="c(f) = (" + ",".join(map(R.element_str, gens)) + ")")
-        if zd_mod and not zd_ring and tf:
-            tf = False
-            tf_wit = witness_entry("ext_ideal", ring=R, module=M,
-                                   value=gens, variant=variant,
-                                   display="c(f) = (" + ",".join(map(R.element_str, gens)) + ")")
-    result = (ausl, tf, ausl_wit, tf_wit)
-    U.caches[key] = result
-    return result
+        if zd_ring != zd_mod and (ausl if zd_ring else tf):
+            wit = witness_entry("ext_ideal", ring=R, module=M,
+                                value=gens, variant=variant,
+                                display="c(f) = (" + ",".join(map(R.element_str, gens)) + ")")
+            if zd_ring:
+                ausl, ausl_wit = False, wit
+            else:
+                tf, tf_wit = False, wit
+    return ausl, tf, ausl_wit, tf_wit
 
 
 def _extension_iff(U: Universe, rep: StatementReport, variant: str,
                    side: str, ring_property_a: bool = False):
-    """Shared sweep for the polynomial/series transfer theorems.
+    """The polynomial/series transfer: M[G] (or M[[X]]) has the property iff M does.
 
     side: "auslander", "torsion_free", or "both" (the conjunction)."""
     for R, M in _nonzero_pairs(U):
@@ -147,7 +246,9 @@ def _extension_iff(U: Universe, rep: StatementReport, variant: str,
             continue
         rep.applicable.append(_member(R, M))
         rep.checked += 1
-        ausl_ext, tf_ext, ausl_wit, tf_wit = _ext_profile(U, R, M, variant)
+        ausl_ext, tf_ext, ausl_wit, tf_wit = _memo(
+            U, ("extp", R.descriptor, M.tag, variant),
+            lambda: _ext_profile(U, R, M, variant))
         base_ausl = is_auslander(M).holds
         base_tf = is_torsion_free(M).holds
         if side == "auslander":
@@ -168,15 +269,76 @@ def _extension_iff(U: Universe, rep: StatementReport, variant: str,
             })
 
 
+def _mccoy_algebras_of(U: Universe, R):
+    """The faithfully flat McCoy algebras over R; undecided ones are left out."""
+    def ffl_mccoy(alg):
+        try:
+            return all(_ALGEBRA_VOCABULARY[name](U, alg)
+                       for name in ("faithfully_flat", "mccoy"))
+        except BoundExceeded:
+            return False
+    return _memo(U, ("mccoy-algs", R.descriptor),
+                 lambda: [alg for alg in U.algebras[R.descriptor] if ffl_mccoy(alg)])
+
+
+def _mccoy_tensor(U: Universe, rep: StatementReport, flat: bool, concl):
+    """M (x) B satisfies `concl` for every nonzero Auslander M with property (A),
+    flat too with `flat`, and every faithfully flat McCoy algebra B."""
+    hyp = ("nonzero", "auslander", "property_a") + (("flat",) if flat else ())
+    nontrivial = []
+    for R in U.rings:
+        for alg in _mccoy_algebras_of(U, R):
+            for M in U.modules[R.descriptor]:
+                if not _meets(rep, U, R, M, hyp):
+                    continue
+                member = f"{_member(R, M)} (x) {alg.descriptor}"
+                try:
+                    T = _memo(U, ("tensor", R.descriptor, M.tag, alg.descriptor),
+                              lambda: tensor_with_algebra(
+                                  M, alg, budget=U.limits.presentation_budget))
+                except BoundExceeded as exc:
+                    rep.notes.append(f"skipped {member}: {exc}")
+                    continue
+                if not alg.is_trivial_extension:
+                    nontrivial.append(member)
+                if T.is_zero:
+                    rep.applicable.append(member)
+                    rep.checked += 1
+                    rep.failures.append({"member": member,
+                                         "reason": "tensor collapsed to zero"})
+                    continue
+                _check(rep, member, concl, U, alg.ring, T)
+    rep.extra["nontrivial_applicable"] = nontrivial
+
+
+def _summands(U: Universe, rep: StatementReport, flat: bool, concl, labels):
+    """A sum of two nonzero modules (flat ones, with `flat`), the first
+    Auslander, satisfies `concl`; so does, once per ring, the first summand
+    doubled.  `labels` format the two- and three-summand member names."""
+    for R in U.rings:
+        mods = [M for M in U.modules[R.descriptor]
+                if not M.is_zero and _meets(rep, U, R, M, ("flat",) if flat else ())]
+        triple_done = False
+        for M in mods:
+            if not is_auslander(M).holds:
+                continue
+            for Mp in mods:
+                if M.size * Mp.size > U.limits.max_module:
+                    continue
+                pair = f"{R.descriptor} :: {labels[0].format(M.tag, Mp.tag)}"
+                if (_check(rep, pair, concl, U, R, direct_sum(M, Mp))
+                        and not triple_done
+                        and M.size * M.size * Mp.size <= U.limits.max_module):
+                    triple = f"{R.descriptor} :: {labels[1].format(M.tag, Mp.tag)}"
+                    _check(rep, triple, concl, U, R, direct_sum(direct_sum(M, M), Mp))
+                    triple_done = True
+
+
 # ---------------------------------------------------------------------------
-# statement implementations
+# statements with sweeps of their own
 
 
-def _stmt_def_2_1(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "def-2.1",
-        "Auslander predicate coherence: verdict equals the set inclusion "
-        "Z(R) within Z(M), recomputed from raw zero-divisor scans")
+def _def_2_1(U: Universe, rep: StatementReport):
     for R, M in _nonzero_pairs(U):
         rep.applicable.append(_member(R, M))
         rep.checked += 1
@@ -190,14 +352,9 @@ def _stmt_def_2_1(U: Universe) -> StatementReport:
             if r not in zr or r in zm:
                 rep.failures.append({"member": _member(R, M),
                                      "witness_invalid": to_jsonable(r)})
-    return rep.finish()
 
 
-def _stmt_content_def(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "content-def",
-        "content coherence: c(m) equals the intersection of all lattice ideals "
-        "I with m in IM, and is contained in each of them")
+def _content_def(U: Universe, rep: StatementReport):
     for R, M in _nonzero_pairs(U):
         if M.size > 64:
             continue
@@ -216,112 +373,9 @@ def _stmt_content_def(U: Universe) -> StatementReport:
             if c.elements != expected or not all(c.elements <= I.elements for I in qualifying):
                 rep.failures.append({"member": _member(R, M),
                                      "element": to_jsonable(m)})
-    rep.notes.append("members with |M| <= 64 checked elementwise")
-    return rep.finish()
 
 
-def _stmt_prop_2_2_1(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-2.2-1",
-        "over a domain every nonzero module is Auslander "
-        "(finite domains are fields; the integer adapter supplies the "
-        "non-field domain instances)")
-    for R, M in _nonzero_pairs(U):
-        if not ring_predicates(R).is_domain:
-            continue
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        v = is_auslander(M)
-        if not v.holds:
-            rep.failures.append({"member": _member(R, M), "witness": v.witness})
-    for case in z_adapter_cases():
-        rep.applicable.append(f"Z :: {case.case_id}")
-        rep.checked += 1
-        if not case.is_auslander().holds:
-            rep.failures.append({"member": f"Z :: {case.case_id}"})
-    reg = ZRegularCase()
-    rep.applicable.append(f"Z :: {reg.case_id}")
-    rep.checked += 1
-    if not reg.is_auslander().holds:
-        rep.failures.append({"member": "Z :: Z"})
-    return rep.finish()
-
-
-def _flat_or_note(rep: StatementReport, R, M):
-    try:
-        return is_flat(M)
-    except BoundExceeded as exc:
-        rep.notes.append(f"skipped {_member(R, M)}: {exc}")
-        return None
-
-
-def _stmt_prop_2_2_2(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-2.2-2",
-        "a flat content module whose element contents reach every principal "
-        "ideal is Auslander")
-    for R, M in _nonzero_pairs(U):
-        flat = _flat_or_note(rep, R, M)
-        if flat is None or not flat.holds:
-            continue
-        if not is_content_module(M).holds or not content_surjective(M):
-            continue
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        v = is_auslander(M)
-        if not v.holds:
-            rep.failures.append({"member": _member(R, M), "witness": v.witness})
-    return rep.finish()
-
-
-def _stmt_prop_2_2_3(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-2.2-3", "a module with zero annihilator is Auslander")
-    for R, M in _nonzero_pairs(U):
-        if not ann(M).is_zero:
-            continue
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        v = is_auslander(M)
-        if not v.holds:
-            rep.failures.append({"member": _member(R, M), "witness": v.witness})
-    return rep.finish()
-
-
-def _hom_of(U: Universe, R, M):
-    key = ("hom", R.descriptor, M.tag)
-    cached = U.caches.get(key)
-    if cached is None:
-        cached = hom_module(M, budget=U.limits.hom_budget)
-        U.caches[key] = cached
-    return cached
-
-
-def _stmt_prop_2_2_4(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-2.2-4",
-        "if the annihilator of M is zero, the module of linear self-maps "
-        "of M is Auslander")
-    for R, M in _nonzero_pairs(U):
-        if not ann(M).is_zero:
-            continue
-        if M.size ** len(generating_set(M)) > U.limits.hom_budget:
-            rep.notes.append(f"skipped {_member(R, M)}: hom budget")
-            continue
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        H = _hom_of(U, R, M)
-        v = is_auslander(H)
-        if not v.holds:
-            rep.failures.append({"member": _member(R, M), "witness": v.witness})
-    return rep.finish()
-
-
-def _stmt_prop_2_2_5(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-2.2-5",
-        "Z(N) is contained in Z(M) for every submodule N, so an Auslander "
-        "submodule forces M to be Auslander")
+def _prop_2_2_5(U: Universe, rep: StatementReport):
     for R, M in _nonzero_pairs(U):
         if M.size > 64:
             continue
@@ -349,56 +403,14 @@ def _stmt_prop_2_2_5(U: Universe) -> StatementReport:
                     "member": _member(R, M),
                     "submodule_size": len(N.elements),
                     "reason": "Auslander submodule but M not Auslander"})
-    rep.notes.append("members with |M| <= 64, full submodule lattice")
-    return rep.finish()
-
-
-def _stmt_prop_2_2_6(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-2.2-6",
-        "a direct sum with an Auslander summand is Auslander "
-        "(finite-index instantiation: two to three summands)")
-    for R in U.rings:
-        mods = [M for M in U.modules[R.descriptor] if not M.is_zero]
-        triple_done = False
-        for M in mods:
-            if not is_auslander(M).holds:
-                continue
-            for Mp in mods:
-                if M.size * Mp.size > U.limits.max_module:
-                    continue
-                rep.applicable.append(f"{R.descriptor} :: Sum({M.tag},{Mp.tag})")
-                rep.checked += 1
-                S = direct_sum(M, Mp)
-                if not is_auslander(S).holds:
-                    rep.failures.append({"member": _member(R, S)})
-                elif not triple_done and M.size * M.size * Mp.size <= U.limits.max_module:
-                    T = direct_sum(direct_sum(M, M), Mp)
-                    rep.checked += 1
-                    rep.applicable.append(
-                        f"{R.descriptor} :: Sum(Sum({M.tag},{M.tag}),{Mp.tag})")
-                    if not is_auslander(T).holds:
-                        rep.failures.append({"member": _member(R, T)})
-                    triple_done = True
-    rep.notes.append("finite-index instantiation (2-3 summands)")
-    return rep.finish()
 
 
 def _localization_of(U: Universe, R, S):
-    key = ("loc", R.descriptor,
-           tuple(sorted(map(R.index, S.elements))))
-    cached = U.caches.get(key)
-    if cached is None:
-        cached = localize(R, S)
-        U.caches[key] = cached
-    return cached
+    return _memo(U, ("loc", R.descriptor, tuple(sorted(map(R.index, S.elements)))),
+                 lambda: localize(R, S))
 
 
-def _stmt_prop_2_3(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-2.3",
-        "localizing an Auslander module at a multiplicative set avoiding "
-        "Z(M) yields an Auslander module over the localized ring")
+def _prop_2_3(U: Universe, rep: StatementReport):
     instances = []
     for R, M in _nonzero_pairs(U):
         zm = zero_divisors_module(M, include_zero=True)
@@ -409,8 +421,7 @@ def _stmt_prop_2_3(U: Universe) -> StatementReport:
             ring_loc = _localization_of(U, R, S)
             mod_loc = localize_module(M, S, ring_loc)
             MS = mod_loc.structure
-            s_display = "{" + ",".join(
-                R.element_str(s) for s in R.sorted_elements(S.elements)) + "}"
+            s_display = _set_str(R, S)
             has_ring_zd = any(s in zr and s != R.zero for s in S.elements)
             verdict = is_auslander(MS)
             if has_ring_zd:
@@ -433,17 +444,9 @@ def _stmt_prop_2_3(U: Universe) -> StatementReport:
                     "member": _member(R, M), "S": s_display,
                     "witness": verdict.witness})
     rep.extra["zero_divisor_S_instances"] = instances
-    rep.notes.append(
-        "under the hypotheses S avoids Z(R) automatically; sets S containing "
-        "a ring zero-divisor acting regularly on M are logged separately")
-    return rep.finish()
 
 
-def _stmt_prop_a_def(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-a-def",
-        "property (A) holds for every universe member (finitely generated "
-        "modules over Noetherian rings), re-derived independently per ideal")
+def _prop_a_def(U: Universe, rep: StatementReport):
     for R, M in _nonzero_pairs(U):
         rep.applicable.append(_member(R, M))
         rep.checked += 1
@@ -466,77 +469,28 @@ def _stmt_prop_a_def(U: Universe) -> StatementReport:
                 "direct_recheck": direct,
                 "ideal": to_jsonable(offending),
                 "witness": v.witness})
-    rep.notes.append("a failure here indicates an engine bug, not a refutation")
-    return rep.finish()
 
 
-def _stmt_thm_2_4(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "thm-2.4",
-        "for modules with property (A): M[G] is Auslander over R[G] iff M is "
-        "Auslander (G = N^1, content-annihilator criterion)")
-    _extension_iff(U, rep, "monoid", "auslander")
-    rep.notes.append(
-        "property (A) holds for every finite module, so the hypothesis "
-        "filter never excludes a member at this scale")
-    return rep.finish()
-
-
-def _stmt_lem_2_7(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "lem-2.7",
-        "constructive witness: every annihilating pair f*g = 0 with g nonzero "
-        "yields a nonzero constant m with f*m = 0")
-    sweep = mccoy_witness_sweep(U, max_ring=8, degree=min(2, U.limits.degree_bound))
+def _lem_2_7(U: Universe, rep: StatementReport):
+    degree = min(2, U.limits.degree_bound)
+    sweep = mccoy_witness_sweep(U, max_ring=8, degree=degree)
     rep.checked = sweep["pairs_checked"]
     rep.applicable = [f"{d} ({c} annihilating pairs)"
                       for d, c in sweep["per_ring"].items()]
     rep.failures = sweep["failures"]
-    rep.notes.append(f"degrees <= {min(2, U.limits.degree_bound)}, rings with |R| <= 8")
-    return rep.finish()
+    rep.notes.append(f"degrees <= {degree}, rings with |R| <= 8")
 
 
-def _stmt_thm_2_8(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "thm-2.8",
-        "for modules with property (A) over a Noetherian (finite) ring: "
-        "M[[X]] is Auslander over R[[X]] iff M is Auslander "
-        "(truncated-series instantiation)")
-    _extension_iff(U, rep, "series", "auslander")
-    rep.notes.append(f"series precision {U.limits.series_precision}")
-    return rep.finish()
-
-
-def _stmt_cor_2_9(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "cor-2.9",
-        "finitely generated modules over Noetherian rings: the series "
-        "Auslander transfer holds with no extra hypothesis (every finite "
-        "module is finitely generated)")
-    _extension_iff(U, rep, "series", "auslander")
-    return rep.finish()
-
-
-def _stmt_rem_2_10(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "rem-2.10",
-        "every universe algebra is free as a module (hence projective), so "
-        "each must satisfy the element-content identity f in c(f)B")
+def _rem_2_10(U: Universe, rep: StatementReport):
     for R, alg in U.all_algebras():
         rep.applicable.append(alg.descriptor)
         rep.checked += 1
         v = is_ohm_rush(alg)
         if not v.holds:
             rep.failures.append({"member": alg.descriptor, "witness": v.witness})
-    return rep.finish()
 
 
-def _stmt_def_2_11(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "def-2.11",
-        "McCoy predicate calibration: every ring over itself is McCoy; the "
-        "diagonal into a square of a field is rejected with an annihilating "
-        "pair of unit content")
+def _def_2_11(U: Universe, rep: StatementReport):
     for R in U.rings:
         alg = U.algebras[R.descriptor][0]
         rep.applicable.append(alg.descriptor)
@@ -573,96 +527,9 @@ def _stmt_def_2_11(U: Universe) -> StatementReport:
         if verdict != direct:
             rep.failures.append({"member": alg.descriptor,
                                  "verdict": verdict, "direct_recheck": direct})
-    return rep.finish()
 
 
-def _mccoy_algebras_of(U: Universe, R):
-    key = ("mccoy-algs", R.descriptor)
-    cached = U.caches.get(key)
-    if cached is None:
-        cached = []
-        for alg in U.algebras[R.descriptor]:
-            try:
-                ffl = is_faithfully_flat(alg.as_module()).holds
-            except BoundExceeded:
-                continue
-            if ffl and is_mccoy_algebra(alg).holds:
-                cached.append(alg)
-        U.caches[key] = cached
-    return cached
-
-
-def _tensor_of(U: Universe, R, M, alg):
-    key = ("tensor", R.descriptor, M.tag, alg.descriptor)
-    cached = U.caches.get(key)
-    if cached is None:
-        cached = tensor_with_algebra(M, alg, budget=U.limits.presentation_budget)
-        U.caches[key] = cached
-    return cached
-
-
-def _mccoy_tensor_sweep(U: Universe, rep: StatementReport, require_flat: bool,
-                        check_torsion_free: bool):
-    nontrivial = []
-    for R in U.rings:
-        algebras = _mccoy_algebras_of(U, R)
-        for alg in algebras:
-            for M in U.modules[R.descriptor]:
-                if M.is_zero or not is_auslander(M).holds:
-                    continue
-                if not has_property_A(M).holds:
-                    continue
-                if require_flat:
-                    flat = _flat_or_note(rep, R, M)
-                    if flat is None or not flat.holds:
-                        continue
-                try:
-                    T = _tensor_of(U, R, M, alg)
-                except BoundExceeded as exc:
-                    rep.notes.append(f"skipped {_member(R, M)} (x) {alg.descriptor}: {exc}")
-                    continue
-                member = f"{_member(R, M)} (x) {alg.descriptor}"
-                rep.applicable.append(member)
-                rep.checked += 1
-                if not alg.is_trivial_extension:
-                    nontrivial.append(member)
-                if T.is_zero:
-                    rep.failures.append({"member": member,
-                                         "reason": "tensor collapsed to zero"})
-                    continue
-                v = is_auslander(T)
-                ok = v.holds
-                if check_torsion_free:
-                    ok = ok and is_torsion_free(T).holds
-                if not ok:
-                    rep.failures.append({"member": member, "witness": v.witness})
-    rep.extra["nontrivial_applicable"] = nontrivial
-
-
-def _stmt_thm_2_13(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "thm-2.13",
-        "tensoring an Auslander module with property (A) by a faithfully "
-        "flat McCoy algebra yields an Auslander module over the algebra")
-    _mccoy_tensor_sweep(U, rep, require_flat=False, check_torsion_free=False)
-    return rep.finish()
-
-
-def _stmt_cor_2_14(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "cor-2.14",
-        "content-algebra corollary checked through its faithfully-flat + "
-        "McCoy consequence (the only content-algebra surface in scope)")
-    _mccoy_tensor_sweep(U, rep, require_flat=False, check_torsion_free=False)
-    rep.notes.append("hypothesis instantiated by the ffl+McCoy filter")
-    return rep.finish()
-
-
-def _stmt_tf_3_1(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "tf-3.1",
-        "the two torsion-free definitions coincide: the natural map into "
-        "M (x) Q is injective iff Z(M) is within Z(R)")
+def _tf_3_1(U: Universe, rep: StatementReport):
     for R, M in _nonzero_pairs(U):
         rep.applicable.append(_member(R, M))
         rep.checked += 1
@@ -673,50 +540,28 @@ def _stmt_tf_3_1(U: Universe) -> StatementReport:
                 "member": _member(R, M),
                 "kernel_trivial": kernel_trivial,
                 "inclusion_verdict": v.holds})
-    return rep.finish()
 
 
-def _stmt_thm_3_2(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "thm-3.2",
-        "over a ring with property (A): M[G] is torsion-free over R[G] iff "
-        "M is torsion-free")
-    _extension_iff(U, rep, "monoid", "torsion_free", ring_property_a=True)
-    rep.notes.append("every finite ring has property (A); the filter is recorded, not vacuous")
-    return rep.finish()
-
-
-def _stmt_rem_3_3_1(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "rem-3.3-1",
-        "for S avoiding Z(R), the localization R_S viewed as an R-module "
-        "has Z(R_S) = Z(R) and is torsion-free Auslander")
+def _rem_3_3_1(U: Universe, rep: StatementReport):
     for R in U.rings:
         candidates = R.regular_elements()
         zr = R.zero_divisors(include_zero=True)
         for S in all_mult_closed_subsets(R, candidates):
             loc = _localization_of(U, R, S)
             RS_mod = localized_ring_as_base_module(loc)
-            s_display = "{" + ",".join(
-                R.element_str(s) for s in R.sorted_elements(S.elements)) + "}"
-            rep.applicable.append(f"{R.descriptor} @ S={s_display}")
+            member = f"{R.descriptor} @ S={_set_str(R, S)}"
+            rep.applicable.append(member)
             rep.checked += 1
             z_loc = zero_divisors_module(RS_mod, include_zero=True)
             if z_loc != zr:
-                rep.failures.append({"member": f"{R.descriptor} @ S={s_display}",
-                                     "reason": "Z(R_S) != Z(R)"})
+                rep.failures.append({"member": member, "reason": "Z(R_S) != Z(R)"})
                 continue
             if not (is_torsion_free(RS_mod).holds and is_auslander(RS_mod).holds):
-                rep.failures.append({"member": f"{R.descriptor} @ S={s_display}",
+                rep.failures.append({"member": member,
                                      "reason": "not torsion-free Auslander"})
-    return rep.finish()
 
 
-def _stmt_rem_3_3_2(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "rem-3.3-2",
-        "integer adapter: Z/n over the domain Z is Auslander but not "
-        "torsion-free, and Z(Z/n) contains the ideal (n)")
+def _rem_3_3_2(U: Universe, rep: StatementReport):
     torsion_witnesses = []
     for case in z_adapter_cases():
         rep.applicable.append(f"Z :: {case.case_id}")
@@ -732,17 +577,9 @@ def _stmt_rem_3_3_2(U: Universe) -> StatementReport:
                 "kind": "torsion_free", "ring": "Z", "module": case.case_id,
                 "value": witness, "display": str(witness)})
     rep.extra["torsion_free_witnesses"] = torsion_witnesses
-    rep.notes.append(
-        "finite domains are fields, which trivializes the statement; the "
-        "adapter carries its desk-scale content analytically")
-    return rep.finish()
 
 
-def _stmt_rem_3_3_3(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "rem-3.3-3",
-        "the square of a two-element field modulo one factor: torsion-free "
-        "but not Auslander, with explicit zero-divisor sets")
+def _rem_3_3_3(U: Universe, rep: StatementReport):
     R = product_ring(Zmod(2), Zmod(2))
     I = ideal_generated(R, [(0, 1)])
     M = cyclic_module(R, I)
@@ -773,228 +610,182 @@ def _stmt_rem_3_3_3(U: Universe) -> StatementReport:
             "auslander", ring=R, module=M,
             value=ausl.witness["element"], display=R.element_str((1, 0))),
     }
-    return rep.finish()
-
-
-def _stmt_thm_3_4(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "thm-3.4",
-        "Noetherian ring, finitely generated module: M[[X]] is torsion-free "
-        "over R[[X]] iff M is torsion-free (truncated-series instantiation)")
-    _extension_iff(U, rep, "series", "torsion_free")
-    rep.notes.append(f"series precision {U.limits.series_precision}")
-    return rep.finish()
-
-
-def _stmt_prop_3_5_1(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-3.5-1",
-        "over a domain, flat modules are torsion-free Auslander")
-    for R, M in _nonzero_pairs(U):
-        if not ring_predicates(R).is_domain:
-            continue
-        flat = _flat_or_note(rep, R, M)
-        if flat is None or not flat.holds:
-            continue
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        if not (is_torsion_free(M).holds and is_auslander(M).holds):
-            rep.failures.append({"member": _member(R, M)})
-    reg = ZRegularCase()
-    rep.applicable.append(f"Z :: {reg.case_id} (flat)")
-    rep.checked += 1
-    if not (reg.is_auslander().holds and reg.is_torsion_free().holds):
-        rep.failures.append({"member": "Z :: Z"})
-    return rep.finish()
-
-
-def _stmt_prop_3_5_2(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-3.5-2",
-        "a flat content module with element contents reaching every "
-        "principal ideal is torsion-free Auslander")
-    for R, M in _nonzero_pairs(U):
-        flat = _flat_or_note(rep, R, M)
-        if flat is None or not flat.holds:
-            continue
-        if not is_content_module(M).holds or not content_surjective(M):
-            continue
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        if not (is_torsion_free(M).holds and is_auslander(M).holds):
-            rep.failures.append({"member": _member(R, M)})
-    return rep.finish()
-
-
-def _stmt_prop_3_5_3(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-3.5-3",
-        "finitely generated flat module with zero annihilator: its module "
-        "of linear self-maps is torsion-free Auslander")
-    for R, M in _nonzero_pairs(U):
-        if not ann(M).is_zero:
-            continue
-        flat = _flat_or_note(rep, R, M)
-        if flat is None or not flat.holds:
-            continue
-        if M.size ** len(generating_set(M)) > U.limits.hom_budget:
-            rep.notes.append(f"skipped {_member(R, M)}: hom budget")
-            continue
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        H = _hom_of(U, R, M)
-        if not (is_torsion_free(H).holds and is_auslander(H).holds):
-            rep.failures.append({"member": _member(R, M)})
-    return rep.finish()
-
-
-def _flat_sum_sweep(U: Universe, rep: StatementReport, label: str):
-    for R in U.rings:
-        mods = [M for M in U.modules[R.descriptor] if not M.is_zero]
-        flat_mods = []
-        for M in mods:
-            flat = _flat_or_note(rep, R, M)
-            if flat is not None and flat.holds:
-                flat_mods.append(M)
-        triple_done = False
-        for M in flat_mods:
-            if not is_auslander(M).holds:
-                continue
-            for Mp in flat_mods:
-                if M.size * Mp.size > U.limits.max_module:
-                    continue
-                rep.applicable.append(
-                    f"{R.descriptor} :: {label}({M.tag},{Mp.tag})")
-                rep.checked += 1
-                S = direct_sum(M, Mp)
-                if not (is_torsion_free(S).holds and is_auslander(S).holds):
-                    rep.failures.append({"member": _member(R, S)})
-                elif not triple_done and M.size * M.size * Mp.size <= U.limits.max_module:
-                    T = direct_sum(direct_sum(M, M), Mp)
-                    rep.applicable.append(
-                        f"{R.descriptor} :: {label}({M.tag},{M.tag},{Mp.tag})")
-                    rep.checked += 1
-                    if not (is_torsion_free(T).holds and is_auslander(T).holds):
-                        rep.failures.append({"member": _member(R, T)})
-                    triple_done = True
-    rep.notes.append("finite-index instantiation (2-3 summands/factors)")
-
-
-def _stmt_prop_3_5_4(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-3.5-4",
-        "a direct sum of flat modules with an Auslander summand is "
-        "torsion-free Auslander")
-    _flat_sum_sweep(U, rep, "Sum")
-    return rep.finish()
-
-
-def _stmt_prop_3_5_5(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-3.5-5",
-        "over a coherent ring (every finite ring), a product of flat "
-        "modules with an Auslander factor is torsion-free Auslander")
-    _flat_sum_sweep(U, rep, "Prod")
-    rep.notes.append("finite products coincide with finite direct sums")
-    return rep.finish()
-
-
-def _stmt_prop_3_6(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "prop-3.6",
-        "when both R and M have property (A): M[G] is torsion-free Auslander "
-        "over R[G] iff M is torsion-free Auslander")
-    _extension_iff(U, rep, "monoid", "both", ring_property_a=True)
-    return rep.finish()
-
-
-def _stmt_cor_3_7(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "cor-3.7",
-        "Noetherian ring, finitely generated module: the monoid-extension "
-        "torsion-free Auslander transfer holds with no extra hypothesis")
-    _extension_iff(U, rep, "monoid", "both")
-    return rep.finish()
-
-
-def _stmt_thm_3_8(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "thm-3.8",
-        "tensoring a flat Auslander module with property (A) by a faithfully "
-        "flat McCoy algebra yields a torsion-free Auslander module over it")
-    _mccoy_tensor_sweep(U, rep, require_flat=True, check_torsion_free=True)
-    return rep.finish()
-
-
-def _stmt_thm_3_9(U: Universe) -> StatementReport:
-    rep = StatementReport(
-        "thm-3.9",
-        "Noetherian ring, finitely generated module: M[[X]] is torsion-free "
-        "Auslander over R[[X]] iff M is torsion-free Auslander")
-    _extension_iff(U, rep, "series", "both")
-    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the statement table, in report order
+#
+# A row is (id, description, sweep, keyword arguments of the sweep, notes);
+# the notes follow any the sweep writes and may name `{limits.<field>}`.
 
+_AUSL = ("auslander",)
+_TF_AUSL = ("torsion_free", "auslander")
+_FLAT_CONTENT = ("flat", "content_module", "content_surjective")
+_FINITE_INDEX = "finite-index instantiation (2-3 summands/factors)"
+_PRECISION = "series precision {limits.series_precision}"
 
-REGISTRY = {
-    "def-2.1": _stmt_def_2_1,
-    "content-def": _stmt_content_def,
-    "prop-2.2-1": _stmt_prop_2_2_1,
-    "prop-2.2-2": _stmt_prop_2_2_2,
-    "prop-2.2-3": _stmt_prop_2_2_3,
-    "prop-2.2-4": _stmt_prop_2_2_4,
-    "prop-2.2-5": _stmt_prop_2_2_5,
-    "prop-2.2-6": _stmt_prop_2_2_6,
-    "prop-2.3": _stmt_prop_2_3,
-    "prop-a-def": _stmt_prop_a_def,
-    "thm-2.4": _stmt_thm_2_4,
-    "lem-2.7": _stmt_lem_2_7,
-    "thm-2.8": _stmt_thm_2_8,
-    "cor-2.9": _stmt_cor_2_9,
-    "rem-2.10": _stmt_rem_2_10,
-    "def-2.11": _stmt_def_2_11,
-    "thm-2.13": _stmt_thm_2_13,
-    "cor-2.14": _stmt_cor_2_14,
-    "tf-3.1": _stmt_tf_3_1,
-    "thm-3.2": _stmt_thm_3_2,
-    "rem-3.3-1": _stmt_rem_3_3_1,
-    "rem-3.3-2": _stmt_rem_3_3_2,
-    "rem-3.3-3": _stmt_rem_3_3_3,
-    "thm-3.4": _stmt_thm_3_4,
-    "prop-3.5-1": _stmt_prop_3_5_1,
-    "prop-3.5-2": _stmt_prop_3_5_2,
-    "prop-3.5-3": _stmt_prop_3_5_3,
-    "prop-3.5-4": _stmt_prop_3_5_4,
-    "prop-3.5-5": _stmt_prop_3_5_5,
-    "prop-3.6": _stmt_prop_3_6,
-    "cor-3.7": _stmt_cor_3_7,
-    "thm-3.8": _stmt_thm_3_8,
-    "thm-3.9": _stmt_thm_3_9,
-}
-
-REQUIRED_IDS = (
-    "def-2.1", "content-def",
-    "prop-2.2-1", "prop-2.2-2", "prop-2.2-3", "prop-2.2-4", "prop-2.2-5",
-    "prop-2.2-6", "prop-2.3", "prop-a-def", "thm-2.4", "lem-2.7", "thm-2.8",
-    "cor-2.9", "rem-2.10", "def-2.11", "thm-2.13", "cor-2.14", "tf-3.1",
-    "thm-3.2", "rem-3.3-1", "rem-3.3-2", "rem-3.3-3", "thm-3.4",
-    "prop-3.5-1", "prop-3.5-2", "prop-3.5-3", "prop-3.5-4", "prop-3.5-5",
-    "prop-3.6", "cor-3.7", "thm-3.8", "thm-3.9",
+STATEMENTS = (
+    ("def-2.1",
+     "Auslander predicate coherence: verdict equals the set inclusion "
+     "Z(R) within Z(M), recomputed from raw zero-divisor scans",
+     _def_2_1, {}, ()),
+    ("content-def",
+     "content coherence: c(m) equals the intersection of all lattice ideals "
+     "I with m in IM, and is contained in each of them",
+     _content_def, {}, ("members with |M| <= 64 checked elementwise",)),
+    ("prop-2.2-1",
+     "over a domain every nonzero module is Auslander "
+     "(finite domains are fields; the integer adapter supplies the "
+     "non-field domain instances)",
+     _implication, dict(hyp=("domain",), concl=_AUSL, adapter=(True, "Z")), ()),
+    ("prop-2.2-2",
+     "a flat content module whose element contents reach every principal "
+     "ideal is Auslander",
+     _implication, dict(hyp=_FLAT_CONTENT, concl=_AUSL), ()),
+    ("prop-2.2-3", "a module with zero annihilator is Auslander",
+     _implication, dict(hyp=("zero_annihilator",), concl=_AUSL), ()),
+    ("prop-2.2-4",
+     "if the annihilator of M is zero, the module of linear self-maps "
+     "of M is Auslander",
+     _implication, dict(hyp=("zero_annihilator",), concl=_AUSL, hom=True), ()),
+    ("prop-2.2-5",
+     "Z(N) is contained in Z(M) for every submodule N, so an Auslander "
+     "submodule forces M to be Auslander",
+     _prop_2_2_5, {}, ("members with |M| <= 64, full submodule lattice",)),
+    ("prop-2.2-6",
+     "a direct sum with an Auslander summand is Auslander "
+     "(finite-index instantiation: two to three summands)",
+     _summands, dict(flat=False, concl=_AUSL,
+                     labels=("Sum({0},{1})", "Sum(Sum({0},{0}),{1})")),
+     ("finite-index instantiation (2-3 summands)",)),
+    ("prop-2.3",
+     "localizing an Auslander module at a multiplicative set avoiding "
+     "Z(M) yields an Auslander module over the localized ring",
+     _prop_2_3, {},
+     ("under the hypotheses S avoids Z(R) automatically; sets S containing "
+      "a ring zero-divisor acting regularly on M are logged separately",)),
+    ("prop-a-def",
+     "property (A) holds for every universe member (finitely generated "
+     "modules over Noetherian rings), re-derived independently per ideal",
+     _prop_a_def, {},
+     ("a failure here indicates an engine bug, not a refutation",)),
+    ("thm-2.4",
+     "for modules with property (A): M[G] is Auslander over R[G] iff M is "
+     "Auslander (G = N^1, content-annihilator criterion)",
+     _extension_iff, dict(variant="monoid", side="auslander"),
+     ("property (A) holds for every finite module, so the hypothesis "
+      "filter never excludes a member at this scale",)),
+    ("lem-2.7",
+     "constructive witness: every annihilating pair f*g = 0 with g nonzero "
+     "yields a nonzero constant m with f*m = 0",
+     _lem_2_7, {}, ()),
+    ("thm-2.8",
+     "for modules with property (A) over a Noetherian (finite) ring: "
+     "M[[X]] is Auslander over R[[X]] iff M is Auslander "
+     "(truncated-series instantiation)",
+     _extension_iff, dict(variant="series", side="auslander"), (_PRECISION,)),
+    ("cor-2.9",
+     "finitely generated modules over Noetherian rings: the series "
+     "Auslander transfer holds with no extra hypothesis (every finite "
+     "module is finitely generated)",
+     _extension_iff, dict(variant="series", side="auslander"), ()),
+    ("rem-2.10",
+     "every universe algebra is free as a module (hence projective), so "
+     "each must satisfy the element-content identity f in c(f)B",
+     _rem_2_10, {}, ()),
+    ("def-2.11",
+     "McCoy predicate calibration: every ring over itself is McCoy; the "
+     "diagonal into a square of a field is rejected with an annihilating "
+     "pair of unit content",
+     _def_2_11, {}, ()),
+    ("thm-2.13",
+     "tensoring an Auslander module with property (A) by a faithfully "
+     "flat McCoy algebra yields an Auslander module over the algebra",
+     _mccoy_tensor, dict(flat=False, concl=_AUSL), ()),
+    ("cor-2.14",
+     "content-algebra corollary checked through its faithfully-flat + "
+     "McCoy consequence (the only content-algebra surface in scope)",
+     _mccoy_tensor, dict(flat=False, concl=_AUSL),
+     ("hypothesis instantiated by the ffl+McCoy filter",)),
+    ("tf-3.1",
+     "the two torsion-free definitions coincide: the natural map into "
+     "M (x) Q is injective iff Z(M) is within Z(R)",
+     _tf_3_1, {}, ()),
+    ("thm-3.2",
+     "over a ring with property (A): M[G] is torsion-free over R[G] iff "
+     "M is torsion-free",
+     _extension_iff, dict(variant="monoid", side="torsion_free", ring_property_a=True),
+     ("every finite ring has property (A); the filter is recorded, not vacuous",)),
+    ("rem-3.3-1",
+     "for S avoiding Z(R), the localization R_S viewed as an R-module "
+     "has Z(R_S) = Z(R) and is torsion-free Auslander",
+     _rem_3_3_1, {}, ()),
+    ("rem-3.3-2",
+     "integer adapter: Z/n over the domain Z is Auslander but not "
+     "torsion-free, and Z(Z/n) contains the ideal (n)",
+     _rem_3_3_2, {},
+     ("finite domains are fields, which trivializes the statement; the "
+      "adapter carries its desk-scale content analytically",)),
+    ("rem-3.3-3",
+     "the square of a two-element field modulo one factor: torsion-free "
+     "but not Auslander, with explicit zero-divisor sets",
+     _rem_3_3_3, {}, ()),
+    ("thm-3.4",
+     "Noetherian ring, finitely generated module: M[[X]] is torsion-free "
+     "over R[[X]] iff M is torsion-free (truncated-series instantiation)",
+     _extension_iff, dict(variant="series", side="torsion_free"), (_PRECISION,)),
+    ("prop-3.5-1", "over a domain, flat modules are torsion-free Auslander",
+     _implication, dict(hyp=("domain", "flat"), concl=_TF_AUSL,
+                        adapter=(False, "Z (flat)")), ()),
+    ("prop-3.5-2",
+     "a flat content module with element contents reaching every "
+     "principal ideal is torsion-free Auslander",
+     _implication, dict(hyp=_FLAT_CONTENT, concl=_TF_AUSL), ()),
+    ("prop-3.5-3",
+     "finitely generated flat module with zero annihilator: its module "
+     "of linear self-maps is torsion-free Auslander",
+     _implication, dict(hyp=("zero_annihilator", "flat"), concl=_TF_AUSL, hom=True), ()),
+    ("prop-3.5-4",
+     "a direct sum of flat modules with an Auslander summand is "
+     "torsion-free Auslander",
+     _summands, dict(flat=True, concl=_TF_AUSL,
+                     labels=("Sum({0},{1})", "Sum({0},{0},{1})")),
+     (_FINITE_INDEX,)),
+    ("prop-3.5-5",
+     "over a coherent ring (every finite ring), a product of flat "
+     "modules with an Auslander factor is torsion-free Auslander",
+     _summands, dict(flat=True, concl=_TF_AUSL,
+                     labels=("Prod({0},{1})", "Prod({0},{0},{1})")),
+     (_FINITE_INDEX, "finite products coincide with finite direct sums")),
+    ("prop-3.6",
+     "when both R and M have property (A): M[G] is torsion-free Auslander "
+     "over R[G] iff M is torsion-free Auslander",
+     _extension_iff, dict(variant="monoid", side="both", ring_property_a=True), ()),
+    ("cor-3.7",
+     "Noetherian ring, finitely generated module: the monoid-extension "
+     "torsion-free Auslander transfer holds with no extra hypothesis",
+     _extension_iff, dict(variant="monoid", side="both"), ()),
+    ("thm-3.8",
+     "tensoring a flat Auslander module with property (A) by a faithfully "
+     "flat McCoy algebra yields a torsion-free Auslander module over it",
+     _mccoy_tensor, dict(flat=True, concl=("auslander", "torsion_free")), ()),
+    ("thm-3.9",
+     "Noetherian ring, finitely generated module: M[[X]] is torsion-free "
+     "Auslander over R[[X]] iff M is torsion-free Auslander",
+     _extension_iff, dict(variant="series", side="both"), ()),
 )
 
 
-def verify_registry_complete():
-    missing = set(REQUIRED_IDS) - set(REGISTRY)
-    extra = set(REGISTRY) - set(REQUIRED_IDS)
-    if missing or extra:
-        raise AssertionError(
-            f"statement registry incomplete: missing={sorted(missing)} extra={sorted(extra)}")
+def _run(row, U: Universe) -> StatementReport:
+    sid, description, sweep, args, notes = row
+    rep = StatementReport(sid, description)
+    sweep(U, rep, **args)
+    rep.notes.extend(note.format(limits=U.limits) for note in notes)
+    return rep.finish()
 
 
-verify_registry_complete()
+# id -> callable on a universe; looked up at call time, so it can be wrapped
+REGISTRY = {row[0]: functools.partial(_run, row) for row in STATEMENTS}
 
 
 def run_statement(statement_id: str, U: Universe) -> StatementReport:
@@ -1017,29 +808,13 @@ def run_suite(pattern: str, U: Universe) -> list[StatementReport]:
 # counterexample search
 
 
-def _pair_vocabulary():
-    return {
-        "auslander": lambda R, M: is_auslander(M).holds,
-        "torsion_free": lambda R, M: is_torsion_free(M).holds,
-        "flat": lambda R, M: is_flat(M).holds,
-        "faithfully_flat": lambda R, M: is_faithfully_flat(M).holds,
-        "content_module": lambda R, M: is_content_module(M).holds,
-        "content_surjective": lambda R, M: content_surjective(M),
-        "property_a": lambda R, M: has_property_A(M).holds,
-        "reg_module": lambda R, M: M.tag == "Reg",
-        "nonzero": lambda R, M: not M.is_zero,
-        "domain": lambda R, M: ring_predicates(R).is_domain,
-        "field": lambda R, M: ring_predicates(R).is_field,
-        "local": lambda R, M: ring_predicates(R).is_local,
-    }
-
-
 _ADAPTER_FACTS = {
     # Z/n over Z for n >= 2; flatness and friends are analytic facts
     "quotient": {
         "auslander": True, "torsion_free": False, "reg_module": False,
         "nonzero": True, "domain": True, "field": False, "local": False,
         "flat": False, "faithfully_flat": False, "property_a": True,
+        "zero_annihilator": False,
     },
     # Z over itself
     "regular": {
@@ -1047,18 +822,9 @@ _ADAPTER_FACTS = {
         "nonzero": True, "domain": True, "field": False, "local": False,
         "flat": True, "faithfully_flat": True, "property_a": True,
         "content_module": True, "content_surjective": True,
+        "zero_annihilator": True,
     },
 }
-
-
-def _algebra_vocabulary():
-    return {
-        "mccoy": lambda alg: is_mccoy_algebra(alg).holds,
-        "ohm_rush": lambda alg: is_ohm_rush(alg).holds,
-        "flat": lambda alg: is_flat(alg.as_module()).holds,
-        "faithfully_flat": lambda alg: is_faithfully_flat(alg.as_module()).holds,
-        "nontrivial_extension": lambda alg: not alg.is_trivial_extension,
-    }
 
 
 def parse_predicate_expression(text: str) -> list[tuple[str, bool]]:
@@ -1079,14 +845,13 @@ def parse_predicate_expression(text: str) -> list[tuple[str, bool]]:
     return atoms
 
 
-def _eval_atoms(atoms, lookup) -> bool | None:
+def _eval_atoms(atoms, vocab, *args) -> bool | None:
     """None when some predicate is undefined for this member kind."""
     for name, negated in atoms:
-        fn = lookup.get(name)
+        fn = vocab.get(name)
         if fn is None:
             return None
-        value = fn()
-        if value == negated:
+        if bool(fn(*args)) == negated:
             return False
     return True
 
@@ -1096,44 +861,31 @@ def search_counterexample(hyp: str, concl: str, U: Universe,
     """All members satisfying hyp and failing concl, with witnesses."""
     hyp_atoms = parse_predicate_expression(hyp)
     concl_atoms = parse_predicate_expression(concl)
-    known = set(_pair_vocabulary()) | set(_algebra_vocabulary()) | {"content_module"}
+    known = set(_PAIR_VOCABULARY) | set(_ALGEBRA_VOCABULARY)
     for name, _ in hyp_atoms + concl_atoms:
         if name not in known:
             raise ValueError(f"unknown predicate {name!r}")
+
+    def refuted(vocab, *args) -> bool:
+        return (_eval_atoms(hyp_atoms, vocab, *args) is True
+                and _eval_atoms(concl_atoms, vocab, *args) is False)
+
     results = []
-    vocab = _pair_vocabulary()
     for R, M in U.pairs():
-        lookup = {name: (lambda fn=fn: fn(R, M)) for name, fn in vocab.items()}
-        h = _eval_atoms(hyp_atoms, lookup)
-        if h is not True:
-            continue
-        c = _eval_atoms(concl_atoms, lookup)
-        if c is False:
+        if refuted(_PAIR_VOCABULARY, U, R, M):
             results.append({"kind": "pair", "member": _member(R, M),
-                            "ring": R.descriptor, "module": M.tag})
-    avocab = _algebra_vocabulary()
+                             "ring": R.descriptor, "module": M.tag})
     for R, alg in U.all_algebras():
-        lookup = {name: (lambda fn=fn: fn(alg)) for name, fn in avocab.items()}
-        h = _eval_atoms(hyp_atoms, lookup)
-        if h is not True:
-            continue
-        c = _eval_atoms(concl_atoms, lookup)
-        if c is False:
+        if refuted(_ALGEBRA_VOCABULARY, U, alg):
             results.append({"kind": "algebra", "member": alg.descriptor})
     if include_adapter:
-        for case in z_adapter_cases():
-            facts = _ADAPTER_FACTS["quotient"]
-            lookup = {name: (lambda v=v: v) for name, v in facts.items()}
-            h = _eval_atoms(hyp_atoms, lookup)
-            if h is not True:
-                continue
-            c = _eval_atoms(concl_atoms, lookup)
-            if c is False:
-                results.append({"kind": "adapter", "member": f"Z :: {case.case_id}"})
-        facts = _ADAPTER_FACTS["regular"]
-        lookup = {name: (lambda v=v: v) for name, v in facts.items()}
-        if _eval_atoms(hyp_atoms, lookup) is True and _eval_atoms(concl_atoms, lookup) is False:
-            results.append({"kind": "adapter", "member": "Z :: Z"})
+        adapter_members = (
+            ("quotient", [f"Z :: {case.case_id}" for case in z_adapter_cases()]),
+            ("regular", ["Z :: Z"]))
+        for kind, members in adapter_members:
+            facts = {name: (lambda v=v: v) for name, v in _ADAPTER_FACTS[kind].items()}
+            if refuted(facts):
+                results.extend({"kind": "adapter", "member": m} for m in members)
     return results
 
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v` (the -v listing is the
 per-criterion pass/fail log; add -s to see the explicit summary lines).
 """
 
+import hashlib
 import time
 
 from zdbench.extensions import diagonal_algebra, is_mccoy_algebra
@@ -138,10 +139,10 @@ def test_criterion_09_tensor_transfer(universe):
 def test_criterion_10_determinism_and_witness_integrity():
     started = time.monotonic()
     first = theorems_report("all")
-    second = theorems_report("all")
-    blob_first = canonical_json(first)
-    blob_second = canonical_json(second)
-    assert blob_first == blob_second, "full-suite reports must be byte-identical"
+    # the digest of the default report as separate interpreter runs print it,
+    # so one run checks determinism across processes and hash seeds
+    digest = hashlib.sha256(canonical_json(first).encode()).hexdigest()
+    assert digest == "a0c9ea5cacd70810a9f08ed4905dd0dbf0d2548a1cb8202c5d3e369ded2abea6"
     assert first["passed"] is True
     reval = revalidate_report(first)
     assert not reval["failed"], reval["failed"][:3]

@@ -36,6 +36,16 @@ def test_revalidation_catches_tampering():
     assert result["failed"]
 
 
+def test_tensor_witnesses_revalidate_over_the_algebra():
+    rep = analyze_report("Z6", "Tensor(Cyclic(2), Algebra(Prod(Z6,Z6), Z6))")
+    witness = rep["module"]["auslander"]["witness"]
+    assert witness["ring"] == "Prod(Z6,Z6)" and witness["display"] == "(3,1)"
+    result = revalidate_report(rep)
+    assert result["total"] >= 2 and result["failed"] == []
+    # the same element named over the base ring is no witness
+    assert not revalidate_witness(dict(witness, ring="Z6"))
+
+
 def test_revalidate_witness_kinds():
     ok = revalidate_witness({
         "kind": "torsion_free", "ring": "Z", "module": "Z/6", "value": 2,

@@ -1,6 +1,6 @@
 import pytest
 
-from zdbench.statements import (REGISTRY, REQUIRED_IDS, StatementReport,
+from zdbench.statements import (REGISTRY, StatementReport,
                                 parse_predicate_expression, run_statement,
                                 run_suite, search_counterexample,
                                 z_adapter_check)
@@ -73,8 +73,20 @@ def test_z_adapter_check_reports():
         z_adapter_check("Q/6")
 
 
+# every statement of the paper in scope, in report order
+STATEMENT_IDS = (
+    "def-2.1", "content-def",
+    "prop-2.2-1", "prop-2.2-2", "prop-2.2-3", "prop-2.2-4", "prop-2.2-5",
+    "prop-2.2-6", "prop-2.3", "prop-a-def", "thm-2.4", "lem-2.7", "thm-2.8",
+    "cor-2.9", "rem-2.10", "def-2.11", "thm-2.13", "cor-2.14", "tf-3.1",
+    "thm-3.2", "rem-3.3-1", "rem-3.3-2", "rem-3.3-3", "thm-3.4",
+    "prop-3.5-1", "prop-3.5-2", "prop-3.5-3", "prop-3.5-4", "prop-3.5-5",
+    "prop-3.6", "cor-3.7", "thm-3.8", "thm-3.9",
+)
+
+
 def test_registry_complete_and_lookup(small_universe):
-    assert set(REGISTRY) == set(REQUIRED_IDS)
+    assert list(REGISTRY) == list(STATEMENT_IDS)
     assert len(REGISTRY) == 33
     with pytest.raises(ValueError):
         run_statement("thm-9.9", small_universe)
@@ -151,3 +163,17 @@ def test_statement_reports_are_serializable(small_universe):
     rep = run_statement("rem-3.3-3", small_universe)
     blob = json.dumps(rep.to_dict())
     assert "reproduction" in blob
+
+
+def test_statements_honour_presentation_budget():
+    # at budget 16 some flatness checks exceed it; with the module default of
+    # 30000 in their place, prop-2.2-2 saw 41 applicable members and no skip
+    limits = UniverseLimits(
+        zmod_max=6, product_component_max=2, max_ring=6, max_module=36,
+        max_algebra=16, max_sum_pairs=6, hom_budget=256, presentation_budget=16,
+        brute_budget=300_000, degree_bound=2, series_precision=8,
+        axiom_check_max=64)
+    rep = run_statement("prop-2.2-2", generate_universe(limits))
+    skips = [n for n in rep.notes if n.startswith("skipped ") and "flatness check" in n]
+    assert len(rep.applicable) < 41
+    assert skips
