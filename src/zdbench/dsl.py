@@ -28,7 +28,7 @@ from .localize import closed_multiplicative_set, localize, total_quotient
 from .modules import (FiniteModule, cyclic_module, direct_sum, free_module,
                       hom_module, regular_module, tensor_with_algebra)
 from .rings import (FiniteRing, Zmod, ideal_generated, poly_quotient,
-                    poly_str, product_ring)
+                    poly_str, poly_terms, product_ring)
 
 log = logging.getLogger(__name__)
 
@@ -426,22 +426,8 @@ def _print_elem(node) -> str:
     if isinstance(node, TupleElem):
         return "(" + ",".join(_print_elem(i) for i in node.items) + ")"
     if isinstance(node, XPolyElem):
-        return _print_xpoly_compact(node.coeffs)
+        return "+".join(reversed(poly_terms(node.coeffs))) or "0"
     raise TypeError(f"not an element node: {node!r}")
-
-
-def _print_xpoly_compact(coeffs) -> str:
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if not c:
-            continue
-        if k == 0:
-            terms.append(str(c))
-        else:
-            mono = "x" if k == 1 else f"x^{k}"
-            terms.append(mono if c == 1 else f"{c}*{mono}")
-    return "+".join(terms) if terms else "0"
 
 
 def print_node(node) -> str:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .errors import BoundExceeded
-from .modules import (FiniteModule, Verdict, regular_module,
-                      submodule_generated)
-from .rings import FiniteRing, Ideal, ideal_generated
+from .modules import (FiniteModule, Verdict, content_of_element,
+                      is_content_module, regular_module, submodule_generated)
+from .rings import FiniteRing, ideal_generated
 
 DEFAULT_SERIES_PRECISION = 8
 DEFAULT_BRUTE_BUDGET = 300_000
@@ -57,19 +57,8 @@ class ExtElement:
     def is_zero(self) -> bool:
         return not self.support
 
-    def support_dict(self) -> dict:
-        return dict(self.support)
-
     def coefficients(self) -> list:
         return [c for _, c in self.support]
-
-    def degree(self) -> int:
-        return max((max(e) for e, _ in self.support), default=0)
-
-    def compatible(self, other: "ExtElement") -> bool:
-        return (self.variant == other.variant and self.arity == other.arity
-                and self.precision == other.precision
-                and self.ring.same_ring(other.ring))
 
     def __str__(self):
         if not self.support:
@@ -389,7 +378,11 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
 
 
 class FiniteAlgebra:
-    """A finite R-algebra: ring B with a verified structure map R -> B."""
+    """A finite R-algebra: ring B with a verified structure map R -> B.
+
+    Its ideal-theoretic notions are read on B as an R-module: for an ideal I
+    of R the extension IB is the submodule I*B, so the content of f in B is
+    its module content."""
 
     def __init__(self, ring: FiniteRing, base: FiniteRing, embed: dict,
                  descriptor: str | None = None):
@@ -399,8 +392,6 @@ class FiniteAlgebra:
         self.descriptor = descriptor or f"Algebra({ring.descriptor}, {base.descriptor})"
         self._validate()
         self._module_view = None
-        self._content_cache: dict = {}
-        self._extension_cache: dict = {}
 
     def _validate(self):
         B, R, phi = self.ring, self.base, self.embed
@@ -433,29 +424,6 @@ class FiniteAlgebra:
                 element_str=B.element_str)
         return self._module_view
 
-    def ideal_extension(self, I: Ideal) -> Ideal:
-        """IB: the ideal of B generated by the image of I."""
-        key = I.elements
-        cached = self._extension_cache.get(key)
-        if cached is None:
-            cached = ideal_generated(self.ring, [self.embed[a] for a in I.generators])
-            self._extension_cache[key] = cached
-        return cached
-
-    def content(self, f) -> Ideal:
-        """Lattice content: intersection of all ideals I of R with f in IB."""
-        cached = self._content_cache.get(f)
-        if cached is not None:
-            return cached
-        R = self.base
-        common = None
-        for I in R.ideals():
-            if f in self.ideal_extension(I).elements:
-                common = I.elements if common is None else (common & I.elements)
-        result = Ideal(R, tuple(R.sorted_elements(common)), frozenset(common))
-        self._content_cache[f] = result
-        return result
-
 
 def self_algebra(R: FiniteRing) -> FiniteAlgebra:
     return FiniteAlgebra(R, R, {r: r for r in R.elements},
@@ -479,13 +447,13 @@ def extension_algebra(B: FiniteRing, R: FiniteRing) -> FiniteAlgebra:
 
 
 def is_ohm_rush(algebra: FiniteAlgebra) -> Verdict:
-    """f in c(f)B for all f in B; witness on failure: the offending f."""
-    B = algebra.ring
-    for f in B.elements:
-        c = algebra.content(f)
-        if f not in algebra.ideal_extension(c).elements:
-            return Verdict(False, witness={"kind": "ohm_rush", "element": f})
-    return Verdict(True)
+    """f in c(f)B for all f in B, i.e. B is a content R-module; witness on
+    failure: the offending f."""
+    verdict = is_content_module(algebra.as_module())
+    if verdict.holds:
+        return verdict
+    return Verdict(False, witness={"kind": "ohm_rush",
+                                   "element": verdict.witness["element"]})
 
 
 def is_mccoy_algebra(algebra: FiniteAlgebra) -> Verdict:
@@ -494,7 +462,7 @@ def is_mccoy_algebra(algebra: FiniteAlgebra) -> Verdict:
     ohm_rush = is_ohm_rush(algebra)
     if not ohm_rush.holds:
         return Verdict(False, witness=ohm_rush.witness)
-    B, R = algebra.ring, algebra.base
+    B, R, BR = algebra.ring, algebra.base, algebra.as_module()
     zero_b, zero_r = B.zero, R.zero
     for f in B.elements:
         c_gens = None
@@ -502,7 +470,7 @@ def is_mccoy_algebra(algebra: FiniteAlgebra) -> Verdict:
             if g == zero_b or B.mul(f, g) != zero_b:
                 continue
             if c_gens is None:
-                c_gens = algebra.content(f).generators
+                c_gens = content_of_element(BR, f).generators
             if not any(r != zero_r and all(R.mul(a, r) == zero_r for a in c_gens)
                        for r in R.elements):
                 return Verdict(False, witness={"kind": "mccoy", "pair": (f, g)})

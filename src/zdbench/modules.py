@@ -38,12 +38,13 @@ class FiniteModule:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError(f"module {tag}: duplicate element encodings")
-        # write-once caches
+        # write-once caches; the budgeted ones are keyed by budget, since a
+        # smaller budget must raise where a larger one succeeded
         self._zd = None
         self._generators = None
-        self._presentation = None
-        self._flat = None
-        self._ffl = None
+        self._presentation: dict = {}
+        self._flat: dict = {}
+        self._ffl: dict = {}
         self._content_cache: dict = {}
         self._ideal_action_cache: dict = {}
 
@@ -96,9 +97,6 @@ class Submodule:
     def is_zero(self):
         return self.elements == frozenset({self.module.zero})
 
-    def contains(self, m) -> bool:
-        return m in self.elements
-
     def as_module(self, tag: str | None = None) -> FiniteModule:
         M = self.module
         return FiniteModule(
@@ -136,30 +134,12 @@ def regular_module(R: FiniteRing) -> FiniteModule:
         act=R.mul, tag="Reg", element_str=R.element_str)
 
 
-def free_module(R: FiniteRing, k: int, tag: str | None = None) -> FiniteModule:
+def free_module(R: FiniteRing, k: int) -> FiniteModule:
     if k < 0:
         raise ValueError("free rank must be >= 0")
     if k == 0:
-        return zero_module(R, tag or "Free(0)")
-    # little-endian enumeration: first coordinate varies fastest
-    n = R.size
-    elements = []
-    for value in range(n ** k):
-        v, coords = value, []
-        for _ in range(k):
-            coords.append(R.elements[v % n])
-            v //= n
-        elements.append(tuple(coords))
-    return FiniteModule(
-        ring=R,
-        elements=elements,
-        add=lambda u, v: tuple(R.add(a, b) for a, b in zip(u, v)),
-        neg=lambda u: tuple(R.neg(a) for a in u),
-        zero=tuple([R.zero] * k),
-        act=lambda r, u: tuple(R.mul(r, a) for a in u),
-        tag=tag or f"Free({k})",
-        element_str=lambda u: "(" + ",".join(R.element_str(a) for a in u) + ")",
-    )
+        return zero_module(R, "Free(0)")
+    return power_module(regular_module(R), k, tag=f"Free({k})")
 
 
 def zero_module(R: FiniteRing, tag: str = "Zero") -> FiniteModule:
@@ -212,13 +192,13 @@ def direct_sum(M1: FiniteModule, M2: FiniteModule, tag: str | None = None) -> Fi
     )
 
 
-def power_module(M: FiniteModule, t: int, budget: int = DEFAULT_PRESENTATION_BUDGET) -> FiniteModule:
-    """M^t with t-tuple carrier, first coordinate varying fastest."""
+def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModule:
+    """M^t with t-tuple carrier, first coordinate varying fastest.
+
+    Callers bound |M|^t before asking for it."""
     if t < 1:
         raise ValueError("power_module needs t >= 1")
     n = M.size
-    if n ** t > budget:
-        raise BoundExceeded(f"|{M.tag}|^{t} exceeds budget {budget}")
     elements = []
     for value in range(n ** t):
         v, coords = value, []
@@ -233,7 +213,7 @@ def power_module(M: FiniteModule, t: int, budget: int = DEFAULT_PRESENTATION_BUD
         neg=lambda u: tuple(M.neg(a) for a in u),
         zero=tuple([M.zero] * t),
         act=lambda r, u: tuple(M.act(r, a) for a in u),
-        tag=f"{M.tag}^{t}",
+        tag=tag or f"{M.tag}^{t}",
         element_str=lambda u: "(" + ",".join(M.element_str(a) for a in u) + ")",
     )
 
@@ -508,12 +488,13 @@ def is_torsion_free(M: FiniteModule) -> Verdict:
 
 def presentation(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET):
     """(generators, relation tuples N) with M = R^k / N, k = len(generators)."""
-    if M._presentation is not None:
-        return M._presentation
+    cached = M._presentation.get(budget)
+    if cached is not None:
+        return cached
     R = M.ring
     if M.is_zero:
-        M._presentation = ((), frozenset())
-        return M._presentation
+        M._presentation[budget] = ((), frozenset())
+        return M._presentation[budget]
     gens = generating_set(M)
     k = len(gens)
     if R.size ** k > budget:
@@ -527,8 +508,8 @@ def presentation(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET):
             total = M.add(total, M.act(r, g))
         if total == zero:
             relations.add(coeffs)
-    M._presentation = (gens, frozenset(relations))
-    return M._presentation
+    M._presentation[budget] = (gens, frozenset(relations))
+    return M._presentation[budget]
 
 
 def quotient_free(R: FiniteRing, k: int, relation_tuples: Iterable, tag: str,
@@ -536,9 +517,9 @@ def quotient_free(R: FiniteRing, k: int, relation_tuples: Iterable, tag: str,
     """R^k modulo the submodule generated by the given coefficient tuples."""
     if k == 0:
         return zero_module(R, tag)
-    F = free_module(R, k)
-    if F.size > budget:
+    if R.size ** k > budget:
         raise BoundExceeded(f"quotient_free: |R|^{k} exceeds budget {budget}")
+    F = free_module(R, k)
     rels = [tuple(v) for v in relation_tuples]
     K = submodule_generated(F, rels).elements
     return quotient_module(F, K, tag)
@@ -555,7 +536,7 @@ def tensor_with_algebra(M: FiniteModule, algebra, tag: str | None = None,
     R = algebra.base
     if not M.ring.same_ring(R):
         raise ValueError("tensor: module ring differs from algebra base")
-    gens, relations = presentation(M)
+    gens, relations = presentation(M, budget=budget)
     k = len(gens)
     mapped = {tuple(algebra.embed[r] for r in rel) for rel in relations}
     return quotient_free(B, k, mapped,
@@ -582,7 +563,7 @@ def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
             total = R.add(total, R.mul(r, a))
         if total == R.zero:
             relations.append(coeffs)
-    P = power_module(M, t, budget=budget)
+    P = power_module(M, t)
     seed = {tuple(M.act(n_i, m) for n_i in rel) for rel in relations for m in M.elements}
     K = submodule_generated(P, seed).elements
     zero_m = M.zero
@@ -634,8 +615,9 @@ def is_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET) -> Verdi
     The two deciders are independent; disagreement raises rather than
     picking a side.
     """
-    if M._flat is not None:
-        return M._flat
+    cached = M._flat.get(budget)
+    if cached is not None:
+        return cached
     R = M.ring
     verdict = Verdict(True)
     for I in R.ideals():
@@ -648,26 +630,24 @@ def is_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET) -> Verdi
         raise RuntimeError(
             f"flatness deciders disagree on {M.tag} over {R.descriptor}: "
             f"ideal-injectivity={verdict.holds} local-freeness={oracle}")
-    M._flat = verdict
+    M._flat[budget] = verdict
     return verdict
 
 
 def is_faithfully_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET) -> Verdict:
     """Flat and M/pM nonzero at every maximal ideal p."""
-    if M._ffl is not None:
-        return M._ffl
-    flat = is_flat(M, budget=budget)
-    if not flat.holds:
-        M._ffl = Verdict(False, witness=flat.witness)
-        return M._ffl
-    for p in M.ring.maximal_ideals():
-        pM = ideal_action(p, M)
-        if len(pM.elements) == M.size:
-            M._ffl = Verdict(False, witness={
-                "kind": "faithfully_flat", "maximal_ideal": p.small_generators()})
-            return M._ffl
-    M._ffl = Verdict(True)
-    return M._ffl
+    cached = M._ffl.get(budget)
+    if cached is not None:
+        return cached
+    verdict = is_flat(M, budget=budget)
+    if verdict.holds:
+        for p in M.ring.maximal_ideals():
+            if len(ideal_action(p, M).elements) == M.size:
+                verdict = Verdict(False, witness={
+                    "kind": "faithfully_flat", "maximal_ideal": p.small_generators()})
+                break
+    M._ffl[budget] = verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -240,14 +240,14 @@ def revalidate_witness(entry: dict) -> bool:
             return value not in ideal_action(c, M).elements
     if kind in ("mccoy", "ohm_rush"):
         alg = dsl.build_algebra(entry["algebra"])
-        B, Rb = alg.ring, alg.base
+        B, Rb, BR = alg.ring, alg.base, alg.as_module()
         if kind == "ohm_rush":
             f = value
-            return f not in alg.ideal_extension(alg.content(f)).elements
+            return f not in ideal_action(content_of_element(BR, f), BR).elements
         f, g = value
         if g == B.zero or B.mul(f, g) != B.zero:
             return False
-        gens = alg.content(f).generators
+        gens = content_of_element(BR, f).generators
         return not any(r != Rb.zero and all(Rb.mul(a, r) == Rb.zero for a in gens)
                        for r in Rb.elements)
     if kind == "mccoy_witness":

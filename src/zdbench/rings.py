@@ -280,19 +280,6 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
             v //= n
         elements.append(tuple(digits))
 
-    def element_str(u):
-        terms = []
-        for k in range(d):
-            c = u[k]
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mono = "x" if k == 1 else f"x^{k}"
-                terms.append(mono if c == 1 else f"{c}*{mono}")
-        return "+".join(terms) if terms else "0"
-
     return FiniteRing(
         kind="polyquot",
         elements=elements,
@@ -302,15 +289,14 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
         zero=tuple([0] * d),
         one=tuple([1] + [0] * (d - 1)),
         descriptor=f"PolyQuot({base.descriptor}, {poly_str(rel)})",
-        element_str=element_str,
+        element_str=lambda u: "+".join(poly_terms(u)) or "0",
     )
 
 
-def poly_str(coeffs: tuple[int, ...]) -> str:
-    """Canonical display of a relation polynomial, highest degree first."""
+def poly_terms(coeffs) -> list[str]:
+    """Display terms of the nonzero coefficients, constant term first."""
     terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
+    for k, c in enumerate(coeffs):
         if not c:
             continue
         if k == 0:
@@ -318,7 +304,12 @@ def poly_str(coeffs: tuple[int, ...]) -> str:
         else:
             mono = "x" if k == 1 else f"x^{k}"
             terms.append(mono if c == 1 else f"{c}*{mono}")
-    return " + ".join(terms) if terms else "0"
+    return terms
+
+
+def poly_str(coeffs: tuple[int, ...]) -> str:
+    """Canonical display of a relation polynomial, highest degree first."""
+    return " + ".join(reversed(poly_terms(coeffs))) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +414,6 @@ class Ideal:
 
     def __len__(self):
         return len(self.elements)
-
-    def contains(self, a) -> bool:
-        return a in self.elements
 
     @property
     def is_zero(self) -> bool:

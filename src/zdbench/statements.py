@@ -519,8 +519,8 @@ def _def_2_11(U: Universe, rep: StatementReport):
         rep.checked += 1
         verdict = is_mccoy_algebra(alg).holds
         direct = is_ohm_rush(alg).holds and all(
-            any(r != R.zero and all(R.mul(a, r) == R.zero
-                                    for a in alg.content(f).elements)
+            any(r != R.zero and all(R.mul(a, r) == R.zero for a in
+                                    content_of_element(alg.as_module(), f).elements)
                 for r in R.elements)
             for f in B.elements for g in B.elements
             if g != B.zero and B.mul(f, g) == B.zero)
