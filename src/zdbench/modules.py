@@ -259,7 +259,9 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     """All R-linear maps M -> M with action (r.f)(x) = r.f(x).
 
     Candidates are generator-image assignments extended by a spanning walk,
-    then validated for additivity and equivariance on the full carrier.
+    then validated for additivity and equivariance on the full carrier.  Both
+    steps run on carrier indices over `_tables(M)`; maps are ordered by their
+    index tuples and turned back into element tuples at the end.
     """
     R = M.ring
     if M.is_zero:
@@ -271,14 +273,16 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
         raise BoundExceeded(
             f"hom enumeration for {M.tag}: {M.size}^{k} candidates exceed budget {budget}")
 
-    maps = []
-    for images in itertools.product(M.elements, repeat=k):
-        table = _extend_linear(M, gens, images)
-        if table is None:
-            continue
-        if _is_linear(M, table):
-            maps.append(tuple(table[m] for m in M.elements))
-    maps.sort(key=lambda t: tuple(M.index(v) for v in t))
+    add_t, act_t = _tables(M)
+    zero = M.index(M.zero)
+    gen_idx = [M.index(g) for g in gens]
+    found = []
+    for images in itertools.product(range(M.size), repeat=k):
+        f = _extend_linear(add_t, act_t, zero, gen_idx, images)
+        if f is not None and _is_linear(add_t, act_t, f):
+            found.append(tuple(f))
+    found.sort()
+    maps = [tuple(M.elements[i] for i in f) for f in found]
 
     idx = {m: i for i, m in enumerate(M.elements)}
 
@@ -307,39 +311,57 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
         tag=f"Hom({M.tag})", element_str=element_str)
 
 
-def _extend_linear(M: FiniteModule, gens, images):
-    """Propagate f(gens) = images through sums m + r*g; None on conflict."""
-    R = M.ring
-    table = {M.zero: M.zero}
-    queue = [M.zero]
+def _tables(M: FiniteModule):
+    """(add, act) of M on carrier indices, built from M.add and M.act.
+
+    add[i][j] is the index of elements[i] + elements[j]; act[r][i] that of
+    ring.elements[r] * elements[i].  A result outside the carrier raises
+    ValueError.  Callers keep the tables for one call only.
+    """
+    elements, index = M.elements, M.index
+    add = [[index(M.add(a, b)) for b in elements] for a in elements]
+    act = [[index(M.act(r, m)) for m in elements] for r in M.ring.elements]
+    return add, act
+
+
+def _extend_linear(add, act, zero, gens, images):
+    """Propagate f(gens) = images through sums m + r*g; None on conflict.
+
+    Everything is a carrier index over the tables of `_tables`; the result
+    is the list f with f[m] the image of m.
+    """
+    f = [None] * len(add)
+    f[zero] = zero
+    steps = [list(zip([row[g] for row in act], [row[v] for row in act]))
+             for g, v in zip(gens, images)]
+    queue = [zero]
     while queue:
         m = queue.pop()
-        fm = table[m]
-        for g, v in zip(gens, images):
-            for r in R.elements:
-                m2 = M.add(m, M.act(r, g))
-                f2 = M.add(fm, M.act(r, v))
-                known = table.get(m2)
+        add_m, add_fm = add[m], add[f[m]]
+        for step in steps:
+            for rg, rv in step:
+                m2 = add_m[rg]
+                f2 = add_fm[rv]
+                known = f[m2]
                 if known is None:
-                    table[m2] = f2
+                    f[m2] = f2
                     queue.append(m2)
                 elif known != f2:
                     return None
-    if len(table) != M.size:
+    if None in f:
         return None
-    return table
+    return f
 
 
-def _is_linear(M: FiniteModule, table) -> bool:
-    for a in M.elements:
-        fa = table[a]
-        for b in M.elements:
-            if table[M.add(a, b)] != M.add(fa, table[b]):
-                return False
-    for r in M.ring.elements:
-        for a in M.elements:
-            if table[M.act(r, a)] != M.act(r, table[a]):
-                return False
+def _is_linear(add, act, f) -> bool:
+    """f(a+b) = f(a)+f(b) for all a, b and f(rm) = r f(m) for all r, m."""
+    for a, row in enumerate(add):
+        add_fa = add[f[a]]
+        if [f[ab] for ab in row] != [add_fa[fb] for fb in f]:
+            return False
+    for row in act:
+        if [f[rm] for rm in row] != [row[fm] for fm in f]:
+            return False
     return True
 
 
@@ -660,44 +682,55 @@ def verify_module_axioms(M: FiniteModule):
     Full tables below FULL_AXIOM_CHECK_SIZE; above it the quadratic and cubic
     sweeps run on a deterministic sample (generators plus a carrier slice) --
     constructions are uniform, so small instances already exercise every code
-    path in full.
+    path in full.  The sweeps read the index tables of `_tables` and report
+    the first offending elements in the same order as the sweeps run.
     """
     R = M.ring
-    zero = M.zero
-    for m in M.elements:
-        if M.add(m, zero) != m:
-            raise ValueError(f"{M.tag}: m + 0 != m at {m}")
-        if M.add(m, M.neg(m)) != zero:
-            raise ValueError(f"{M.tag}: m + (-m) != 0 at {m}")
-        if M.act(R.one, m) != m:
-            raise ValueError(f"{M.tag}: 1*m != m at {m}")
-    if M.size <= FULL_AXIOM_CHECK_SIZE:
-        sample = list(M.elements)
+    E = M.elements
+    n = len(E)
+    add, act = _tables(M)
+    zero = M.index(M.zero)
+    one = act[R.index(R.one)]
+    for m in range(n):
+        if add[m][zero] != m:
+            raise ValueError(f"{M.tag}: m + 0 != m at {E[m]}")
+        if add[m][M.index(M.neg(E[m]))] != zero:
+            raise ValueError(f"{M.tag}: m + (-m) != 0 at {E[m]}")
+        if one[m] != m:
+            raise ValueError(f"{M.tag}: 1*m != m at {E[m]}")
+    if n <= FULL_AXIOM_CHECK_SIZE:
+        sample = list(range(n))
     else:
-        stride = max(1, M.size // 12)
+        stride = max(1, n // 12)
         sample = list(dict.fromkeys(
-            list(generating_set(M)) + list(M.elements[::stride])))
-    for a in M.elements:
+            [M.index(g) for g in generating_set(M)] + list(range(0, n, stride))))
+    for a in range(n):
+        row = add[a]
         for b in sample:
-            if M.add(a, b) != M.add(b, a):
-                raise ValueError(f"{M.tag}: addition not commutative at {a},{b}")
-    if M.size <= FULL_AXIOM_CHECK_SIZE:
-        triples = itertools.product(M.elements, repeat=3)
-    else:
-        triples = ((a, b, c) for a in sample for b in sample for c in sample)
-    for a, b, c in triples:
-        if M.add(M.add(a, b), c) != M.add(a, M.add(b, c)):
-            raise ValueError(f"{M.tag}: addition not associative at {a},{b},{c}")
-    action_targets = M.elements if M.size <= FULL_AXIOM_CHECK_SIZE else sample
-    for r in R.elements:
-        for s in R.elements:
-            for m in action_targets:
-                if M.act(R.mul(r, s), m) != M.act(r, M.act(s, m)):
-                    raise ValueError(f"{M.tag}: (rs)m != r(sm) at {r},{s},{m}")
-                if M.act(R.add(r, s), m) != M.add(M.act(r, m), M.act(s, m)):
-                    raise ValueError(f"{M.tag}: (r+s)m != rm+sm at {r},{s},{m}")
-    for r in R.elements:
-        for a in action_targets:
-            for b in action_targets:
-                if M.act(r, M.add(a, b)) != M.add(M.act(r, a), M.act(r, b)):
-                    raise ValueError(f"{M.tag}: r(a+b) != ra+rb at {r},{a},{b}")
+            if row[b] != add[b][a]:
+                raise ValueError(f"{M.tag}: addition not commutative at {E[a]},{E[b]}")
+    for a in sample:
+        row_a = add[a]
+        for b in sample:
+            row_ab, row_b = add[row_a[b]], add[b]
+            for c in sample:
+                if row_ab[c] != row_a[row_b[c]]:
+                    raise ValueError(
+                        f"{M.tag}: addition not associative at {E[a]},{E[b]},{E[c]}")
+    for r, act_r in zip(R.elements, act):
+        for s, act_s in zip(R.elements, act):
+            act_rs = act[R.index(R.mul(r, s))]
+            act_r_s = act[R.index(R.add(r, s))]
+            for m in sample:
+                if act_rs[m] != act_r[act_s[m]]:
+                    raise ValueError(f"{M.tag}: (rs)m != r(sm) at {r},{s},{E[m]}")
+                if act_r_s[m] != add[act_r[m]][act_s[m]]:
+                    raise ValueError(f"{M.tag}: (r+s)m != rm+sm at {r},{s},{E[m]}")
+    for r, act_r in zip(R.elements, act):
+        for a in sample:
+            row_a = add[a]
+            add_ra = add[act_r[a]]
+            for b in sample:
+                if act_r[row_a[b]] != add_ra[act_r[b]]:
+                    raise ValueError(
+                        f"{M.tag}: r(a+b) != ra+rb at {r},{E[a]},{E[b]}")
