@@ -19,7 +19,6 @@ from .rings import (FiniteRing, Ideal, coset_quotient, ideal_generated, span,
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kernels
-FULL_AXIOM_CHECK_SIZE = 48         # additive associativity is sampled above this
 
 
 class FiniteModule:
@@ -259,7 +258,7 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     """All R-linear maps M -> M with action (r.f)(x) = r.f(x).
 
     Candidates are generator-image assignments extended by a spanning walk,
-    then validated for additivity and equivariance on the full carrier.  Both
+    then validated for additivity and equivariance by `_is_linear`.  Both
     steps run on carrier indices over `_tables(M)`; maps are ordered by their
     index tuples and turned back into element tuples at the end.
     """
@@ -276,18 +275,14 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     add_t, act_t = _tables(M)
     zero = M.index(M.zero)
     gen_idx = [M.index(g) for g in gens]
+    add_gens = _additive_generators(add_t, zero)
     found = []
     for images in itertools.product(range(M.size), repeat=k):
         f = _extend_linear(add_t, act_t, zero, gen_idx, images)
-        if f is not None and _is_linear(add_t, act_t, f):
+        if f is not None and _is_linear(add_t, act_t, f, add_gens):
             found.append(tuple(f))
     found.sort()
     maps = [tuple(M.elements[i] for i in f) for f in found]
-
-    idx = {m: i for i, m in enumerate(M.elements)}
-
-    def as_table(t):
-        return {m: t[idx[m]] for m in M.elements}
 
     def add(f, g):
         return tuple(M.add(a, b) for a, b in zip(f, g))
@@ -301,9 +296,8 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     zero_map = tuple(M.zero for _ in M.elements)
 
     def element_str(f):
-        table = as_table(f)
         pairs = ",".join(
-            f"{M.element_str(g)}->{M.element_str(table[g])}" for g in gens)
+            f"{M.element_str(g)}->{M.element_str(f[i])}" for g, i in zip(gens, gen_idx))
         return f"[{pairs}]" if gens else "[0]"
 
     return FiniteModule(
@@ -353,14 +347,30 @@ def _extend_linear(add, act, zero, gens, images):
     return f
 
 
-def _is_linear(add, act, f) -> bool:
-    """f(a+b) = f(a)+f(b) for all a, b and f(rm) = r f(m) for all r, m."""
-    for a, row in enumerate(add):
-        add_fa = add[f[a]]
-        if [f[ab] for ab in row] != [add_fa[fb] for fb in f]:
+def _additive_generators(add, zero) -> list:
+    """Greedy generators of the group with table `add`, as carrier indices:
+    each index outside the span of the earlier ones joins.  `span` needs a
+    commutative op, so callers check that first."""
+    gens, closed = [], frozenset({zero})
+    for m in range(len(add)):
+        if m not in closed:
+            gens.append(m)
+            closed = span(lambda a, b: add[a][b], zero, closed | {m})
+    return gens
+
+
+def _is_linear(add, act, f, gens) -> bool:
+    """f(a+g) = f(a)+f(g) and f(rg) = r f(g) for all a, r and g in `gens`.
+
+    With `gens` from `_additive_generators` this makes f R-linear, by
+    induction on sums: f(a+b+c) = f(a+b)+f(c) = f(a)+f(b+c), and then
+    f(r(m+n)) = f(rm)+f(rn) = r f(m)+r f(n) = r f(m+n).
+    """
+    for g in gens:
+        fg = f[g]
+        if any(f[row[g]] != add[f[a]][fg] for a, row in enumerate(add)):
             return False
-    for row in act:
-        if [f[rm] for rm in row] != [row[fm] for fm in f]:
+        if any(f[row[g]] != row[fg] for row in act):
             return False
     return True
 
@@ -677,60 +687,65 @@ def is_faithfully_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGE
 
 
 def verify_module_axioms(M: FiniteModule):
-    """Abelian-group and unital-action checks.
+    """Abelian-group and unital-action checks, full, by generator reduction.
 
-    Full tables below FULL_AXIOM_CHECK_SIZE; above it the quadratic and cubic
-    sweeps run on a deterministic sample (generators plus a carrier slice) --
-    constructions are uniform, so small instances already exercise every code
-    path in full.  The sweeps read the index tables of `_tables` and report
-    the first offending elements in the same order as the sweeps run.
+    Sweeps on the tables of `_tables`, in order, reporting the first
+    offending elements: identity and inverses; commutativity on all pairs;
+    then, with g over the generators G of `_additive_generators`,
+    associativity (a+g)+c = a+(g+c), (rs)g = r(sg), (r+s)g = rg+sg and
+    r(a+g) = ra+rg.  Passing all of them makes M a module, by induction on
+    sums of generators.  Associativity (Light's test): the g that pass
+    include 0 (a+0 = a = 0+a) and are closed under +, since
+    (a+(g+h))+c = ((a+g)+h)+c = (a+g)+(h+c) = a+(g+(h+c)) = a+((g+h)+c);
+    so all of M passes.  In the finite group M, a law that holds on G and
+    whose passing elements are closed under + holds everywhere.
+    Additivity: r(a+(b+c)) = r(a+b)+rc = ra+rb+rc = ra+r(b+c).  Then
+    (rs)(m+n) = r(sm)+r(sn) = r(s(m+n)) and (r+s)(m+n) = rm+sm+rn+sn =
+    r(m+n)+s(m+n).  The cost is O(|M|^2 |G| + |R|^2 |G| + |R| |M| |G|)
+    instead of |M|^3.
     """
     R = M.ring
     E = M.elements
     n = len(E)
+    where = M.descriptor()
     add, act = _tables(M)
     zero = M.index(M.zero)
     one = act[R.index(R.one)]
     for m in range(n):
         if add[m][zero] != m:
-            raise ValueError(f"{M.tag}: m + 0 != m at {E[m]}")
+            raise ValueError(f"{where}: m + 0 != m at {E[m]}")
         if add[m][M.index(M.neg(E[m]))] != zero:
-            raise ValueError(f"{M.tag}: m + (-m) != 0 at {E[m]}")
+            raise ValueError(f"{where}: m + (-m) != 0 at {E[m]}")
         if one[m] != m:
-            raise ValueError(f"{M.tag}: 1*m != m at {E[m]}")
-    if n <= FULL_AXIOM_CHECK_SIZE:
-        sample = list(range(n))
-    else:
-        stride = max(1, n // 12)
-        sample = list(dict.fromkeys(
-            [M.index(g) for g in generating_set(M)] + list(range(0, n, stride))))
+            raise ValueError(f"{where}: 1*m != m at {E[m]}")
     for a in range(n):
         row = add[a]
-        for b in sample:
+        for b in range(a + 1, n):
             if row[b] != add[b][a]:
-                raise ValueError(f"{M.tag}: addition not commutative at {E[a]},{E[b]}")
-    for a in sample:
+                raise ValueError(f"{where}: addition not commutative at {E[a]},{E[b]}")
+    gens = _additive_generators(add, zero)
+    for a in range(n):
         row_a = add[a]
-        for b in sample:
-            row_ab, row_b = add[row_a[b]], add[b]
-            for c in sample:
-                if row_ab[c] != row_a[row_b[c]]:
+        for g in gens:
+            row_ag, row_g = add[row_a[g]], add[g]
+            for c in range(n):
+                if row_ag[c] != row_a[row_g[c]]:
                     raise ValueError(
-                        f"{M.tag}: addition not associative at {E[a]},{E[b]},{E[c]}")
+                        f"{where}: addition not associative at {E[a]},{E[g]},{E[c]}")
     for r, act_r in zip(R.elements, act):
         for s, act_s in zip(R.elements, act):
             act_rs = act[R.index(R.mul(r, s))]
             act_r_s = act[R.index(R.add(r, s))]
-            for m in sample:
-                if act_rs[m] != act_r[act_s[m]]:
-                    raise ValueError(f"{M.tag}: (rs)m != r(sm) at {r},{s},{E[m]}")
-                if act_r_s[m] != add[act_r[m]][act_s[m]]:
-                    raise ValueError(f"{M.tag}: (r+s)m != rm+sm at {r},{s},{E[m]}")
+            for g in gens:
+                if act_rs[g] != act_r[act_s[g]]:
+                    raise ValueError(f"{where}: (rs)m != r(sm) at {r},{s},{E[g]}")
+                if act_r_s[g] != add[act_r[g]][act_s[g]]:
+                    raise ValueError(f"{where}: (r+s)m != rm+sm at {r},{s},{E[g]}")
     for r, act_r in zip(R.elements, act):
-        for a in sample:
+        for a in range(n):
             row_a = add[a]
             add_ra = add[act_r[a]]
-            for b in sample:
-                if act_r[row_a[b]] != add_ra[act_r[b]]:
+            for g in gens:
+                if act_r[row_a[g]] != add_ra[act_r[g]]:
                     raise ValueError(
-                        f"{M.tag}: r(a+b) != ra+rb at {r},{E[a]},{E[b]}")
+                        f"{where}: r(a+b) != ra+rb at {r},{E[a]},{E[g]}")

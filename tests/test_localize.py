@@ -1,12 +1,17 @@
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
-from zdbench.localize import (closed_multiplicative_set, localize,
+from zdbench.localize import (_finish, closed_multiplicative_set, localize,
                               localize_module, localized_ring_as_base_module,
                               natural_map_kernel, total_quotient)
-from zdbench.modules import (cyclic_module, is_auslander, is_torsion_free,
-                             regular_module, zero_divisors_module)
-from zdbench.rings import (MultiplicativeSet, Zmod, ideal_generated,
-                           multiplicative_closure, product_ring)
+from zdbench.modules import (cyclic_module, direct_sum, is_auslander,
+                             is_torsion_free, regular_module,
+                             zero_divisors_module)
+from zdbench.rings import (MultiplicativeSet, Zmod, all_mult_closed_subsets,
+                           ideal_generated, multiplicative_closure,
+                           product_ring)
 
 
 @pytest.fixture
@@ -103,3 +108,99 @@ def test_mismatched_ring_rejected(prod22):
     M = regular_module(prod22)
     with pytest.raises(ValueError):
         localize_module(M, S)
+
+
+def test_pair_relation_matches_classes(small_universe):
+    """class(x/s) = class(y/t) iff (x,s) ~ (y,t), on every pair of every
+    localization of the small modules: what the check in `_finish` proves."""
+    localizations = comparisons = 0
+    for R in small_universe.rings:
+        for S in all_mult_closed_subsets(R, R.elements):
+            ring_loc = localize(R, S)
+            for M in small_universe.modules[R.descriptor]:
+                if M.size > 12:
+                    continue
+                loc = localize_module(M, S, ring_loc)
+                pairs = [(x, s) for s in R.sorted_elements(S.elements) for x in M.elements]
+                classes = [loc.class_of_pair(*p) for p in pairs]
+                for p, cp in zip(pairs, classes):
+                    for q, cq in zip(pairs, classes):
+                        assert loc.pairs_related(p, q) == (cp == cq), (M.descriptor(), S, p, q)
+                localizations += 1
+                comparisons += len(pairs) ** 2
+    assert (localizations, comparisons) == (958, 565_222)
+
+
+@pytest.fixture(params=["ring", "module"])
+def z6_at_3(request):
+    """Z6 or Z6/(2) + Z6 localized at {1, 3}: kernels and classes of several sizes."""
+    R = Zmod(6)
+    S = multiplicative_closure(R, [3])
+    if request.param == "ring":
+        return localize(R, S)
+    M = direct_sum(cyclic_module(R, ideal_generated(R, [2])), regular_module(R))
+    return localize_module(M, S)
+
+
+def _refinish(loc, **changes):
+    return _finish(dataclasses.replace(loc, inverse_action={}, **changes))
+
+
+def test_every_wrong_class_fails_finish(z6_at_3):
+    """One wrong to_class entry, with the classes kept or cut to its image."""
+    X = z6_at_3.source.elements
+    faults = 0
+    for x in X:
+        for wrong in X:
+            if wrong != z6_at_3.to_class[x]:
+                to_class = {**z6_at_3.to_class, x: wrong}
+                image = SimpleNamespace(elements=tuple(dict.fromkeys(to_class.values())))
+                for changes in ({}, {"structure": image}):
+                    faults += 1
+                    with pytest.raises(RuntimeError):
+                        _refinish(z6_at_3, to_class=to_class, **changes)
+    assert faults == 2 * len(X) * (len(X) - 1)
+
+
+def test_class_map_onto_too_few_cosets_fails_finish():
+    # Z4 at {1}: 3 sent to 1 and the classes cut to {0, 1, 2}; every denominator
+    # stays injective on them, but 3 - 1 is not in K = {0}
+    R = Zmod(4)
+    loc = localize(R, multiplicative_closure(R, []))
+    with pytest.raises(RuntimeError, match="representative of its coset"):
+        _refinish(loc, to_class={0: 0, 1: 1, 2: 2, 3: 1},
+                  structure=SimpleNamespace(elements=(0, 1, 2)))
+
+
+def test_kernel_missing_an_element_fails_finish(z6_at_3):
+    K = z6_at_3.kernel
+    assert len(K) > 1
+    for k in K:
+        with pytest.raises(RuntimeError):
+            _refinish(z6_at_3, kernel=K - {k})
+
+
+def test_kernel_with_an_extra_element_fails_finish(z6_at_3):
+    K = z6_at_3.kernel
+    for x in set(z6_at_3.source.elements) - K:
+        with pytest.raises(RuntimeError):
+            _refinish(z6_at_3, kernel=K | {x})
+
+
+def test_kernel_too_large_with_matching_classes_fails_finish(z6_at_3):
+    # the localization at {0, 1} has K = X and one class, all consistent with
+    # each other; only the kernel check sees that neither 1 nor 3 kills all of X
+    src, R = z6_at_3.source, z6_at_3.mult_set.ring
+    at_zero = multiplicative_closure(R, [0])
+    collapsed = localize(src, at_zero) if z6_at_3.kind == "ring" else localize_module(src, at_zero)
+    with pytest.raises(RuntimeError, match="killed by no denominator"):
+        _refinish(collapsed, mult_set=z6_at_3.mult_set)
+
+
+def test_non_injective_denominator_fails_finish():
+    # Z6 at {1}: six classes, on which 3 is not injective (3*0 = 3*2 = 0)
+    R = Zmod(6)
+    loc = localize(R, multiplicative_closure(R, []))
+    assert loc.structure.size == 6
+    with pytest.raises(RuntimeError, match="not injective"):
+        _refinish(loc, mult_set=multiplicative_closure(R, [3]))

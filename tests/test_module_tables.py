@@ -10,11 +10,12 @@ import re
 
 import pytest
 
-from zdbench.modules import (FiniteModule, _extend_linear, _is_linear, _tables,
-                             ann, cyclic_module, direct_sum, generating_set,
+from zdbench.modules import (FiniteModule, _additive_generators, _extend_linear,
+                             _is_linear, _tables, ann, cyclic_module,
+                             direct_sum, free_module, generating_set,
                              hom_module, regular_module, verify_module_axioms,
                              zero_divisors_module)
-from zdbench.rings import Zmod, ideal_generated, poly_quotient
+from zdbench.rings import Zmod, ideal_generated, poly_quotient, product_ring
 
 
 def _with(M, **ops):
@@ -45,15 +46,92 @@ def test_wrong_action_at_one_point_fails_distributivity():
         verify_module_axioms(_with(M, act=act))
 
 
+def test_non_abelian_group_fails_commutativity():
+    # S3 under composition, with Z6 acting by powers
+    S3 = list(itertools.permutations(range(3)))
+
+    def add(p, q):
+        return tuple(p[i] for i in q)
+
+    def act(k, p):
+        out = S3[0]
+        for _ in range(k):
+            out = add(out, p)
+        return out
+
+    M = FiniteModule(Zmod(6), S3, add, lambda p: tuple(sorted(range(3), key=p.__getitem__)),
+                     S3[0], act, tag="planted")
+    with pytest.raises(ValueError, match="addition not commutative"):
+        verify_module_axioms(M)
+
+
+@pytest.mark.parametrize("ops, message", [
+    # 2 named as zero, with -a = 2 - a: every law holds but a + 2 != a
+    ({"zero": 2, "neg": lambda a: (2 - a) % 4}, "m + 0 != m at 0"),
+    ({"neg": lambda a: a}, "m + (-m) != 0 at 1"),
+    ({"act": lambda r, m: 0}, "1*m != m at 1"),
+], ids=["zero", "neg", "one"])
+def test_wrong_identity_or_inverse_fails_axioms(ops, message):
+    M = regular_module(Zmod(4))
+    parts = {"add": M.add, "neg": M.neg, "zero": M.zero, "act": M.act, **ops}
+    bad = FiniteModule(M.ring, M.elements, parts["add"], parts["neg"], parts["zero"],
+                       parts["act"], tag="planted")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_module_axioms(bad)
+
+
+def test_additive_but_not_multiplicative_action_fails_axioms():
+    # Z2 over Z2[x]/(x^2), a + bx acting as a + b: every law holds but x*x = 0
+    R = poly_quotient(Zmod(2), (0, 0, 1))
+    M = FiniteModule(R, [0, 1], lambda a, b: (a + b) % 2, lambda a: a, 0,
+                     lambda r, m: (r[0] + r[1]) * m % 2, tag="planted")
+    with pytest.raises(ValueError, match=re.escape("(rs)m != r(sm) at (0, 1),(0, 1),1")):
+        verify_module_axioms(M)
+
+
+def _single_entry_faults(M):
+    """Every module that differs from M in one symmetric add entry or one act entry."""
+    E, R = M.elements, M.ring
+    for i, a in enumerate(E):
+        for b in E[i:]:
+            for w in E:
+                if w != M.add(a, b):
+                    yield _with(M, add=lambda x, y, a=a, b=b, w=w:
+                                w if {x, y} == {a, b} else M.add(x, y))
+    for r in R.elements:
+        for m in E:
+            for w in E:
+                if w != M.act(r, m):
+                    yield _with(M, act=lambda s, x, r=r, m=m, w=w:
+                                w if (s, x) == (r, m) else M.act(s, x))
+
+
+def test_every_single_entry_fault_fails_axioms():
+    Z4 = Zmod(4)
+    modules = [regular_module(Z4),
+               regular_module(product_ring(Zmod(2), Zmod(2))),
+               regular_module(poly_quotient(Zmod(2), (1, 1, 1))),
+               direct_sum(cyclic_module(Z4, ideal_generated(Z4, [2])), regular_module(Z4))]
+    faults = 0
+    for M in modules:
+        verify_module_axioms(M)
+        for bad in _single_entry_faults(M):
+            faults += 1
+            with pytest.raises(ValueError):
+                verify_module_axioms(bad)
+    assert faults == 710
+
+
 def test_one_wrong_entry_fails_is_linear():
     add, act = _tables(regular_module(Zmod(4)))
     identity = [0, 1, 2, 3]
-    assert _is_linear(add, act, identity)
+    gens = _additive_generators(add, 0)
+    assert _is_linear(add, act, identity, gens)
     for i, wrong in itertools.product(range(4), range(4)):
         if wrong != identity[i]:
             f = list(identity)
             f[i] = wrong
-            assert not _is_linear(add, act, f), f"accepted {f}"
+            assert not _is_linear(add, act, f, gens), f"accepted {f}"
 
 
 def test_additive_but_not_equivariant_fails_is_linear():
@@ -63,7 +141,16 @@ def test_additive_but_not_equivariant_fails_is_linear():
     swap = [M.index((b, a)) for a, b in M.elements]
     assert all(swap[add[a][b]] == add[swap[a]][swap[b]]
                for a in range(M.size) for b in range(M.size))
-    assert not _is_linear(add, act, swap)
+    assert not _is_linear(add, act, swap, _additive_generators(add, 0))
+
+
+def test_equivariant_but_not_additive_fails_is_linear():
+    # on Z2^2 over Z2, fixing (1,0) and (0,1) but killing (1,1) is equivariant
+    M = free_module(Zmod(2), 2)
+    add, act = _tables(M)
+    f = [0, 1, 2, 0]
+    assert all(f[row[m]] == row[f[m]] for row in act for m in range(M.size))
+    assert not _is_linear(add, act, f, _additive_generators(add, 0))
 
 
 def test_conflicting_generator_image_fails_extend_linear():

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from zdbench.errors import BoundExceeded
-from zdbench.rings import (Zmod, all_ideals,
+from zdbench.rings import (FiniteRing, Zmod, all_ideals,
                            all_mult_closed_subsets, annihilator,
                            ideal_combine, ideal_generated, ideal_power,
                            multiplicative_closure, poly_quotient, product_ring,
@@ -166,6 +168,49 @@ def test_ring_axioms_pass_on_sample():
 def test_ring_axiom_bound():
     with pytest.raises(BoundExceeded):
         verify_ring_axioms(Zmod(12), bound=4)
+
+
+def test_every_wrong_product_fails_ring_axioms():
+    rings = (Zmod(4), Zmod(6), product_ring(Zmod(2), Zmod(2)),
+             poly_quotient(Zmod(2), (1, 1, 1)))
+    faults = 0
+    for R in rings:
+        for a in R.elements:
+            for b in R.elements:
+                for w in R.elements:
+                    if w == R.mul(a, b):
+                        continue
+                    faults += 1
+                    bad = FiniteRing(R.kind, R.elements, R.add,
+                                     lambda x, y, a=a, b=b, w=w:
+                                     w if (x, y) == (a, b) else R.mul(x, y),
+                                     R.neg, R.zero, R.one, R.descriptor)
+                    with pytest.raises(ValueError, match=re.escape(R.descriptor)):
+                        verify_ring_axioms(bad)
+    assert faults == 324
+
+
+def test_ring_axiom_errors_name_the_regular_module():
+    # 2*2 reads 1 in Z4: commutative still, but 2*(1+1) = 1 != 2*1 + 2*1
+    R = Zmod(4)
+    bad = FiniteRing(R.kind, R.elements, R.add,
+                     lambda a, b: 1 if (a, b) == (2, 2) else R.mul(a, b),
+                     R.neg, R.zero, R.one, R.descriptor)
+    with pytest.raises(ValueError, match=r"^Reg over Z4: r\(a\+b\) != ra\+rb at 2,1,1$"):
+        verify_ring_axioms(bad)
+
+
+def test_noncommutative_ring_fails_ring_axioms():
+    # upper triangular 2x2 matrices over Z2, as (a, b, d): a left module over
+    # itself, so only the commutativity sweep can reject it
+    def mul(u, v):
+        return (u[0] * v[0] % 2, (u[0] * v[1] + u[1] * v[2]) % 2, u[2] * v[2] % 2)
+
+    elements = [(a, b, d) for d in range(2) for b in range(2) for a in range(2)]
+    T = FiniteRing("planted", elements, lambda u, v: tuple((x + y) % 2 for x, y in zip(u, v)),
+                   mul, lambda u: u, (0, 0, 0), (1, 0, 1), "T2(Z2)")
+    with pytest.raises(ValueError, match=r"^T2\(Z2\): multiplication not commutative"):
+        verify_ring_axioms(T)
 
 
 def test_multiplicative_closure_inserts_one():
