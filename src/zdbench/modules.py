@@ -350,7 +350,10 @@ def _extend_linear(add, act, zero, gens, images):
 def _additive_generators(add, zero) -> list:
     """Greedy generators of the group with table `add`, as carrier indices:
     each index outside the span of the earlier ones joins.  `span` needs a
-    commutative op, so callers check that first."""
+    commutative op, so callers check that first.  Associativity is not, but
+    every index `span` adds is a sum of earlier generators, so an unchecked
+    table can only gain extra generators: all of M stays +-generated by the
+    result, which is all Light's test needs."""
     gens, closed = [], frozenset({zero})
     for m in range(len(add)):
         if m not in closed:
@@ -420,8 +423,9 @@ def ideal_action(I: Ideal, M: FiniteModule) -> Submodule:
     key = I.elements
     cached = M._ideal_action_cache.get(key)
     if cached is None:
+        # r(a m) = a(r m): the seed is R-stable, so its additive span is I*M
         seed = {M.act(a, m) for a in I.generators for m in M.elements}
-        cached = submodule_generated(M, seed)
+        cached = Submodule(M, tuple(M.sorted_elements(seed)), span(M.add, M.zero, seed))
         M._ideal_action_cache[key] = cached
     return cached
 
@@ -596,8 +600,9 @@ def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
         if total == R.zero:
             relations.append(coeffs)
     P = power_module(M, t)
+    # r (n_i m)_i = (n_i (r m))_i: the seed is R-stable, so K is its additive span
     seed = {tuple(M.act(n_i, m) for n_i in rel) for rel in relations for m in M.elements}
-    K = submodule_generated(P, seed).elements
+    K = span(P.add, P.zero, seed)
     zero_m = M.zero
     for x in P.elements:
         total = zero_m

@@ -316,21 +316,27 @@ def poly_str(coeffs: tuple[int, ...]) -> str:
 def span(op, identity, seed: Iterable) -> frozenset:
     """The smallest set holding `identity` and `seed` that `op` maps into itself.
 
-    `op` must be commutative.  With op = + on a finite carrier the result is
-    a subgroup, since every element has finite additive order.
+    `op` must be commutative and associative.  The closure H, from
+    {identity}, grows by coset extension: each seed element s outside H adds
+    the layers H*s, H*s^2, ... up to the first that adds nothing; as
+    (h1 s^i)(h2 s^j) = h1 h2 s^(i+j), that union is closed.  Only a layer's
+    new elements are multiplied by s (an old one, h s^i = h' s^j with j < i,
+    gives a product already in H), so building H costs O(|H|) op calls per
+    extension.  With op = + on a finite carrier the result is a subgroup.
     """
-    closed = set(seed)
-    closed.add(identity)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closed):
-                c = op(a, b)
+    closed = {identity}
+    for s in seed:
+        if s in closed:
+            continue
+        layer = list(closed)
+        while layer:
+            fresh = []
+            for h in layer:
+                c = op(h, s)
                 if c not in closed:
                     closed.add(c)
                     fresh.append(c)
-        frontier = fresh
+            layer = fresh
     return frozenset(closed)
 
 
@@ -339,9 +345,11 @@ def subgroup_lattice(S, act, scalars, make, max_count: int | None = None) -> lis
 
     Seeds are the cyclic subgroups {act(r, m)} in carrier order; members are
     joined pairwise by their Minkowski sum {a + b}, which for finite
-    subgroups is already closed, until no join is new.  make(generators,
-    elements) builds one member.  Sorted by size, then by element indices.
-    `max_count` caps the members of a module's lattice (S.tag names it).
+    subgroups is already closed, until no join is new; a + b is built coset by
+    coset, skipping each y in b already in it, at |a + b| additions.
+    make(generators, elements) builds one member.  Sorted by size, then by
+    element indices.  `max_count` caps the members of a module's lattice
+    (S.tag names it).
     """
     seen = {}
     for m in S.elements:
@@ -356,7 +364,11 @@ def subgroup_lattice(S, act, scalars, make, max_count: int | None = None) -> lis
             for b in current:
                 if a.elements <= b.elements or b.elements <= a.elements:
                     continue
-                joined = frozenset(S.add(x, y) for x in a.elements for y in b.elements)
+                joined = set(a.elements)
+                for y in b.elements:
+                    if y not in joined:
+                        joined.update(S.add(x, y) for x in a.elements)
+                joined = frozenset(joined)
                 if joined not in seen:
                     gens = tuple(S.sorted_elements(a.generators + b.generators))
                     seen[joined] = member = make(gens, joined)

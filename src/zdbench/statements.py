@@ -956,6 +956,34 @@ def criterion_oracle_agreement(U: Universe, max_ring: int = 6, max_module: int =
     return report
 
 
+def _annihilating_cofactors(R, cf):
+    """The nonzero g with f*g = 0, deg g <= deg f = d, in `itertools.product`
+    order, by a depth-first walk over g's coefficients.  Coefficient j <= d
+    of f*g is fixed once g_0..g_j are, so it is tested there, and d+1..2d at
+    the leaf; only non-solutions are pruned."""
+    d, zero, g = len(cf) - 1, R.zero, [R.zero] * len(cf)
+
+    def coefficient(k):
+        total = zero
+        for i in range(max(0, k - d), min(d, k) + 1):
+            if cf[i] != zero and g[k - i] != zero:
+                total = R.add(total, R.mul(cf[i], g[k - i]))
+        return total
+
+    def walk(j):
+        for c in R.elements:
+            g[j] = c
+            if coefficient(j) != zero:
+                continue
+            if j < d:
+                yield from walk(j + 1)
+            elif any(b != zero for b in g) and all(
+                    coefficient(k) == zero for k in range(d + 1, 2 * d + 1)):
+                yield tuple(g)
+
+    return walk(0)
+
+
 def mccoy_witness_sweep(U: Universe, max_ring: int = 8, degree: int = 2) -> dict:
     """Exhaustive annihilating pairs (f, g) of bounded degree over regular
     modules; every pair must yield a valid constructive witness."""
@@ -968,23 +996,7 @@ def mccoy_witness_sweep(U: Universe, max_ring: int = 8, degree: int = 2) -> dict
         zero = R.zero
         count = 0
         for cf in itertools.product(R.elements, repeat=n_coeff):
-            for cg in itertools.product(R.elements, repeat=n_coeff):
-                if all(c == zero for c in cg):
-                    continue
-                product_zero = True
-                for k in range(2 * degree + 1):
-                    total = zero
-                    lo = max(0, k - degree)
-                    hi = min(degree, k)
-                    for i in range(lo, hi + 1):
-                        a, b = cf[i], cg[k - i]
-                        if a != zero and b != zero:
-                            total = R.add(total, R.mul(a, b))
-                    if total != zero:
-                        product_zero = False
-                        break
-                if not product_zero:
-                    continue
+            for cg in _annihilating_cofactors(R, cf):
                 f = ring_poly(R, {(i,): c for i, c in enumerate(cf) if c != zero})
                 g = module_poly(Reg, {(i,): c for i, c in enumerate(cg) if c != zero})
                 count += 1

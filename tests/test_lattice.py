@@ -5,9 +5,11 @@ so the ideal and submodule lattices and the `span` closure are compared with
 an enumeration that shares no code with them.
 """
 
+import itertools
+
 import pytest
 
-from zdbench.modules import all_submodules
+from zdbench.modules import all_submodules, ideal_action, submodule_generated
 from zdbench.rings import span
 from zdbench.universe import UniverseLimits, generate_universe
 
@@ -44,12 +46,15 @@ def _as_set(elements, mask) -> frozenset:
 
 
 def _check_span(elements, op, identity):
-    """span(seed) is the least op-closed set holding the identity and seed."""
+    """span(seed) is the least op-closed set holding the identity and seed.
+
+    Seeds: every 1-, 2- and 3-element subset, and every closed set plus one
+    element, the shape in which greedy generator searches call `span`."""
     assert elements[0] == identity
     closed = _closed_masks(elements, op)
     index = {e: i for i, e in enumerate(elements)}
-    seeds = [(a,) for a in elements] + [(a, b) for a in elements for b in elements
-                                        if index[a] < index[b]]
+    seeds = [seed for k in (1, 2, 3) for seed in itertools.combinations(elements, k)]
+    seeds += [tuple(_as_set(elements, mask) | {e}) for mask in closed for e in elements]
     for seed in seeds:
         seed_mask = sum(1 << index[e] for e in seed)
         least = (1 << len(elements)) - 1
@@ -85,3 +90,13 @@ def test_span_is_least_closed_superset(tiny_universe):
         _check_span(units_first, R.mul, R.one)
     for R, M in tiny_universe.pairs():
         _check_span(M.elements, M.add, M.zero)
+
+
+def test_ideal_action_is_generated_submodule(small_universe):
+    """I*M, built as the additive span of the R-stable seed {a m}, is the
+    submodule that seed generates."""
+    for R, M in small_universe.pairs():
+        for I in R.ideals():
+            seed = {M.act(a, m) for a in I.generators for m in M.elements}
+            assert ideal_action(I, M).elements == submodule_generated(M, seed).elements, \
+                (M.descriptor(), I)

@@ -1,0 +1,54 @@
+"""The pruned cofactor walk behind lem-2.7 against a full filter.
+
+The reference enumerates every coefficient vector g with `itertools.product`
+and keeps the nonzero ones with f*g = 0, convolving all coefficients; it
+shares no code with the walk.
+"""
+
+import itertools
+
+from zdbench.statements import _annihilating_cofactors, mccoy_witness_sweep
+
+MAX_RING = 6
+DEGREES = (0, 1, 2)
+
+
+def _annihilators(R, cf):
+    d = len(cf) - 1
+    found = []
+    for cg in itertools.product(R.elements, repeat=d + 1):
+        if all(c == R.zero for c in cg):
+            continue
+        product = [R.zero] * (2 * d + 1)
+        for i, a in enumerate(cf):
+            for j, b in enumerate(cg):
+                product[i + j] = R.add(product[i + j], R.mul(a, b))
+        if all(c == R.zero for c in product):
+            found.append(cg)
+    return found
+
+
+def _small_rings(U):
+    rings = [R for R in U.rings if R.size <= MAX_RING]
+    assert len(rings) >= 5
+    return rings
+
+
+def test_walk_yields_the_filtered_cofactors_in_order(small_universe):
+    for R in _small_rings(small_universe):
+        for degree in DEGREES:
+            for cf in itertools.product(R.elements, repeat=degree + 1):
+                assert list(_annihilating_cofactors(R, cf)) == _annihilators(R, cf), \
+                    (R.descriptor, cf)
+
+
+def test_sweep_counts_match_the_filter(small_universe):
+    rings = _small_rings(small_universe)
+    for degree in DEGREES:
+        sweep = mccoy_witness_sweep(small_universe, max_ring=MAX_RING, degree=degree)
+        per_ring = {R.descriptor: sum(len(_annihilators(R, cf)) for cf in
+                                      itertools.product(R.elements, repeat=degree + 1))
+                    for R in rings}
+        assert sweep["per_ring"] == per_ring, degree
+        assert sweep["pairs_checked"] == sum(per_ring.values())
+        assert not sweep["failures"], sweep["failures"][:3]

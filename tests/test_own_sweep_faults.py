@@ -1,14 +1,15 @@
 """Statements with sweeps of their own can fail.
 
 On the pattern of tests/test_statement_faults.py: each case hands one
-statement a wrong verdict on one object it checks and asserts that the
-statement reports a failure.
+statement a wrong verdict or answer on one object it checks and asserts
+that the statement reports a failure.
 """
 
 import pytest
 
 from zdbench import statements
 from zdbench.modules import Verdict
+from zdbench.rings import ideal_generated
 
 # (statement id, predicate its conclusion reads)
 OWN_ROWS = (
@@ -63,4 +64,54 @@ def test_wrong_localized_verdict_fails_prop_2_3(small_universe, monkeypatch):
     rep = statements.run_statement("prop-2.3", small_universe)
     assert state["flipped"], "prop-2.3 never checked a localized module"
     assert rep.failures, f"prop-2.3 missed a wrong verdict on {state['flipped']}"
+    assert rep.passed is False
+
+
+def _zero_witness(U, state, witness, f, g):
+    """mccoy_witness answers the ring's zero, which no valid witness is."""
+    return f.ring.zero
+
+
+def _zero_divisors_outside_ambient(U, state, zd, M, **kwargs):
+    """Z(N) of a submodule N gains the ring elements outside Z(M)."""
+    if any(M is member for mods in U.modules.values() for member in mods):
+        state["ambient"] = zd
+        return zd
+    outside = frozenset(M.ring.elements) - state.get("ambient", frozenset(M.ring.elements))
+    return zd | outside
+
+
+def _wrong_content(U, state, c, M, m):
+    """c(m) answers the unit ideal where it is proper, else the zero ideal."""
+    R = M.ring
+    return ideal_generated(R, [R.zero if c.is_whole_ring else R.one])
+
+
+# (statement id, function its sweep reads, wrong answer from the right one)
+WRONG_ONCE_ROWS = (
+    ("lem-2.7", "mccoy_witness", _zero_witness),
+    ("prop-2.2-5", "zero_divisors_module", _zero_divisors_outside_ambient),
+    ("content-def", "content_of_element", _wrong_content),
+)
+
+
+@pytest.mark.parametrize("sid, name, wrong", WRONG_ONCE_ROWS,
+                         ids=[row[0] for row in WRONG_ONCE_ROWS])
+def test_wrong_answer_once_fails_own_sweep(small_universe, monkeypatch, sid, name, wrong):
+    real = getattr(statements, name)
+    state, changed = {}, []
+
+    def wrong_once(*args, **kwargs):
+        answer = real(*args, **kwargs)
+        if changed:
+            return answer
+        bad = wrong(small_universe, state, answer, *args, **kwargs)
+        if bad != answer:
+            changed.append(repr(args))
+        return bad
+
+    monkeypatch.setattr(statements, name, wrong_once)
+    rep = statements.run_statement(sid, small_universe)
+    assert changed, f"{sid} never got a wrong answer from {name}"
+    assert rep.failures, f"{sid} missed a wrong {name} at {changed[0]}"
     assert rep.passed is False
