@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .errors import BoundExceeded
 from .modules import (FiniteModule, Verdict, content_of_element,
                       is_content_module, regular_module, submodule_generated)
-from .rings import FiniteRing, ideal_generated
+from .rings import FiniteRing, ideal_generated, span
 
 DEFAULT_SERIES_PRECISION = 8
 DEFAULT_BRUTE_BUDGET = 300_000
@@ -359,8 +359,8 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
     while True:
         if chain == frozenset({zero_m}):
             raise RuntimeError("content chain started at zero for nonzero g")
-        nxt = submodule_generated(
-            M, {M.act(c, t) for c in f_coeffs for t in chain}).elements
+        # r(c t) = c(r t): the chain is a submodule, so the seed is R-stable
+        nxt = span(M.add, zero_m, {M.act(c, t) for c in f_coeffs for t in chain})
         if nxt == frozenset({zero_m}):
             candidates = M.sorted_elements(chain - {zero_m})
             m = candidates[0]

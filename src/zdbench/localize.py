@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .extensions import FiniteAlgebra
-from .modules import FiniteModule, Submodule
+from .modules import FiniteModule, Submodule, module_on_representatives
 from .rings import (FiniteRing, MultiplicativeSet, coset_quotient,
                     multiplicative_closure)
 
@@ -138,18 +138,10 @@ def localize_module(M: FiniteModule, S: MultiplicativeSet,
     if ring_localization is None:
         ring_localization = localize(R, S)
     K, to_class, reps = _classes(M, M.act, S.elements)
-    # an R_S class representative is itself an element of R, and the action on
-    # M/K is independent of the representative chosen
-    structure = FiniteModule(
-        ring=ring_localization.structure,
-        elements=reps,
-        add=lambda a, b: to_class[M.add(a, b)],
-        neg=lambda a: to_class[M.neg(a)],
-        zero=to_class[M.zero],
-        act=lambda rc, a: to_class[M.act(rc, a)],
-        tag=f"Localize({M.tag}, {{{_set_display(R, S)}}})",
-        element_str=M.element_str,
-    )
+    # the action on M/K is independent of the R_S representative chosen
+    structure = module_on_representatives(
+        M, ring_localization.structure, to_class, reps,
+        f"Localize({M.tag}, {{{_set_display(R, S)}}})")
     return _finish(Localization(
         source=M, kind="module", mult_set=S, act=M.act, kernel=K,
         structure=structure, to_class=to_class))

@@ -12,31 +12,24 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from . import rings as _rings
 from .errors import BoundExceeded, PresentationUnavailable
-from .rings import (FiniteRing, Ideal, coset_quotient, ideal_generated, span,
-                    subgroup_lattice)
+from .rings import (Carrier, FiniteRing, Ideal, annihilator_of, coset_quotient,
+                    generated, ideal_generated, span, subgroup_lattice,
+                    zero_divisor_scan)
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kernels
 
 
-class FiniteModule:
+class FiniteModule(Carrier):
     """A finite unital module with explicit carrier, addition, and scalar action."""
 
     def __init__(self, ring: FiniteRing, elements, add, neg, zero, act, tag,
                  element_str=None):
+        super().__init__(elements, add, neg, zero, element_str, f"module {tag}")
         self.ring = ring
-        self.elements = tuple(elements)
-        self.add = add
-        self.neg = neg
-        self.zero = zero
         self.act = act
         self.tag = tag
-        self._element_str = element_str or repr
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError(f"module {tag}: duplicate element encodings")
         # write-once caches; the budgeted ones are keyed by budget, since a
         # smaller budget must raise where a larger one succeeded
         self._zd = None
@@ -50,34 +43,9 @@ class FiniteModule:
     def __repr__(self):
         return f"FiniteModule({self.tag} over {self.ring.descriptor})"
 
-    def __len__(self):
-        return len(self.elements)
-
-    @property
-    def size(self):
-        return len(self.elements)
-
     @property
     def is_zero(self):
         return len(self.elements) == 1
-
-    def index(self, m):
-        try:
-            return self._index[m]
-        except KeyError:
-            raise ValueError(f"{m!r} is not an element of module {self.tag}") from None
-
-    def __contains__(self, m):
-        return m in self._index
-
-    def element_str(self, m):
-        return self._element_str(m)
-
-    def sorted_elements(self, subset: Iterable) -> list:
-        return sorted(subset, key=self.index)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def descriptor(self) -> str:
         return f"{self.tag} over {self.ring.descriptor}"
@@ -153,8 +121,16 @@ def quotient_module(M: FiniteModule, subgroup: frozenset, tag: str) -> FiniteMod
     if M.zero not in subgroup:
         raise ValueError("quotient: subgroup must contain 0")
     rep_of, reps = coset_quotient(M, subgroup)
+    return module_on_representatives(M, M.ring, rep_of, reps, tag)
+
+
+def module_on_representatives(M: FiniteModule, ring: FiniteRing, rep_of: dict,
+                              reps: list, tag: str) -> FiniteModule:
+    """M's operations carried to coset representatives by `rep_of`, over
+    `ring`: M.ring for a quotient, or a localization R_S, whose class
+    representatives are elements of R and act as such."""
     return FiniteModule(
-        ring=M.ring,
+        ring=ring,
         elements=reps,
         add=lambda a, b: rep_of[M.add(a, b)],
         neg=lambda a: rep_of[M.neg(a)],
@@ -219,12 +195,8 @@ def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModul
 
 def submodule_generated(M: FiniteModule, gens: Iterable) -> Submodule:
     gens = list(gens)
-    for g in gens:
-        if g not in M:
-            raise ValueError(f"{g!r} not in module {M.tag}")
-    seed = {M.act(r, g) for r in M.ring.elements for g in gens}
-    return Submodule(M, tuple(M.sorted_elements(dict.fromkeys(gens))),
-                     span(M.add, M.zero, seed))
+    elements = generated(M.ring, M.act, M, gens)
+    return Submodule(M, tuple(M.sorted_elements(dict.fromkeys(gens))), elements)
 
 
 def generating_set(M: FiniteModule) -> tuple:
@@ -382,38 +354,21 @@ def _is_linear(add, act, f, gens) -> bool:
 # predicates
 
 
-def zero_divisors_module(M: FiniteModule, include_zero: bool | None = None) -> frozenset:
+def zero_divisors_module(M: FiniteModule) -> frozenset:
     """{r in R : r*m = 0 for some nonzero m in M}; empty for the zero module."""
     if M._zd is None:
-        if M.is_zero:
-            M._zd = frozenset()
-        else:
-            zero = M.zero
-            zd = set()
-            for r in M.ring.elements:
-                for m in M.elements:
-                    if m != zero and M.act(r, m) == zero:
-                        zd.add(r)
-                        break
-            M._zd = frozenset(zd)
-    if include_zero is None:
-        include_zero = _rings.INCLUDE_ZERO_IN_ZD_SETS
-    if include_zero or M.is_zero:
-        return M._zd
-    return M._zd - {M.ring.zero}
+        M._zd = zero_divisor_scan(M.ring, M.act, M)
+    return M._zd
 
 
 def ann(M: FiniteModule, element=None) -> Ideal:
     """Annihilator ideal of the whole module, or of one element."""
-    R = M.ring
     if element is None:
         targets = M.elements
     else:
         M.index(element)
         targets = (element,)
-    zero = M.zero
-    elems = [r for r in R.elements if all(M.act(r, m) == zero for m in targets)]
-    return Ideal(R, tuple(elems), frozenset(elems))
+    return annihilator_of(M.ring, M.act, M.zero, targets)
 
 
 def ideal_action(I: Ideal, M: FiniteModule) -> Submodule:
@@ -473,16 +428,15 @@ def has_property_A(M: FiniteModule) -> Verdict:
     """Every ideal inside Z(M) kills some nonzero element of M.
 
     All ideals of a finite ring are finitely generated, so the whole lattice
-    is tested.  Membership uses nonzero parts, making the verdict independent
-    of the 0-in-Z display convention.
+    is tested.  Z(M) holds 0, as M is nonzero, so each ideal is compared whole.
     """
     if M.is_zero:
         return Verdict(True, degenerate=True)
     R = M.ring
-    zd = zero_divisors_module(M, include_zero=True)
+    zd = zero_divisors_module(M)
     zero_m = M.zero
     for I in R.ideals():
-        if not (I.elements - {R.zero}) <= (zd - {R.zero}):
+        if not I.elements <= zd:
             continue
         killed = any(
             m != zero_m and all(M.act(a, m) == zero_m for a in I.generators)
@@ -497,8 +451,8 @@ def is_auslander(M: FiniteModule) -> Verdict:
     if M.is_zero:
         return Verdict(False, degenerate=True)
     R = M.ring
-    zr = R.zero_divisors(include_zero=True) - {R.zero}
-    zm = zero_divisors_module(M, include_zero=True) - {R.zero}
+    zr = R.zero_divisors() - {R.zero}
+    zm = zero_divisors_module(M) - {R.zero}
     for r in R.sorted_elements(zr):
         if r not in zm:
             return Verdict(False, witness={"kind": "auslander", "element": r})
@@ -510,8 +464,8 @@ def is_torsion_free(M: FiniteModule) -> Verdict:
     if M.is_zero:
         return Verdict(False, degenerate=True)
     R = M.ring
-    zr = R.zero_divisors(include_zero=True) - {R.zero}
-    zm = zero_divisors_module(M, include_zero=True) - {R.zero}
+    zr = R.zero_divisors() - {R.zero}
+    zm = zero_divisors_module(M) - {R.zero}
     for r in R.sorted_elements(zm):
         if r not in zr:
             return Verdict(False, witness={"kind": "torsion_free", "element": r})

@@ -222,8 +222,8 @@ def revalidate_witness(entry: dict) -> bool:
         if M.ring.descriptor != ring_desc:
             return False
         R = M.ring
-        zr = R.zero_divisors(include_zero=True)
-        zm = zero_divisors_module(M, include_zero=True)
+        zr = R.zero_divisors()
+        zm = zero_divisors_module(M)
         if kind == "auslander":
             return value in zr and value not in zm and value != R.zero
         if kind == "torsion_free":

@@ -16,29 +16,59 @@ from .errors import BoundExceeded
 # |R| cap for the ideal-lattice fixpoint; the universe stays far below it.
 DEFAULT_LATTICE_BOUND = 512
 
-# When True, 0 is reported as a member of every zero-divisor set of a
-# nonzero structure.  Predicates are written so that flipping this changes
-# only reported sets, never a theorem verdict; the harness asserts that.
-INCLUDE_ZERO_IN_ZD_SETS = True
+
+class Carrier:
+    """The explicit finite carrier that rings and modules share: canonically
+    encoded elements in a fixed order, their index map, and + and - on them.
+    `name` is what error messages call the structure."""
+
+    def __init__(self, elements, add, neg, zero, element_str, name):
+        self.elements = tuple(elements)
+        self.add = add
+        self.neg = neg
+        self.zero = zero
+        self._element_str = element_str or repr
+        self._name = name
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
+            raise ValueError(f"carrier of {name} has duplicate encodings")
+
+    def __len__(self):
+        return len(self.elements)
+
+    @property
+    def size(self):
+        return len(self.elements)
+
+    def index(self, x):
+        try:
+            return self._index[x]
+        except KeyError:
+            raise ValueError(f"{x!r} is not an element of {self._name}") from None
+
+    def __contains__(self, x):
+        return x in self._index
+
+    def element_str(self, x):
+        return self._element_str(x)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def sorted_elements(self, subset: Iterable) -> list:
+        return sorted(subset, key=self.index)
 
 
-class FiniteRing:
+class FiniteRing(Carrier):
     """A finite commutative ring with explicit carrier and arithmetic."""
 
     def __init__(self, kind, elements, add, mul, neg, zero, one, descriptor,
                  element_str=None, allow_trivial=False):
+        super().__init__(elements, add, neg, zero, element_str, descriptor)
         self.kind = kind
-        self.elements = tuple(elements)
-        self.add = add
         self.mul = mul
-        self.neg = neg
-        self.zero = zero
         self.one = one
         self.descriptor = descriptor
-        self._element_str = element_str or repr
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError(f"carrier of {descriptor} has duplicate encodings")
         if not allow_trivial and zero == one:
             raise ValueError(f"{descriptor}: zero identity (0 = 1) not allowed")
         # what element literals resolve through: (A, B) for a product A x B,
@@ -52,31 +82,6 @@ class FiniteRing:
 
     def __repr__(self):
         return f"FiniteRing({self.descriptor})"
-
-    def __len__(self):
-        return len(self.elements)
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-    def index(self, a):
-        try:
-            return self._index[a]
-        except KeyError:
-            raise ValueError(f"{a!r} is not an element of {self.descriptor}") from None
-
-    def __contains__(self, a):
-        return a in self._index
-
-    def element_str(self, a):
-        return self._element_str(a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def sorted_elements(self, subset: Iterable) -> list:
-        return sorted(subset, key=self.index)
 
     def same_ring(self, other: "FiniteRing") -> bool:
         return self is other or self.descriptor == other.descriptor
@@ -93,25 +98,14 @@ class FiniteRing:
             self._units = frozenset(found)
         return self._units
 
-    def zero_divisors(self, include_zero: bool | None = None) -> frozenset:
+    def zero_divisors(self) -> frozenset:
         """{r : r*s = 0 for some s != 0}; contains 0 whenever the ring is nonzero."""
         if self._zero_divisors is None:
-            zero = self.zero
-            zd = set()
-            for a in self.elements:
-                for b in self.elements:
-                    if b != zero and self.mul(a, b) == zero:
-                        zd.add(a)
-                        break
-            self._zero_divisors = frozenset(zd)
-        if include_zero is None:
-            include_zero = INCLUDE_ZERO_IN_ZD_SETS
-        if include_zero:
-            return self._zero_divisors
-        return self._zero_divisors - {self.zero}
+            self._zero_divisors = zero_divisor_scan(self, self.mul, self)
+        return self._zero_divisors
 
     def regular_elements(self) -> frozenset:
-        return frozenset(self.elements) - self.zero_divisors(include_zero=True)
+        return frozenset(self.elements) - self.zero_divisors()
 
     def ideals(self, bound: int = DEFAULT_LATTICE_BOUND) -> tuple["Ideal", ...]:
         """Every ideal exactly once: the submodule lattice of the regular module.
@@ -172,7 +166,7 @@ class RingPredicates:
 
 
 def ring_predicates(R: FiniteRing) -> RingPredicates:
-    zd = R.zero_divisors(include_zero=True)
+    zd = R.zero_divisors()
     is_domain = zd == frozenset({R.zero})
     is_field = all(a in R.units() for a in R.elements if a != R.zero)
     maximal = R.maximal_ideals()
@@ -393,6 +387,38 @@ def coset_quotient(S, subgroup: Iterable) -> tuple[dict, list]:
 
 
 # ---------------------------------------------------------------------------
+# scans of a ring acting on a carrier: R on itself by multiplication, or on
+# a module; each serves the ring notion and the module notion alike
+
+
+def zero_divisor_scan(R: FiniteRing, act, X: Carrier) -> frozenset:
+    """{r in R : act(r, x) = 0 for some nonzero x in X}, leaving each r at its
+    first such x: Z(R) for X = R, Z(M) for a module X = M (empty if M = 0)."""
+    zero = X.zero
+    found = []
+    for r in R.elements:
+        for x in X.elements:
+            if x != zero and act(r, x) == zero:
+                found.append(r)
+                break
+    return frozenset(found)
+
+
+def annihilator_of(R: FiniteRing, act, zero, targets) -> "Ideal":
+    """The ideal {r in R : act(r, t) = zero for every t in targets}."""
+    elems = [r for r in R.elements if all(act(r, t) == zero for t in targets)]
+    return Ideal(R, tuple(elems), frozenset(elems))
+
+
+def generated(R: FiniteRing, act, X: Carrier, gens: list) -> frozenset:
+    """The closure of `gens` in X under + and the action of R: the additive
+    span of every act(r, g), which is R-stable since s(rg) = (sr)g."""
+    for g in gens:
+        X.index(g)  # raises on an element outside X
+    return span(X.add, X.zero, {act(r, g) for r in R.elements for g in gens})
+
+
+# ---------------------------------------------------------------------------
 # ideals
 
 
@@ -458,14 +484,14 @@ class Ideal:
         for e in R.sorted_elements(self.elements):
             if e == R.zero:
                 continue
-            if span(R.add, R.zero, {R.mul(r, e) for r in R.elements}) == self.elements:
+            if generated(R, R.mul, R, [e]) == self.elements:
                 return (e,)
         gens: list = []
         closed = {R.zero}
         for e in R.sorted_elements(self.elements):
             if e not in closed:
                 gens.append(e)
-                closed = span(R.add, R.zero, closed | {R.mul(r, e) for r in R.elements})
+                closed = generated(R, R.mul, R, gens)
                 if closed == self.elements:
                     break
         return tuple(gens) if gens else (R.zero,)
@@ -479,12 +505,8 @@ def _check_same_ring(I: Ideal, J: Ideal):
 def ideal_generated(R: FiniteRing, gens: Iterable) -> Ideal:
     """Smallest ideal containing `gens` (empty list gives the zero ideal)."""
     gens = list(gens)
-    for g in gens:
-        if g not in R:
-            raise ValueError(f"{g!r} is not an element of {R.descriptor}")
-    multiples = {R.mul(r, g) for r in R.elements for g in gens}
-    return Ideal(R, tuple(R.sorted_elements(dict.fromkeys(gens))),
-                 span(R.add, R.zero, multiples))
+    elements = generated(R, R.mul, R, gens)
+    return Ideal(R, tuple(R.sorted_elements(dict.fromkeys(gens))), elements)
 
 
 def unit_ideal(R: FiniteRing) -> Ideal:
@@ -513,13 +535,11 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
 def annihilator(R: FiniteRing, I: Ideal) -> Ideal:
     if not R.same_ring(I.ring):
         raise ValueError("annihilator: ideal belongs to a different ring")
-    zero = R.zero
-    ann = [r for r in R.elements if all(R.mul(r, a) == zero for a in I.generators)]
-    return Ideal(R, tuple(ann), frozenset(ann))
+    return annihilator_of(R, R.mul, R.zero, I.generators)
 
 
-def zero_divisors_ring(R: FiniteRing, include_zero: bool | None = None) -> frozenset:
-    return R.zero_divisors(include_zero=include_zero)
+def zero_divisors_ring(R: FiniteRing) -> frozenset:
+    return R.zero_divisors()
 
 
 def all_ideals(R: FiniteRing, bound: int = DEFAULT_LATTICE_BOUND) -> tuple[Ideal, ...]:
@@ -553,8 +573,7 @@ def multiplicative_closure(R: FiniteRing, seed: Iterable) -> MultiplicativeSet:
     """Close `seed` (plus 1) under multiplication."""
     seed = set(seed)
     for s in seed:
-        if s not in R:
-            raise ValueError(f"{s!r} is not an element of {R.descriptor}")
+        R.index(s)  # raises on an element outside R
     return MultiplicativeSet(R, span(R.mul, R.one, seed))
 
 

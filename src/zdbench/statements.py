@@ -342,8 +342,8 @@ def _def_2_1(U: Universe, rep: StatementReport):
     for R, M in _nonzero_pairs(U):
         rep.applicable.append(_member(R, M))
         rep.checked += 1
-        zr = R.zero_divisors(include_zero=True) - {R.zero}
-        zm = zero_divisors_module(M, include_zero=True) - {R.zero}
+        zr = R.zero_divisors() - {R.zero}
+        zm = zero_divisors_module(M) - {R.zero}
         v = is_auslander(M)
         if v.holds != zr.issubset(zm):
             rep.failures.append({"member": _member(R, M), "verdict": v.holds})
@@ -385,13 +385,13 @@ def _prop_2_2_5(U: Universe, rep: StatementReport):
             rep.notes.append(f"skipped {_member(R, M)}: {exc}")
             continue
         rep.applicable.append(_member(R, M))
-        zm = zero_divisors_module(M, include_zero=True)
+        zm = zero_divisors_module(M)
         for N in subs:
             if N.is_zero:
                 continue
             rep.checked += 1
             Nmod = N.as_module()
-            zn = zero_divisors_module(Nmod, include_zero=True)
+            zn = zero_divisors_module(Nmod)
             if not zn <= zm:
                 rep.failures.append({
                     "member": _member(R, M),
@@ -413,9 +413,9 @@ def _localization_of(U: Universe, R, S):
 def _prop_2_3(U: Universe, rep: StatementReport):
     instances = []
     for R, M in _nonzero_pairs(U):
-        zm = zero_divisors_module(M, include_zero=True)
+        zm = zero_divisors_module(M)
         candidates = frozenset(R.elements) - zm
-        zr = R.zero_divisors(include_zero=True)
+        zr = R.zero_divisors()
         hyp = is_auslander(M).holds
         for S in all_mult_closed_subsets(R, candidates):
             ring_loc = _localization_of(U, R, S)
@@ -451,7 +451,7 @@ def _prop_a_def(U: Universe, rep: StatementReport):
         rep.applicable.append(_member(R, M))
         rep.checked += 1
         v = has_property_A(M)
-        zm = zero_divisors_module(M, include_zero=True) - {R.zero}
+        zm = zero_divisors_module(M) - {R.zero}
         direct = True
         offending = None
         for I in R.ideals():
@@ -545,14 +545,14 @@ def _tf_3_1(U: Universe, rep: StatementReport):
 def _rem_3_3_1(U: Universe, rep: StatementReport):
     for R in U.rings:
         candidates = R.regular_elements()
-        zr = R.zero_divisors(include_zero=True)
+        zr = R.zero_divisors()
         for S in all_mult_closed_subsets(R, candidates):
             loc = _localization_of(U, R, S)
             RS_mod = localized_ring_as_base_module(loc)
             member = f"{R.descriptor} @ S={_set_str(R, S)}"
             rep.applicable.append(member)
             rep.checked += 1
-            z_loc = zero_divisors_module(RS_mod, include_zero=True)
+            z_loc = zero_divisors_module(RS_mod)
             if z_loc != zr:
                 rep.failures.append({"member": member, "reason": "Z(R_S) != Z(R)"})
                 continue
@@ -585,8 +585,8 @@ def _rem_3_3_3(U: Universe, rep: StatementReport):
     M = cyclic_module(R, I)
     rep.applicable.append(_member(R, M))
     rep.checked += 1
-    zr = R.zero_divisors(include_zero=True)
-    zm = zero_divisors_module(M, include_zero=True)
+    zr = R.zero_divisors()
+    zm = zero_divisors_module(M)
     ausl = is_auslander(M)
     tf = is_torsion_free(M)
     expected_zr = frozenset({(0, 0), (1, 0), (0, 1)})

@@ -14,7 +14,7 @@ arithmetic, never by enumerating an infinite carrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .extensions import (FiniteAlgebra, diagonal_algebra, extension_algebra,
                          self_algebra)
@@ -41,19 +41,11 @@ class UniverseLimits:
     axiom_check_max: int = 64
 
     def as_dict(self) -> dict:
-        return {
-            "zmod_max": self.zmod_max,
-            "product_component_max": self.product_component_max,
-            "max_ring": self.max_ring,
-            "max_module": self.max_module,
-            "max_algebra": self.max_algebra,
-            "max_sum_pairs": self.max_sum_pairs,
-            "hom_budget": self.hom_budget,
-            "presentation_budget": self.presentation_budget,
-            "brute_budget": self.brute_budget,
-            "degree_bound": self.degree_bound,
-            "series_precision": self.series_precision,
-        }
+        """The limits reports echo, in field order.  `axiom_check_max` is left
+        out: the pinned report digests predate it, so echoing it is a report
+        change of its own, made with the digests re-pinned."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "axiom_check_max"}
 
 
 DEFAULT_LIMITS = UniverseLimits()

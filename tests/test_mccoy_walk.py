@@ -1,4 +1,5 @@
-"""The pruned cofactor walk behind lem-2.7 against a full filter.
+"""The pruned cofactor walk behind lem-2.7 against a full filter, and the
+McCoy witness of each pair against a chain of closed submodules.
 
 The reference enumerates every coefficient vector g with `itertools.product`
 and keeps the nonzero ones with f*g = 0, convolving all coefficients; it
@@ -7,6 +8,8 @@ shares no code with the walk.
 
 import itertools
 
+from zdbench.extensions import mccoy_witness, module_poly, ring_poly
+from zdbench.modules import submodule_generated
 from zdbench.statements import _annihilating_cofactors, mccoy_witness_sweep
 
 MAX_RING = 6
@@ -52,3 +55,31 @@ def test_sweep_counts_match_the_filter(small_universe):
         assert sweep["per_ring"] == per_ring, degree
         assert sweep["pairs_checked"] == sum(per_ring.values())
         assert not sweep["failures"], sweep["failures"][:3]
+
+
+def _chain_witness(M, cf, cg):
+    """The least nonzero element of the last nonzero c(f)^k c(g), each step
+    closed under R with `submodule_generated`."""
+    zero = frozenset({M.zero})
+    chain = submodule_generated(M, cg).elements
+    while True:
+        nxt = submodule_generated(M, {M.act(c, t) for c in cf for t in chain}).elements
+        if nxt == zero:
+            return M.sorted_elements(chain - zero)[0]
+        assert nxt != chain, "chain stabilized nonzero"
+        chain = nxt
+
+
+def test_witness_matches_closed_chain(small_universe):
+    pairs = 0
+    for R in _small_rings(small_universe):
+        Reg = small_universe.regular(R)
+        for degree in DEGREES:
+            for cf in itertools.product(R.elements, repeat=degree + 1):
+                f = ring_poly(R, {(i,): c for i, c in enumerate(cf) if c != R.zero})
+                for cg in _annihilators(R, cf):
+                    g = module_poly(Reg, {(i,): c for i, c in enumerate(cg) if c != R.zero})
+                    expected = _chain_witness(Reg, f.coefficients(), g.coefficients())
+                    assert mccoy_witness(f, g) == expected, (R.descriptor, cf, cg)
+                    pairs += 1
+    assert pairs > 1000

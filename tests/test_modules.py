@@ -228,20 +228,3 @@ def test_module_axiom_checker_catches_bad_action():
                        act=lambda r, m: m, tag="bad")  # not an action: 0*m != 0
     with pytest.raises(ValueError):
         verify_module_axioms(bad)
-
-
-def test_zero_in_zd_toggle_preserves_verdicts(killed_factor):
-    import zdbench.rings as rings
-    before = (is_auslander(killed_factor).holds,
-              is_torsion_free(killed_factor).holds,
-              has_property_A(killed_factor).holds)
-    try:
-        rings.INCLUDE_ZERO_IN_ZD_SETS = False
-        after = (is_auslander(killed_factor).holds,
-                 is_torsion_free(killed_factor).holds,
-                 has_property_A(killed_factor).holds)
-        smaller = zero_divisors_module(killed_factor)
-    finally:
-        rings.INCLUDE_ZERO_IN_ZD_SETS = True
-    assert before == after
-    assert (0, 0) not in smaller

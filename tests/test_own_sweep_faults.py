@@ -10,12 +10,14 @@ import pytest
 from zdbench import statements
 from zdbench.modules import Verdict
 from zdbench.rings import ideal_generated
+from zdbench.universe import ZAdapterCase
 
 # (statement id, predicate its conclusion reads)
 OWN_ROWS = (
     ("rem-2.10", "is_ohm_rush"),
     ("def-2.11", "is_mccoy_algebra"),
     ("rem-3.3-1", "is_torsion_free"),
+    ("tf-3.1", "is_torsion_free"),
 )
 
 
@@ -72,13 +74,25 @@ def _zero_witness(U, state, witness, f, g):
     return f.ring.zero
 
 
-def _zero_divisors_outside_ambient(U, state, zd, M, **kwargs):
+def _zero_divisors_outside_ambient(U, state, zd, M):
     """Z(N) of a submodule N gains the ring elements outside Z(M)."""
     if any(M is member for mods in U.modules.values() for member in mods):
         state["ambient"] = zd
         return zd
     outside = frozenset(M.ring.elements) - state.get("ambient", frozenset(M.ring.elements))
     return zd | outside
+
+
+def _auslander_inclusion_flipped(U, state, zd, M):
+    """Z(M) loses the nonzero zero-divisors of R where it holds them all,
+    and gains them where it does not."""
+    zr = M.ring.zero_divisors() - {M.ring.zero}
+    return zd - zr if zr <= zd else zd | zr
+
+
+def _zero_divisors_whole_ring(U, state, zd, M):
+    """Z(M) answers all of R, 1 included, which kills no nonzero element."""
+    return frozenset(M.ring.elements)
 
 
 def _wrong_content(U, state, c, M, m):
@@ -92,6 +106,9 @@ WRONG_ONCE_ROWS = (
     ("lem-2.7", "mccoy_witness", _zero_witness),
     ("prop-2.2-5", "zero_divisors_module", _zero_divisors_outside_ambient),
     ("content-def", "content_of_element", _wrong_content),
+    ("def-2.1", "zero_divisors_module", _auslander_inclusion_flipped),
+    ("prop-a-def", "zero_divisors_module", _zero_divisors_whole_ring),
+    ("rem-3.3-3", "zero_divisors_module", _zero_divisors_whole_ring),
 )
 
 
@@ -114,4 +131,27 @@ def test_wrong_answer_once_fails_own_sweep(small_universe, monkeypatch, sid, nam
     rep = statements.run_statement(sid, small_universe)
     assert changed, f"{sid} never got a wrong answer from {name}"
     assert rep.failures, f"{sid} missed a wrong {name} at {changed[0]}"
+    assert rep.passed is False
+
+
+@pytest.mark.parametrize("method", ("is_auslander", "in_zero_divisors"))
+def test_wrong_adapter_answer_fails_rem_3_3_2(small_universe, monkeypatch, method):
+    """rem-3.3-2 reads the integer adapter's Auslander verdict and Z-set
+    membership; the first answer it gets is wrong."""
+    real = getattr(ZAdapterCase, method)
+    changed = []
+
+    def wrong_once(case, *args):
+        answer = real(case, *args)
+        if changed:
+            return answer
+        changed.append(case.case_id)
+        if isinstance(answer, Verdict):
+            return _wrong_verdict(answer, case.case_id)
+        return not answer
+
+    monkeypatch.setattr(ZAdapterCase, method, wrong_once)
+    rep = statements.run_statement("rem-3.3-2", small_universe)
+    assert changed, f"rem-3.3-2 never called {method}"
+    assert rep.failures, f"rem-3.3-2 missed a wrong {method} on {changed[0]}"
     assert rep.passed is False

@@ -231,18 +231,6 @@ def test_all_mult_closed_subsets_of_units():
     assert sorted(len(S.elements) for S in groups) == [1, 2, 5, 10]
 
 
-def test_zero_in_zd_toggle_changes_sets_only():
-    import zdbench.rings as rings
-    R = Zmod(6)
-    with_zero = R.zero_divisors()
-    try:
-        rings.INCLUDE_ZERO_IN_ZD_SETS = False
-        without = R.zero_divisors()
-    finally:
-        rings.INCLUDE_ZERO_IN_ZD_SETS = True
-    assert with_zero - without == {0}
-
-
 def test_duplicate_encodings_rejected():
     from zdbench.rings import FiniteRing
     with pytest.raises(ValueError):
