@@ -417,9 +417,11 @@ class FiniteAlgebra:
         """B viewed as an R-module through the structure map."""
         if self._module_view is None:
             B, phi = self.ring, self.embed
+            # r acts as phi(r) does: row r is B's row of phi(r)
             self._module_view = FiniteModule(
                 ring=self.base, elements=B.elements, add=B.add, neg=B.neg,
-                zero=B.zero, act=lambda r, b: B.mul(phi[r], b),
+                zero=B.zero, act=None,
+                rows=lambda N: [B.rows[B.index(phi[r])] for r in self.base.elements],
                 tag=f"AlgebraModule({self.descriptor})",
                 element_str=B.element_str)
         return self._module_view

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .extensions import FiniteAlgebra
 from .modules import FiniteModule, Submodule, module_on_representatives
 from .rings import (FiniteRing, MultiplicativeSet, coset_quotient,
-                    multiplicative_closure)
+                    multiplicative_closure, represented_rows)
 
 
 @dataclass
@@ -55,12 +55,13 @@ class Localization:
         return any(act(u, diff) == src.zero for u in self.mult_set.elements)
 
 
-def _classes(source, act, denominators) -> tuple[frozenset, dict, list]:
+def _classes(source, denominators) -> tuple[frozenset, dict, list]:
     """(kernel, class map, representatives) of source -> source_S: the kernel
-    is {x : u*x = 0 for some denominator u}, the classes its cosets."""
-    zero = source.zero
-    K = frozenset(x for x in source.elements
-                  if any(act(u, x) == zero for u in denominators))
+    is {x : u*x = 0 for some denominator u}, read from the denominators'
+    rows, the classes its cosets."""
+    zero, rows = source.index(source.zero), source.rows
+    K = frozenset(source.elements[x] for u in denominators
+                  for x, ux in enumerate(rows[source.scalars.index(u)]) if ux == zero)
     to_class, reps = coset_quotient(source, K)
     return K, to_class, reps
 
@@ -110,12 +111,13 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
     """R_S presented as a FiniteRing so every ring predicate applies unchanged."""
     if not R.same_ring(S.ring):
         raise ValueError("multiplicative set belongs to a different ring")
-    K, to_class, reps = _classes(R, R.mul, S.elements)
+    K, to_class, reps = _classes(R, S.elements)
     ring_structure = FiniteRing(
         kind="localized",
         elements=reps,
         add=lambda a, b: to_class[R.add(a, b)],
-        mul=lambda a, b: to_class[R.mul(a, b)],
+        mul=None,
+        rows=lambda L: represented_rows(R, to_class, L),
         neg=lambda a: to_class[R.neg(a)],
         zero=to_class[R.zero],
         one=to_class[R.one],
@@ -137,7 +139,7 @@ def localize_module(M: FiniteModule, S: MultiplicativeSet,
         raise ValueError("multiplicative set belongs to a different ring")
     if ring_localization is None:
         ring_localization = localize(R, S)
-    K, to_class, reps = _classes(M, M.act, S.elements)
+    K, to_class, reps = _classes(M, S.elements)
     # the action on M/K is independent of the R_S representative chosen
     structure = module_on_representatives(
         M, ring_localization.structure, to_class, reps,
@@ -165,7 +167,7 @@ def total_quotient(R: FiniteRing) -> Localization:
 
 def natural_map_kernel(M: FiniteModule) -> Submodule:
     """Kernel of M -> M (x) Q: elements killed by some regular ring element."""
-    K = _classes(M, M.act, M.ring.regular_elements())[0]
+    K = _classes(M, M.ring.regular_elements())[0]
     return Submodule(M, tuple(M.sorted_elements(K)), K)
 
 

@@ -14,21 +14,21 @@ from typing import Iterable, Optional
 
 from .errors import BoundExceeded, PresentationUnavailable
 from .rings import (Carrier, FiniteRing, Ideal, annihilator_of, coset_quotient,
-                    generated, ideal_generated, span, subgroup_lattice,
-                    zero_divisor_scan)
+                    generated, ideal_generated, represented_rows, span,
+                    subgroup_lattice, zero_divisor_scan)
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kernels
 
 
 class FiniteModule(Carrier):
-    """A finite unital module with explicit carrier, addition, and scalar action."""
+    """A finite unital module with explicit carrier, addition, and scalar
+    action: `act` for a base module, `rows` for a construction (see Carrier)."""
 
     def __init__(self, ring: FiniteRing, elements, add, neg, zero, act, tag,
-                 element_str=None):
-        super().__init__(elements, add, neg, zero, element_str, f"module {tag}")
+                 element_str=None, rows=None):
+        super().__init__(elements, add, neg, zero, element_str, f"module {tag}", ring, act, rows)
         self.ring = ring
-        self.act = act
         self.tag = tag
         # write-once caches; the budgeted ones are keyed by budget, since a
         # smaller budget must raise where a larger one succeeded
@@ -39,6 +39,8 @@ class FiniteModule(Carrier):
         self._ffl: dict = {}
         self._content_cache: dict = {}
         self._ideal_action_cache: dict = {}
+
+    act = Carrier._scaled
 
     def __repr__(self):
         return f"FiniteModule({self.tag} over {self.ring.descriptor})"
@@ -66,10 +68,12 @@ class Submodule:
 
     def as_module(self, tag: str | None = None) -> FiniteModule:
         M = self.module
+        sub = sorted(map(M.index, self.elements))
         return FiniteModule(
             ring=M.ring,
-            elements=M.sorted_elements(self.elements),
-            add=M.add, neg=M.neg, zero=M.zero, act=M.act,
+            elements=[M.elements[i] for i in sub],
+            add=M.add, neg=M.neg, zero=M.zero, act=None,
+            rows=lambda N: [[N.index(M.elements[row[i]]) for i in sub] for row in M.rows],
             tag=tag or f"Sub[{len(self.elements)}] of {M.tag}",
             element_str=M.element_str,
         )
@@ -98,7 +102,7 @@ class Verdict:
 def regular_module(R: FiniteRing) -> FiniteModule:
     return FiniteModule(
         ring=R, elements=R.elements, add=R.add, neg=R.neg, zero=R.zero,
-        act=R.mul, tag="Reg", element_str=R.element_str)
+        act=None, rows=lambda N: R.rows, tag="Reg", element_str=R.element_str)
 
 
 def free_module(R: FiniteRing, k: int) -> FiniteModule:
@@ -135,7 +139,8 @@ def module_on_representatives(M: FiniteModule, ring: FiniteRing, rep_of: dict,
         add=lambda a, b: rep_of[M.add(a, b)],
         neg=lambda a: rep_of[M.neg(a)],
         zero=rep_of[M.zero],
-        act=lambda r, a: rep_of[M.act(r, a)],
+        act=None,
+        rows=lambda N: represented_rows(M, rep_of, N),
         tag=tag,
         element_str=M.element_str,
     )
@@ -161,14 +166,25 @@ def direct_sum(M1: FiniteModule, M2: FiniteModule, tag: str | None = None) -> Fi
         add=lambda u, v: (M1.add(u[0], v[0]), M2.add(u[1], v[1])),
         neg=lambda u: (M1.neg(u[0]), M2.neg(u[1])),
         zero=(M1.zero, M2.zero),
-        act=lambda r, u: (M1.act(r, u[0]), M2.act(r, u[1])),
+        act=None,
+        rows=lambda N: _sum_rows(M1, M2.rows, 1),
         tag=tag or f"Sum({M1.tag},{M2.tag})",
         element_str=lambda u: f"({M1.element_str(u[0])},{M2.element_str(u[1])})",
     )
 
 
+def _sum_rows(A: FiniteModule, rows: list, copies: int) -> list:
+    """The rows of A + (A + ... (A + B)), with `copies` summands A, from A's
+    rows and B's: (a, b) has index a + |A| b (A's coordinate fastest), and
+    r(a, b) = (ra, rb)."""
+    n = A.size
+    for _ in range(copies):
+        rows = [[x + n * y for y in row_b for x in row_a] for row_a, row_b in zip(A.rows, rows)]
+    return rows
+
+
 def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModule:
-    """M^t with t-tuple carrier, first coordinate varying fastest.
+    """M^t with t-tuple carrier, first coordinate varying fastest: M + M^(t-1).
 
     Callers bound |M|^t before asking for it."""
     if t < 1:
@@ -187,7 +203,8 @@ def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModul
         add=lambda u, v: tuple(M.add(a, b) for a, b in zip(u, v)),
         neg=lambda u: tuple(M.neg(a) for a in u),
         zero=tuple([M.zero] * t),
-        act=lambda r, u: tuple(M.act(r, a) for a in u),
+        act=None,
+        rows=lambda N: _sum_rows(M, M.rows, t - 1),
         tag=tag or f"{M.tag}^{t}",
         element_str=lambda u: "(" + ",".join(M.element_str(a) for a in u) + ")",
     )
@@ -195,7 +212,7 @@ def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModul
 
 def submodule_generated(M: FiniteModule, gens: Iterable) -> Submodule:
     gens = list(gens)
-    elements = generated(M.ring, M.act, M, gens)
+    elements = generated(M, gens)
     return Submodule(M, tuple(M.sorted_elements(dict.fromkeys(gens))), elements)
 
 
@@ -217,8 +234,7 @@ def generating_set(M: FiniteModule) -> tuple:
 
 def all_submodules(M: FiniteModule, max_count: int = 512) -> list[Submodule]:
     """Every submodule exactly once, ordered by size, then by element indices."""
-    return subgroup_lattice(M, M.act, M.ring.elements,
-                            lambda gens, elements: Submodule(M, gens, elements),
+    return subgroup_lattice(M, lambda gens, elements: Submodule(M, gens, elements),
                             max_count)
 
 
@@ -255,15 +271,14 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
             found.append(tuple(f))
     found.sort()
     maps = [tuple(M.elements[i] for i in f) for f in found]
+    # (r.f)(x) = r.f(x): r acts on each entry of f's index tuple
+    position = {f: i for i, f in enumerate(found)}
 
     def add(f, g):
         return tuple(M.add(a, b) for a, b in zip(f, g))
 
     def neg(f):
         return tuple(M.neg(a) for a in f)
-
-    def act(r, f):
-        return tuple(M.act(r, a) for a in f)
 
     zero_map = tuple(M.zero for _ in M.elements)
 
@@ -273,21 +288,21 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
         return f"[{pairs}]" if gens else "[0]"
 
     return FiniteModule(
-        ring=R, elements=maps, add=add, neg=neg, zero=zero_map, act=act,
+        ring=R, elements=maps, add=add, neg=neg, zero=zero_map, act=None,
+        rows=lambda H: [[position[tuple(map(act_r.__getitem__, f))] for f in found]
+                        for act_r in act_t],
         tag=f"Hom({M.tag})", element_str=element_str)
 
 
 def _tables(M: FiniteModule):
-    """(add, act) of M on carrier indices, built from M.add and M.act.
+    """(add, act) of M on carrier indices.
 
-    add[i][j] is the index of elements[i] + elements[j]; act[r][i] that of
-    ring.elements[r] * elements[i].  A result outside the carrier raises
-    ValueError.  Callers keep the tables for one call only.
+    add[i][j] is the index of elements[i] + elements[j], built from M.add
+    for the one call (a sum outside the carrier raises ValueError); act is
+    M.rows, the table every scan of M reads.
     """
     elements, index = M.elements, M.index
-    add = [[index(M.add(a, b)) for b in elements] for a in elements]
-    act = [[index(M.act(r, m)) for m in elements] for r in M.ring.elements]
-    return add, act
+    return [[index(M.add(a, b)) for b in elements] for a in elements], M.rows
 
 
 def _extend_linear(add, act, zero, gens, images):
@@ -357,18 +372,13 @@ def _is_linear(add, act, f, gens) -> bool:
 def zero_divisors_module(M: FiniteModule) -> frozenset:
     """{r in R : r*m = 0 for some nonzero m in M}; empty for the zero module."""
     if M._zd is None:
-        M._zd = zero_divisor_scan(M.ring, M.act, M)
+        M._zd = zero_divisor_scan(M)
     return M._zd
 
 
 def ann(M: FiniteModule, element=None) -> Ideal:
     """Annihilator ideal of the whole module, or of one element."""
-    if element is None:
-        targets = M.elements
-    else:
-        M.index(element)
-        targets = (element,)
-    return annihilator_of(M.ring, M.act, M.zero, targets)
+    return annihilator_of(M, M.elements if element is None else (element,))
 
 
 def ideal_action(I: Ideal, M: FiniteModule) -> Submodule:
@@ -378,8 +388,9 @@ def ideal_action(I: Ideal, M: FiniteModule) -> Submodule:
     key = I.elements
     cached = M._ideal_action_cache.get(key)
     if cached is None:
-        # r(a m) = a(r m): the seed is R-stable, so its additive span is I*M
-        seed = {M.act(a, m) for a in I.generators for m in M.elements}
+        # r(a m) = a(r m): the seed, the rows of I's generators, is R-stable,
+        # so its additive span is I*M
+        seed = {M.elements[i] for a in I.generators for i in M.rows[M.ring.index(a)]}
         cached = Submodule(M, tuple(M.sorted_elements(seed)), span(M.add, M.zero, seed))
         M._ideal_action_cache[key] = cached
     return cached
@@ -390,6 +401,7 @@ def content_of_element(M: FiniteModule, m) -> Ideal:
     cached = M._content_cache.get(m)
     if cached is not None:
         return cached
+    M.index(m)  # raises on an element outside M
     R = M.ring
     common = None
     for I in R.ideals():
@@ -434,13 +446,13 @@ def has_property_A(M: FiniteModule) -> Verdict:
         return Verdict(True, degenerate=True)
     R = M.ring
     zd = zero_divisors_module(M)
-    zero_m = M.zero
+    zero = M.index(M.zero)
     for I in R.ideals():
         if not I.elements <= zd:
             continue
-        killed = any(
-            m != zero_m and all(M.act(a, m) == zero_m for a in I.generators)
-            for m in M.elements)
+        gen_rows = [M.rows[R.index(a)] for a in I.generators]
+        killed = any(m != zero and all(row[m] == zero for row in gen_rows)
+                     for m in range(M.size))
         if not killed:
             return Verdict(False, witness={"kind": "property_a", "ideal": tuple(I.small_generators())})
     return Verdict(True)

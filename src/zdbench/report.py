@@ -203,7 +203,10 @@ def collect_witnesses(node, out=None) -> list:
 
 
 def revalidate_witness(entry: dict) -> bool:
-    """Independently re-check one witness entry against its defining predicate."""
+    """Independently re-check one witness entry against its defining predicate.
+
+    Witness values are resolved through their carrier's `index`, which
+    raises ValueError on a value outside it."""
     kind = entry["kind"]
     value = from_jsonable(entry["value"])
     ring_desc = entry.get("ring")
@@ -245,16 +248,16 @@ def revalidate_witness(entry: dict) -> bool:
             f = value
             return f not in ideal_action(content_of_element(BR, f), BR).elements
         f, g = value
-        if g == B.zero or B.mul(f, g) != B.zero:
+        if g == B.zero or B.rows[B.index(f)][B.index(g)] != B.index(B.zero):
             return False
         gens = content_of_element(BR, f).generators
         return not any(r != Rb.zero and all(Rb.mul(a, r) == Rb.zero for a in gens)
                        for r in Rb.elements)
     if kind == "mccoy_witness":
         R = dsl.build_ring(entry["ring"])
-        m = value
-        coeffs = [from_jsonable(c) for _, c in entry["f_support"]]
-        return m != R.zero and all(R.mul(c, m) == R.zero for c in coeffs)
+        m, zero = R.index(value), R.index(R.zero)
+        coeffs = [R.index(from_jsonable(c)) for _, c in entry["f_support"]]
+        return m != zero and all(R.rows[c][m] == zero for c in coeffs)
     raise ValueError(f"no revalidator for witness kind {kind!r}")
 
 
@@ -264,7 +267,9 @@ def revalidate_report(report: dict) -> dict:
     for entry in entries:
         try:
             ok = revalidate_witness(entry)
-        except ValueError:
+        except (KeyError, TypeError, ValueError):
+            # a malformed entry: a missing field, a value of the wrong shape
+            # or an element outside its carrier
             ok = False
         if not ok:
             failed.append(entry)

@@ -9,6 +9,7 @@ ring, so elements can be used as dict keys and set members everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import BoundExceeded
@@ -19,10 +20,14 @@ DEFAULT_LATTICE_BOUND = 512
 
 class Carrier:
     """The explicit finite carrier that rings and modules share: canonically
-    encoded elements in a fixed order, their index map, and + and - on them.
-    `name` is what error messages call the structure."""
+    encoded elements in a fixed order, their index map, + and - on them, and
+    the action of the ring `scalars` (itself for a ring) as the table `rows`,
+    built at first use: rows[r][x] is the index of r*x.  A construction's
+    `compose` builds it from its parts' rows; a base carrier's `action`, r*x
+    on elements, fills it.  `name` is what error messages call it."""
 
-    def __init__(self, elements, add, neg, zero, element_str, name):
+    def __init__(self, elements, add, neg, zero, element_str, name, scalars,
+                 action, compose):
         self.elements = tuple(elements)
         self.add = add
         self.neg = neg
@@ -32,6 +37,17 @@ class Carrier:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError(f"carrier of {name} has duplicate encodings")
+        self.scalars = self if scalars is None else scalars
+        self._compose = compose or (lambda X: [[X.index(action(r, x)) for x in X.elements]
+                                               for r in X.scalars.elements])
+
+    @cached_property
+    def rows(self) -> list:
+        return self._compose(self)
+
+    def _scaled(self, r, x):
+        """r*x on elements, read from `rows`."""
+        return self.elements[self.rows[self.scalars._index[r]][self._index[x]]]
 
     def __len__(self):
         return len(self.elements)
@@ -63,10 +79,9 @@ class FiniteRing(Carrier):
     """A finite commutative ring with explicit carrier and arithmetic."""
 
     def __init__(self, kind, elements, add, mul, neg, zero, one, descriptor,
-                 element_str=None, allow_trivial=False):
-        super().__init__(elements, add, neg, zero, element_str, descriptor)
+                 element_str=None, allow_trivial=False, rows=None):
+        super().__init__(elements, add, neg, zero, element_str, descriptor, None, mul, rows)
         self.kind = kind
-        self.mul = mul
         self.one = one
         self.descriptor = descriptor
         if not allow_trivial and zero == one:
@@ -80,6 +95,8 @@ class FiniteRing(Carrier):
         self._ideals = None
         self._local_factors = None
 
+    mul = Carrier._scaled
+
     def __repr__(self):
         return f"FiniteRing({self.descriptor})"
 
@@ -88,20 +105,14 @@ class FiniteRing(Carrier):
 
     def units(self) -> frozenset:
         if self._units is None:
-            one = self.one
-            found = set()
-            for a in self.elements:
-                for b in self.elements:
-                    if self.mul(a, b) == one:
-                        found.add(a)
-                        break
-            self._units = frozenset(found)
+            one = self.index(self.one)
+            self._units = frozenset(a for a, row in zip(self.elements, self.rows) if one in row)
         return self._units
 
     def zero_divisors(self) -> frozenset:
         """{r : r*s = 0 for some s != 0}; contains 0 whenever the ring is nonzero."""
         if self._zero_divisors is None:
-            self._zero_divisors = zero_divisor_scan(self, self.mul, self)
+            self._zero_divisors = zero_divisor_scan(self)
         return self._zero_divisors
 
     def regular_elements(self) -> frozenset:
@@ -118,8 +129,7 @@ class FiniteRing(Carrier):
                 raise BoundExceeded(
                     f"ideal lattice of {self.descriptor} (size {self.size}) exceeds bound {bound}")
             self._ideals = tuple(subgroup_lattice(
-                self, self.mul, self.elements,
-                lambda gens, elements: Ideal(self, gens, elements)))
+                self, lambda gens, elements: Ideal(self, gens, elements)))
         return self._ideals
 
     def maximal_ideals(self) -> tuple["Ideal", ...]:
@@ -132,7 +142,7 @@ class FiniteRing(Carrier):
         return tuple(maximal)
 
     def idempotents(self) -> list:
-        return [e for e in self.elements if self.mul(e, e) == e]
+        return [e for i, e in enumerate(self.elements) if self.rows[i][i] == i]
 
     def local_factors(self) -> tuple[tuple, ...]:
         """Primitive idempotents e_i with R = prod R*e_i, each factor local."""
@@ -201,12 +211,16 @@ def Zmod(n: int) -> FiniteRing:
 def product_ring(A: FiniteRing, B: FiniteRing) -> FiniteRing:
     # carrier order: first component varies fastest, so Prod(Z2,Z2) lists
     # (0,0), (1,0), (0,1), (1,1)
+    # (a, b) has index a + |A| b, so its row is built the same way from theirs
     elements = [(a, b) for b in B.elements for a in A.elements]
+    n = A.size
     R = FiniteRing(
         kind="product",
         elements=elements,
         add=lambda u, v: (A.add(u[0], v[0]), B.add(u[1], v[1])),
-        mul=lambda u, v: (A.mul(u[0], v[0]), B.mul(u[1], v[1])),
+        mul=None,
+        rows=lambda P: [[x + n * y for y in row_b for x in row_a]
+                        for row_b in B.rows for row_a in A.rows],
         neg=lambda u: (A.neg(u[0]), B.neg(u[1])),
         zero=(A.zero, B.zero),
         one=(A.one, B.one),
@@ -245,20 +259,13 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
                     raw[k - d + t] += c * top[t]
         return tuple(c % n for c in raw[:d])
 
-    mul_memo: dict = {}
-
     def mul(u, v):
-        key = (u, v)
-        out = mul_memo.get(key)
-        if out is None:
-            raw = [0] * (2 * d - 1)
-            for i, a in enumerate(u):
-                if a:
-                    for j, b in enumerate(v):
-                        raw[i + j] += a * b
-            out = reduce(raw)
-            mul_memo[key] = out
-        return out
+        raw = [0] * (2 * d - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    raw[i + j] += a * b
+        return reduce(raw)
 
     # carrier order: little-endian on coefficients, so Z2[x]/(x^2) lists
     # 0, 1, x, 1+x
@@ -334,20 +341,22 @@ def span(op, identity, seed: Iterable) -> frozenset:
     return frozenset(closed)
 
 
-def subgroup_lattice(S, act, scalars, make, max_count: int | None = None) -> list:
-    """Every subgroup of the ring or module S that `act` by `scalars` keeps, once.
+def subgroup_lattice(S, make, max_count: int | None = None) -> list:
+    """Every subgroup of the ring or module S that its scalars keep, once.
 
-    Seeds are the cyclic subgroups {act(r, m)} in carrier order; members are
-    joined pairwise by their Minkowski sum {a + b}, which for finite
-    subgroups is already closed, until no join is new; a + b is built coset by
-    coset, skipping each y in b already in it, at |a + b| additions.
+    Seeds are the cyclic subgroups {r*m}, each a column of S.rows, in
+    carrier order; members are joined pairwise by their Minkowski sum
+    {a + b}, which for finite subgroups is already closed, until no join is
+    new; a + b is built coset by coset, skipping each y in b already in it,
+    at |a + b| additions.
     make(generators, elements) builds one member.  Sorted by size, then by
     element indices.  `max_count` caps the members of a module's lattice
     (S.tag names it).
     """
     seen = {}
-    for m in S.elements:
-        elements = frozenset(act(r, m) for r in scalars)
+    E = S.elements
+    for i, m in enumerate(E):
+        elements = frozenset(E[row[i]] for row in S.rows)
         if elements not in seen:
             seen[elements] = make((m,), elements)
     frontier = list(seen.values())
@@ -386,36 +395,44 @@ def coset_quotient(S, subgroup: Iterable) -> tuple[dict, list]:
     return rep_of, reps
 
 
+def represented_rows(X: Carrier, rep_of: dict, Y: Carrier) -> list:
+    """The rows of Y, whose carrier holds the representatives of X's classes
+    under `rep_of` and whose scalars are elements of X's: r*c is the class
+    of r*c in X, through the representative index map."""
+    cls = [Y._index[rep_of[x]] for x in X.elements]
+    cols = [X._index[c] for c in Y.elements]
+    scalar = X.scalars._index
+    return [[cls[row[c]] for c in cols] for row in (X.rows[scalar[s]] for s in Y.scalars.elements)]
+
+
 # ---------------------------------------------------------------------------
-# scans of a ring acting on a carrier: R on itself by multiplication, or on
-# a module; each serves the ring notion and the module notion alike
+# scans of a ring acting on a carrier, on its rows: R on itself by
+# multiplication, or on a module; each serves the ring notion and the module
+# notion alike
 
 
-def zero_divisor_scan(R: FiniteRing, act, X: Carrier) -> frozenset:
-    """{r in R : act(r, x) = 0 for some nonzero x in X}, leaving each r at its
-    first such x: Z(R) for X = R, Z(M) for a module X = M (empty if M = 0)."""
-    zero = X.zero
-    found = []
-    for r in R.elements:
-        for x in X.elements:
-            if x != zero and act(r, x) == zero:
-                found.append(r)
-                break
-    return frozenset(found)
+def zero_divisor_scan(X: Carrier) -> frozenset:
+    """{r in X.scalars : r*x = 0 for some nonzero x in X}: Z(R) for X = R,
+    Z(M) for a module X = M (empty if M = 0).  Row r holds 0 in some column
+    other than 0's own."""
+    zero = X.index(X.zero)
+    return frozenset(r for r, row in zip(X.scalars.elements, X.rows)
+                     if row.count(zero) > (row[zero] == zero))
 
 
-def annihilator_of(R: FiniteRing, act, zero, targets) -> "Ideal":
-    """The ideal {r in R : act(r, t) = zero for every t in targets}."""
-    elems = [r for r in R.elements if all(act(r, t) == zero for t in targets)]
-    return Ideal(R, tuple(elems), frozenset(elems))
+def annihilator_of(X: Carrier, targets) -> "Ideal":
+    """The ideal {r in X.scalars : r*t = 0 for every t in targets}."""
+    zero, cols = X.index(X.zero), [X.index(t) for t in targets]
+    elems = [r for r, row in zip(X.scalars.elements, X.rows) if all(row[t] == zero for t in cols)]
+    return Ideal(X.scalars, tuple(elems), frozenset(elems))
 
 
-def generated(R: FiniteRing, act, X: Carrier, gens: list) -> frozenset:
-    """The closure of `gens` in X under + and the action of R: the additive
-    span of every act(r, g), which is R-stable since s(rg) = (sr)g."""
-    for g in gens:
-        X.index(g)  # raises on an element outside X
-    return span(X.add, X.zero, {act(r, g) for r in R.elements for g in gens})
+def generated(X: Carrier, gens: list) -> frozenset:
+    """The closure of `gens` in X under + and the action of its scalars: the
+    additive span of every r*g, which is stable since s(rg) = (sr)g."""
+    cols = [X.index(g) for g in gens]  # raises on an element outside X
+    E = X.elements
+    return span(X.add, X.zero, {E[row[g]] for row in X.rows for g in cols})
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +501,14 @@ class Ideal:
         for e in R.sorted_elements(self.elements):
             if e == R.zero:
                 continue
-            if generated(R, R.mul, R, [e]) == self.elements:
+            if generated(R, [e]) == self.elements:
                 return (e,)
         gens: list = []
         closed = {R.zero}
         for e in R.sorted_elements(self.elements):
             if e not in closed:
                 gens.append(e)
-                closed = generated(R, R.mul, R, gens)
+                closed = generated(R, gens)
                 if closed == self.elements:
                     break
         return tuple(gens) if gens else (R.zero,)
@@ -505,7 +522,7 @@ def _check_same_ring(I: Ideal, J: Ideal):
 def ideal_generated(R: FiniteRing, gens: Iterable) -> Ideal:
     """Smallest ideal containing `gens` (empty list gives the zero ideal)."""
     gens = list(gens)
-    elements = generated(R, R.mul, R, gens)
+    elements = generated(R, gens)
     return Ideal(R, tuple(R.sorted_elements(dict.fromkeys(gens))), elements)
 
 
@@ -535,7 +552,7 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
 def annihilator(R: FiniteRing, I: Ideal) -> Ideal:
     if not R.same_ring(I.ring):
         raise ValueError("annihilator: ideal belongs to a different ring")
-    return annihilator_of(R, R.mul, R.zero, I.generators)
+    return annihilator_of(R, I.generators)
 
 
 def zero_divisors_ring(R: FiniteRing) -> frozenset:

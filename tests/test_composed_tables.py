@@ -1,0 +1,239 @@
+"""Composed action tables agree with the element-wise definitions, and the
+axiom check reads the table that the scans read.
+
+Each construction builds its `rows` from its parts' rows by index
+arithmetic.  The reference tables here are filled instead from the
+element-wise formula of each construction, r*x computed from the parts'
+elements, and compared entry by entry over the rings and modules of the
+small universe.  A part's own table is checked by its own case, so the
+checks chain down to the base rings' arithmetic.
+"""
+
+import itertools
+import re
+
+import pytest
+
+from zdbench.localize import localize, localize_module
+from zdbench.modules import (all_submodules, cyclic_module, direct_sum,
+                             hom_module, power_module, regular_module,
+                             verify_module_axioms, zero_divisors_module)
+from zdbench.rings import (Zmod, all_mult_closed_subsets, ideal_generated,
+                           poly_quotient)
+
+
+def _reference(X, formula):
+    """The rows of X filled from r*x = formula(r, x) on elements."""
+    return [[X.index(formula(r, x)) for x in X.elements] for r in X.scalars.elements]
+
+
+def _schoolbook(n, rel):
+    """u*v in Z/n[x]/(rel), by the full product and long division by the
+    monic relation (coefficients from the constant term up)."""
+    d = len(rel) - 1
+
+    def mul(u, v):
+        raw = [0] * (2 * d - 1)
+        for i, j in itertools.product(range(d), repeat=2):
+            raw[i + j] += u[i] * v[j]
+        for k in range(2 * d - 2, d - 1, -1):
+            c = raw[k]
+            for t, coeff in enumerate(rel):
+                raw[k - d + t] -= c * coeff
+        return tuple(c % n for c in raw[:d])
+
+    return mul
+
+
+def _mult_sets(R):
+    return all_mult_closed_subsets(R, R.elements)
+
+
+def test_base_ring_tables_match_their_arithmetic(small_universe):
+    for R in small_universe.rings:
+        if R.kind == "zmod":
+            assert R.rows == _reference(R, lambda a, b: a * b % R.size), R.descriptor
+    for n, rel in itertools.product((2, 3, 4), ((0, 0, 1), (0, 0, 0, 1), (1, 1, 1), (1, 1, 0, 1))):
+        R = poly_quotient(Zmod(n), rel)
+        assert R.rows == _reference(R, _schoolbook(n, rel)), R.descriptor
+
+
+def test_product_ring_table_is_componentwise(small_universe):
+    products = [R for R in small_universe.rings if R.kind == "product"]
+    assert len(products) == 3
+    for R in products:
+        A, B = R.parts
+        assert R.rows == _reference(
+            R, lambda u, v: (A.mul(u[0], v[0]), B.mul(u[1], v[1]))), R.descriptor
+
+
+def test_localized_ring_table_goes_through_the_class_map(small_universe):
+    checked = 0
+    for R in small_universe.rings:
+        for S in _mult_sets(R):
+            loc = localize(R, S)
+            L = loc.structure
+            assert L.rows == _reference(
+                L, lambda a, b: loc.to_class[R.mul(a, b)]), L.descriptor
+            checked += 1
+    assert checked > 50
+
+
+def test_regular_and_cyclic_tables(small_universe):
+    for R in small_universe.rings:
+        assert regular_module(R).rows == R.rows
+        for I in R.ideals():
+            C = cyclic_module(R, I)
+
+            def coset_of(r, c, C=C, I=I):
+                # the representative c' with r*c - c' in I
+                rc = R.mul(r, c)
+                c2, = [x for x in C.elements if R.sub(rc, x) in I.elements]
+                return c2
+
+            assert C.rows == _reference(C, coset_of), C.descriptor()
+
+
+def test_sum_and_power_tables_act_coordinatewise(small_universe):
+    sums = powers = 0
+    for R in small_universe.rings:
+        mods = small_universe.modules[R.descriptor]
+        for A, B in itertools.product(mods, repeat=2):
+            if A.size * B.size > 64:
+                continue
+            S = direct_sum(A, B)
+            assert S.rows == _reference(
+                S, lambda r, u: (A.act(r, u[0]), B.act(r, u[1]))), S.descriptor()
+            sums += 1
+        for M in mods:
+            for t in (1, 2, 3):
+                if M.size ** t > 216:
+                    continue
+                P = power_module(M, t)
+                assert P.rows == _reference(
+                    P, lambda r, u: tuple(M.act(r, a) for a in u)), P.descriptor()
+                powers += 1
+    assert sums > 200 and powers > 100
+
+
+def test_universe_members_match_their_definitions(small_universe):
+    """Free(2), Sum and Hom members as the universe built them."""
+    kinds = set()
+    for R in small_universe.rings:
+        mods = {M.tag: M for M in small_universe.modules[R.descriptor]}
+        for tag, M in mods.items():
+            if tag == "Free(2)":
+                formula = lambda r, u: (R.mul(r, u[0]), R.mul(r, u[1]))  # noqa: E731
+            elif tag.startswith("Sum("):
+                A, B = next((A, B) for A, B in itertools.product(mods.values(), repeat=2)
+                            if tag == f"Sum({A.tag},{B.tag})")
+                formula = lambda r, u, A=A, B=B: (A.act(r, u[0]), B.act(r, u[1]))  # noqa: E731
+            elif tag.startswith("Hom("):
+                N = mods[tag[4:-1]]
+                formula = lambda r, f, N=N: tuple(N.act(r, a) for a in f)  # noqa: E731
+            else:
+                continue
+            kinds.add(tag[:3])
+            assert M.rows == _reference(M, formula), M.descriptor()
+    assert kinds == {"Fre", "Sum", "Hom"}
+
+
+def test_hom_table_acts_pointwise(small_universe):
+    checked = 0
+    for _, M in small_universe.pairs():
+        if M.size > 12:
+            continue
+        H = hom_module(M)
+        assert H.rows == _reference(
+            H, lambda r, f: tuple(M.act(r, a) for a in f)), H.descriptor()
+        checked += 1
+    assert checked > 50
+
+
+def test_submodule_tables_restrict_the_module(small_universe):
+    checked = 0
+    for _, M in small_universe.pairs():
+        if M.size > 16:
+            continue
+        for N in all_submodules(M):
+            sub = N.as_module()
+            assert sub.rows == _reference(sub, M.act), sub.descriptor()
+            checked += 1
+    assert checked > 300
+
+
+def test_algebra_view_acts_through_the_structure_map(small_universe):
+    checked = 0
+    for _, alg in small_universe.all_algebras():
+        B, phi = alg.ring, alg.embed
+        BR = alg.as_module()
+        assert BR.rows == _reference(BR, lambda r, b: B.mul(phi[r], b)), alg.descriptor
+        checked += 1
+    assert checked == small_universe.counts["algebras"]
+
+
+def test_localized_module_tables_at_every_mult_set(small_universe):
+    checked = 0
+    for R in small_universe.rings:
+        sets = _mult_sets(R)
+        rings = [localize(R, S) for S in sets]
+        for M in small_universe.modules[R.descriptor]:
+            if M.size > 16:
+                continue
+            for S, ring_loc in zip(sets, rings):
+                loc = localize_module(M, S, ring_loc)
+                L = loc.structure
+                assert L.scalars is ring_loc.structure
+                assert L.rows == _reference(
+                    L, lambda r, a: loc.to_class[M.act(r, a)]), L.descriptor()
+                checked += 1
+    assert checked > 500
+
+
+# ---------------------------------------------------------------------------
+# a fault planted in a composed table
+
+
+def _every_entry_fault_is_rejected(M):
+    """Plant each wrong entry in M's composed rows in turn, check that the
+    axiom check rejects it and that `act` reads it, then restore it."""
+    verify_module_axioms(M)
+    faults = 0
+    for r, row in enumerate(M.rows):
+        for x, right in enumerate(row):
+            for wrong in range(M.size):
+                if wrong == right:
+                    continue
+                row[x] = wrong
+                try:
+                    assert M.act(M.ring.elements[r], M.elements[x]) == M.elements[wrong]
+                    with pytest.raises(ValueError, match=re.escape(M.descriptor())):
+                        verify_module_axioms(M)
+                finally:
+                    row[x] = right
+                faults += 1
+    verify_module_axioms(M)
+    return faults
+
+
+def test_fault_in_a_composed_sum_table_fails_axioms():
+    R = Zmod(4)
+    M = direct_sum(cyclic_module(R, ideal_generated(R, [2])), regular_module(R))
+    assert _every_entry_fault_is_rejected(M) == 4 * 8 * 7
+
+
+def test_fault_in_a_composed_hom_table_fails_axioms():
+    R = Zmod(6)
+    M = hom_module(regular_module(R))
+    assert _every_entry_fault_is_rejected(M) == 6 * 6 * 5
+
+
+def test_planted_entry_moves_the_zero_divisor_scan():
+    # the scan reads the same rows: 3*(0,1) = (0,3) in Z2 + Z4 over Z4 is
+    # nonzero; planting 0 there puts 3, a unit, into Z(M)
+    R = Zmod(4)
+    M = direct_sum(cyclic_module(R, ideal_generated(R, [2])), regular_module(R))
+    M.rows[3][M.index((0, 1))] = M.index(M.zero)
+    assert 3 in zero_divisors_module(M)
+    with pytest.raises(ValueError):
+        verify_module_axioms(M)

@@ -58,6 +58,35 @@ def test_revalidate_witness_kinds():
         revalidate_witness({"kind": "nonsense", "ring": "Z4", "value": 0})
 
 
+@pytest.mark.parametrize("entry", [
+    {"kind": "mccoy_witness", "ring": "Z4", "value": 8, "f_support": [[[0], 2]]},
+    {"kind": "mccoy_witness", "ring": "Z4", "value": 2, "f_support": [[[0], 6]]},
+    {"kind": "auslander", "ring": "Z4", "module": "Cyclic(2)", "value": 6},
+    {"kind": "content", "ring": "Z4", "module": "Reg", "value": 9},
+    {"kind": "ohm_rush", "algebra": "Algebra(PolyQuot(Z2, x^2), Z2)", "value": [1, 2]},
+    {"kind": "mccoy", "algebra": "Algebra(PolyQuot(Z2, x^2), Z2)", "value": [[0, 1], [0, 2]]},
+], ids=["mccoy_witness", "mccoy_witness_coefficient", "auslander", "content",
+        "ohm_rush", "mccoy"])
+def test_witness_outside_its_carrier_fails(entry):
+    # 8 = 0 in Z4 and 2*8 = 0, but 8 is no element of Z4's carrier
+    assert revalidate_report({"witnesses": [entry]})["failed"] == [entry]
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "property_a", "ring": "Z4", "module": "Reg", "value": 2},
+    {"kind": "mccoy", "algebra": "Algebra(PolyQuot(Z2, x^2), Z2)", "value": 3},
+    {"kind": "mccoy_witness", "ring": "Z4", "value": 2},
+    {"kind": "auslander", "value": 2},
+], ids=["scalar_ideal", "scalar_pair", "no_support", "no_module"])
+def test_malformed_witness_counts_as_failed(entry):
+    assert revalidate_report({"witnesses": [entry]})["failed"] == [entry]
+
+
+def test_in_carrier_mccoy_witness_still_revalidates():
+    assert revalidate_witness(
+        {"kind": "mccoy_witness", "ring": "Z4", "value": 2, "f_support": [[[0], 2]]})
+
+
 def test_theorems_report_small_suite():
     rep = theorems_report("rem-3.3-*", limits=SMALL)
     assert rep["passed"] is True
