@@ -352,21 +352,21 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
         raise ValueError("g must be nonzero")
     if not ext_product_is_exactly_zero(f, g):
         raise ValueError("f*g != 0: no annihilation witness exists")
+    # on indices of M: each link of the chain is a span along rows of M.plus
     M = g.base
-    zero_m = M.zero
-    f_coeffs = f.coefficients()
-    chain = submodule_generated(M, g.coefficients()).elements
+    zero = M.index(M.zero)
+    f_rows = [M.rows[M.ring.index(c)] for c in f.coefficients()]
+    chain = span(M.plus, zero, {row[M.index(c)] for row in M.rows for c in g.coefficients()})
     while True:
-        if chain == frozenset({zero_m}):
+        if len(chain) == 1:
             raise RuntimeError("content chain started at zero for nonzero g")
         # r(c t) = c(r t): the chain is a submodule, so the seed is R-stable
-        nxt = span(M.add, zero_m, {M.act(c, t) for c in f_coeffs for t in chain})
-        if nxt == frozenset({zero_m}):
-            candidates = M.sorted_elements(chain - {zero_m})
-            m = candidates[0]
-            if any(M.act(c, m) != zero_m for c in f_coeffs):
+        nxt = span(M.plus, zero, {row[t] for row in f_rows for t in chain})
+        if len(nxt) == 1:
+            m = min(chain - {zero})
+            if any(row[m] != zero for row in f_rows):
                 raise RuntimeError("extracted witness fails f*m = 0 re-check")
-            return m
+            return M.elements[m]
         if nxt == chain:
             raise RuntimeError(
                 "content power chain stabilized nonzero; annihilating pair invariant violated")
@@ -419,9 +419,9 @@ class FiniteAlgebra:
             B, phi = self.ring, self.embed
             # r acts as phi(r) does: row r is B's row of phi(r)
             self._module_view = FiniteModule(
-                ring=self.base, elements=B.elements, add=B.add, neg=B.neg,
-                zero=B.zero, act=None,
-                rows=lambda N: [B.rows[B.index(phi[r])] for r in self.base.elements],
+                ring=self.base, elements=B.elements, zero=B.zero,
+                tables=(lambda N: [B.rows[B.index(phi[r])] for r in self.base.elements],
+                        lambda N: B.plus, lambda N: B.minus),
                 tag=f"AlgebraModule({self.descriptor})",
                 element_str=B.element_str)
         return self._module_view

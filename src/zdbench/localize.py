@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .extensions import FiniteAlgebra
 from .modules import FiniteModule, Submodule, module_on_representatives
 from .rings import (FiniteRing, MultiplicativeSet, coset_quotient,
-                    multiplicative_closure, represented_rows)
+                    multiplicative_closure, represented_tables)
 
 
 @dataclass
@@ -55,15 +55,16 @@ class Localization:
         return any(act(u, diff) == src.zero for u in self.mult_set.elements)
 
 
-def _classes(source, denominators) -> tuple[frozenset, dict, list]:
-    """(kernel, class map, representatives) of source -> source_S: the kernel
-    is {x : u*x = 0 for some denominator u}, read from the denominators'
-    rows, the classes its cosets."""
-    zero, rows = source.index(source.zero), source.rows
-    K = frozenset(source.elements[x] for u in denominators
-                  for x, ux in enumerate(rows[source.scalars.index(u)]) if ux == zero)
-    to_class, reps = coset_quotient(source, K)
-    return K, to_class, reps
+def _classes(source, denominators) -> tuple[frozenset, dict, list, list]:
+    """(kernel, class map, cls, reps) of source -> source_S: the kernel is
+    {x : u*x = 0 for some denominator u}, read from the denominators' rows,
+    the classes its cosets by `coset_quotient`, mapped to representatives."""
+    zero, rows, E = source.index(source.zero), source.rows, source.elements
+    K = {x for u in denominators
+         for x, ux in enumerate(rows[source.scalars.index(u)]) if ux == zero}
+    cls, reps = coset_quotient(source, K)
+    to_class = {x: E[reps[c]] for x, c in zip(E, cls)}
+    return frozenset(map(E.__getitem__, K)), to_class, cls, reps
 
 
 def _finish(loc: Localization) -> Localization:
@@ -111,14 +112,12 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
     """R_S presented as a FiniteRing so every ring predicate applies unchanged."""
     if not R.same_ring(S.ring):
         raise ValueError("multiplicative set belongs to a different ring")
-    K, to_class, reps = _classes(R, S.elements)
+    K, to_class, cls, reps = _classes(R, S.elements)
     ring_structure = FiniteRing(
         kind="localized",
-        elements=reps,
-        add=lambda a, b: to_class[R.add(a, b)],
-        mul=None,
-        rows=lambda L: represented_rows(R, to_class, L),
-        neg=lambda a: to_class[R.neg(a)],
+        elements=[R.elements[x] for x in reps],
+        add=None, mul=None, neg=None,
+        tables=represented_tables(R, cls, reps),
         zero=to_class[R.zero],
         one=to_class[R.one],
         descriptor=f"Localize({R.descriptor}, {{{_set_display(R, S)}}})",
@@ -139,10 +138,10 @@ def localize_module(M: FiniteModule, S: MultiplicativeSet,
         raise ValueError("multiplicative set belongs to a different ring")
     if ring_localization is None:
         ring_localization = localize(R, S)
-    K, to_class, reps = _classes(M, S.elements)
+    K, to_class, cls, reps = _classes(M, S.elements)
     # the action on M/K is independent of the R_S representative chosen
     structure = module_on_representatives(
-        M, ring_localization.structure, to_class, reps,
+        M, ring_localization.structure, cls, reps,
         f"Localize({M.tag}, {{{_set_display(R, S)}}})")
     return _finish(Localization(
         source=M, kind="module", mult_set=S, act=M.act, kernel=K,

@@ -9,13 +9,15 @@ local freeness over the ring's local factors).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import BoundExceeded, PresentationUnavailable
-from .rings import (Carrier, FiniteRing, Ideal, annihilator_of, coset_quotient,
-                    generated, ideal_generated, represented_rows, span,
-                    subgroup_lattice, zero_divisor_scan)
+from .rings import (Carrier, FiniteRing, Ideal, Table, annihilator_of,
+                    coset_quotient, generated, ideal_generated,
+                    represented_tables, span, subgroup_lattice, sum_tables,
+                    zero_divisor_scan)
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kernels
@@ -23,11 +25,12 @@ DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kern
 
 class FiniteModule(Carrier):
     """A finite unital module with explicit carrier, addition, and scalar
-    action: `act` for a base module, `rows` for a construction (see Carrier)."""
+    action: formulas `add`, `neg` and `act` for a base module, `tables` for
+    a construction (see Carrier)."""
 
-    def __init__(self, ring: FiniteRing, elements, add, neg, zero, act, tag,
-                 element_str=None, rows=None):
-        super().__init__(elements, add, neg, zero, element_str, f"module {tag}", ring, act, rows)
+    def __init__(self, ring: FiniteRing, elements, add=None, neg=None, zero=None, act=None,
+                 tag=None, element_str=None, tables=None):
+        super().__init__(elements, add, neg, zero, element_str, f"module {tag}", ring, act, tables)
         self.ring = ring
         self.tag = tag
         # write-once caches; the budgeted ones are keyed by budget, since a
@@ -72,8 +75,8 @@ class Submodule:
         return FiniteModule(
             ring=M.ring,
             elements=[M.elements[i] for i in sub],
-            add=M.add, neg=M.neg, zero=M.zero, act=None,
-            rows=lambda N: [[N.index(M.elements[row[i]]) for i in sub] for row in M.rows],
+            zero=M.zero,
+            tables=represented_tables(M, {x: i for i, x in enumerate(sub)}, sub),
             tag=tag or f"Sub[{len(self.elements)}] of {M.tag}",
             element_str=M.element_str,
         )
@@ -101,8 +104,9 @@ class Verdict:
 
 def regular_module(R: FiniteRing) -> FiniteModule:
     return FiniteModule(
-        ring=R, elements=R.elements, add=R.add, neg=R.neg, zero=R.zero,
-        act=None, rows=lambda N: R.rows, tag="Reg", element_str=R.element_str)
+        ring=R, elements=R.elements, zero=R.zero,
+        tables=(lambda N: R.rows, lambda N: R.plus, lambda N: R.minus),
+        tag="Reg", element_str=R.element_str)
 
 
 def free_module(R: FiniteRing, k: int) -> FiniteModule:
@@ -124,23 +128,20 @@ def quotient_module(M: FiniteModule, subgroup: frozenset, tag: str) -> FiniteMod
     """M / K for a submodule element set K; cosets take least-index representatives."""
     if M.zero not in subgroup:
         raise ValueError("quotient: subgroup must contain 0")
-    rep_of, reps = coset_quotient(M, subgroup)
-    return module_on_representatives(M, M.ring, rep_of, reps, tag)
+    cls, reps = coset_quotient(M, map(M.index, subgroup))
+    return module_on_representatives(M, M.ring, cls, reps, tag)
 
 
-def module_on_representatives(M: FiniteModule, ring: FiniteRing, rep_of: dict,
+def module_on_representatives(M: FiniteModule, ring: FiniteRing, cls: list,
                               reps: list, tag: str) -> FiniteModule:
-    """M's operations carried to coset representatives by `rep_of`, over
-    `ring`: M.ring for a quotient, or a localization R_S, whose class
+    """M's tables carried to coset representatives by `represented_tables`,
+    over `ring`: M.ring for a quotient, or a localization R_S, whose class
     representatives are elements of R and act as such."""
     return FiniteModule(
         ring=ring,
-        elements=reps,
-        add=lambda a, b: rep_of[M.add(a, b)],
-        neg=lambda a: rep_of[M.neg(a)],
-        zero=rep_of[M.zero],
-        act=None,
-        rows=lambda N: represented_rows(M, rep_of, N),
+        elements=[M.elements[x] for x in reps],
+        zero=M.elements[reps[cls[M.index(M.zero)]]],
+        tables=represented_tables(M, cls, reps),
         tag=tag,
         element_str=M.element_str,
     )
@@ -158,29 +159,15 @@ def cyclic_module(R: FiniteRing, I: Ideal, tag: str | None = None) -> FiniteModu
 def direct_sum(M1: FiniteModule, M2: FiniteModule, tag: str | None = None) -> FiniteModule:
     if not M1.ring.same_ring(M2.ring):
         raise ValueError("direct sum: modules over different rings")
-    R = M1.ring
-    elements = [(a, b) for b in M2.elements for a in M1.elements]
+    # (a, b) has index a + |M1| b, and r(a, b) = (ra, rb)
     return FiniteModule(
-        ring=R,
-        elements=elements,
-        add=lambda u, v: (M1.add(u[0], v[0]), M2.add(u[1], v[1])),
-        neg=lambda u: (M1.neg(u[0]), M2.neg(u[1])),
+        ring=M1.ring,
+        elements=[(a, b) for b in M2.elements for a in M1.elements],
         zero=(M1.zero, M2.zero),
-        act=None,
-        rows=lambda N: _sum_rows(M1, M2.rows, 1),
+        tables=sum_tables((M1, M2), lambda: zip(M1.rows, M2.rows)),
         tag=tag or f"Sum({M1.tag},{M2.tag})",
         element_str=lambda u: f"({M1.element_str(u[0])},{M2.element_str(u[1])})",
     )
-
-
-def _sum_rows(A: FiniteModule, rows: list, copies: int) -> list:
-    """The rows of A + (A + ... (A + B)), with `copies` summands A, from A's
-    rows and B's: (a, b) has index a + |A| b (A's coordinate fastest), and
-    r(a, b) = (ra, rb)."""
-    n = A.size
-    for _ in range(copies):
-        rows = [[x + n * y for y in row_b for x in row_a] for row_a, row_b in zip(A.rows, rows)]
-    return rows
 
 
 def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModule:
@@ -189,22 +176,11 @@ def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModul
     Callers bound |M|^t before asking for it."""
     if t < 1:
         raise ValueError("power_module needs t >= 1")
-    n = M.size
-    elements = []
-    for value in range(n ** t):
-        v, coords = value, []
-        for _ in range(t):
-            coords.append(M.elements[v % n])
-            v //= n
-        elements.append(tuple(coords))
     return FiniteModule(
         ring=M.ring,
-        elements=elements,
-        add=lambda u, v: tuple(M.add(a, b) for a, b in zip(u, v)),
-        neg=lambda u: tuple(M.neg(a) for a in u),
+        elements=[c[::-1] for c in itertools.product(M.elements, repeat=t)],
         zero=tuple([M.zero] * t),
-        act=None,
-        rows=lambda N: _sum_rows(M, M.rows, t - 1),
+        tables=sum_tables((M,) * t, lambda: ((row,) * t for row in M.rows)),
         tag=tag or f"{M.tag}^{t}",
         element_str=lambda u: "(" + ",".join(M.element_str(a) for a in u) + ")",
     )
@@ -221,13 +197,11 @@ def generating_set(M: FiniteModule) -> tuple:
     if M._generators is not None:
         return M._generators
     gens: list = []
-    span = frozenset({M.zero})
+    closed = frozenset({M.zero})
     for m in M.elements:
-        if m not in span:
+        if m not in closed:
             gens.append(m)
-            span = submodule_generated(M, gens).elements
-            if len(span) == M.size:
-                break
+            closed = submodule_generated(M, gens).elements
     M._generators = tuple(gens)
     return M._generators
 
@@ -250,11 +224,7 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     steps run on carrier indices over `_tables(M)`; maps are ordered by their
     index tuples and turned back into element tuples at the end.
     """
-    R = M.ring
-    if M.is_zero:
-        gens: tuple = ()
-    else:
-        gens = generating_set(M)
+    R, gens = M.ring, generating_set(M)  # () for the zero module
     k = len(gens)
     if M.size ** k > budget:
         raise BoundExceeded(
@@ -271,14 +241,12 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
             found.append(tuple(f))
     found.sort()
     maps = [tuple(M.elements[i] for i in f) for f in found]
-    # (r.f)(x) = r.f(x): r acts on each entry of f's index tuple
+    # pointwise on f's index tuple: (r.f)(x) = r.f(x), (f+g)(x) = f(x)+g(x)
     position = {f: i for i, f in enumerate(found)}
 
-    def add(f, g):
-        return tuple(M.add(a, b) for a, b in zip(f, g))
-
-    def neg(f):
-        return tuple(M.neg(a) for a in f)
+    def plus_row(i):
+        rows = [add_t[a] for a in found[i]]
+        return [position[tuple(map(list.__getitem__, rows, g))] for g in found]
 
     zero_map = tuple(M.zero for _ in M.elements)
 
@@ -288,21 +256,19 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
         return f"[{pairs}]" if gens else "[0]"
 
     return FiniteModule(
-        ring=R, elements=maps, add=add, neg=neg, zero=zero_map, act=None,
-        rows=lambda H: [[position[tuple(map(act_r.__getitem__, f))] for f in found]
-                        for act_r in act_t],
+        ring=R, elements=maps, zero=zero_map,
+        tables=(lambda H: [[position[tuple(map(act_r.__getitem__, f))] for f in found]
+                           for act_r in act_t],
+                lambda H: Table(plus_row),
+                lambda H: [position[tuple(map(M.minus.__getitem__, f))] for f in found]),
         tag=f"Hom({M.tag})", element_str=element_str)
 
 
 def _tables(M: FiniteModule):
-    """(add, act) of M on carrier indices.
-
-    add[i][j] is the index of elements[i] + elements[j], built from M.add
-    for the one call (a sum outside the carrier raises ValueError); act is
-    M.rows, the table every scan of M reads.
-    """
-    elements, index = M.elements, M.index
-    return [[index(M.add(a, b)) for b in elements] for a in elements], M.rows
+    """(add, act): M's cached tables, the ones every scan of M reads, with
+    every row of add = M.plus composed (add[i][j] = i + j); act is M.rows."""
+    plus = M.plus
+    return [plus[x] for x in range(M.size)], M.rows
 
 
 def _extend_linear(add, act, zero, gens, images):
@@ -336,16 +302,12 @@ def _extend_linear(add, act, zero, gens, images):
 
 def _additive_generators(add, zero) -> list:
     """Greedy generators of the group with table `add`, as carrier indices:
-    each index outside the span of the earlier ones joins.  `span` needs a
-    commutative op, so callers check that first.  Associativity is not, but
-    every index `span` adds is a sum of earlier generators, so an unchecked
-    table can only gain extra generators: all of M stays +-generated by the
-    result, which is all Light's test needs."""
-    gens, closed = [], frozenset({zero})
-    for m in range(len(add)):
-        if m not in closed:
-            gens.append(m)
-            closed = span(lambda a, b: add[a][b], zero, closed | {m})
+    each index outside the closure `span` has built of the earlier ones
+    joins.  `span` needs a commutative op, so callers check that first.  An
+    unchecked table can only gain generators, as every index `span` adds is
+    a sum of earlier ones: M stays +-generated, all Light's test needs."""
+    gens: list = []
+    span(add, zero, range(len(add)), gens)
     return gens
 
 
@@ -390,8 +352,11 @@ def ideal_action(I: Ideal, M: FiniteModule) -> Submodule:
     if cached is None:
         # r(a m) = a(r m): the seed, the rows of I's generators, is R-stable,
         # so its additive span is I*M
-        seed = {M.elements[i] for a in I.generators for i in M.rows[M.ring.index(a)]}
-        cached = Submodule(M, tuple(M.sorted_elements(seed)), span(M.add, M.zero, seed))
+        E = M.elements
+        seed = {i for a in I.generators for i in M.rows[M.ring.index(a)]}
+        closed = span(M.plus, M.index(M.zero), seed)
+        cached = Submodule(M, tuple(E[i] for i in sorted(seed)),
+                           frozenset(map(E.__getitem__, closed)))
         M._ideal_action_cache[key] = cached
     return cached
 
@@ -490,28 +455,35 @@ def is_torsion_free(M: FiniteModule) -> Verdict:
 
 def presentation(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET):
     """(generators, relation tuples N) with M = R^k / N, k = len(generators)."""
-    cached = M._presentation.get(budget)
-    if cached is not None:
-        return cached
-    R = M.ring
-    if M.is_zero:
-        M._presentation[budget] = ((), frozenset())
-        return M._presentation[budget]
-    gens = generating_set(M)
-    k = len(gens)
-    if R.size ** k > budget:
-        raise PresentationUnavailable(
-            f"presentation of {M.tag}: |R|^{k} = {R.size ** k} exceeds budget {budget}")
-    zero = M.zero
-    relations = set()
-    for coeffs in itertools.product(R.elements, repeat=k):
-        total = zero
-        for r, g in zip(coeffs, gens):
-            total = M.add(total, M.act(r, g))
-        if total == zero:
-            relations.add(coeffs)
-    M._presentation[budget] = (gens, frozenset(relations))
+    if budget not in M._presentation:
+        R, gens = M.ring, generating_set(M)  # () for the zero module
+        k = len(gens)
+        if R.size ** k > budget:
+            raise PresentationUnavailable(
+                f"presentation of {M.tag}: |R|^{k} = {R.size ** k} exceeds budget {budget}")
+        relations = _relations(M, [M.index(g) for g in gens]) if gens else []
+        M._presentation[budget] = (gens, frozenset(tuple(map(R.elements.__getitem__, rel))
+                                                   for rel in relations))
     return M._presentation[budget]
+
+
+def _relations(X: Carrier, gens: list) -> list:
+    """Every tuple of scalar indices (r_1..r_k), k >= 1, with r_1 g_1 + ... +
+    r_k g_k = 0 in X: grouped by partial sum, one generator at a time along
+    the rows X.plus[r g_i], with r_k read off from r_k g_k = -(sum)."""
+    layer = {X.index(X.zero): [()]}
+    for g in gens[:-1]:
+        nxt: dict = {}
+        for r, row in enumerate(X.rows):
+            step = X.plus[row[g]]
+            for total, prefixes in layer.items():
+                nxt.setdefault(step[total], []).extend([p + (r,) for p in prefixes])
+        layer = nxt
+    last: dict = {}
+    for r, row in enumerate(X.rows):
+        last.setdefault(row[gens[-1]], []).append(r)
+    return [p + (r,) for total, prefixes in layer.items()
+            for r in last.get(X.minus[total], ()) for p in prefixes]
 
 
 def quotient_free(R: FiniteRing, k: int, relation_tuples: Iterable, tag: str,
@@ -558,26 +530,29 @@ def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
     # relations of I as a module: kernel of R^t -> I
     if R.size ** t > budget:
         raise BoundExceeded(f"flatness check for {M.tag}: |R|^{t} exceeds budget {budget}")
-    relations = []
-    for coeffs in itertools.product(R.elements, repeat=t):
-        total = R.zero
-        for r, a in zip(coeffs, gens):
-            total = R.add(total, R.mul(r, a))
-        if total == R.zero:
-            relations.append(coeffs)
+    # on indices: (x_i) in P = M^t has index sum x_i |M|^i
+    gen_idx = [R.index(a) for a in gens]
     P = power_module(M, t)
+    n, rows, plus = M.size, M.rows, M.plus
     # r (n_i m)_i = (n_i (r m))_i: the seed is R-stable, so K is its additive span
-    seed = {tuple(M.act(n_i, m) for n_i in rel) for rel in relations for m in M.elements}
-    K = span(P.add, P.zero, seed)
-    zero_m = M.zero
-    for x in P.elements:
-        total = zero_m
-        for a, xi in zip(gens, x):
-            total = M.add(total, M.act(a, xi))
+    seed = {sum(rows[c][m] * n ** i for i, c in enumerate(rel))
+            for rel in _relations(R, gen_idx) for m in range(n)}
+    K = span(P.plus, P.index(P.zero), seed)
+    # K lies in the kernel of x -> sum a_i x_i, whose image is I*M: so the
+    # map is injective iff |K| |I*M| = |P|
+    if len(K) * len(ideal_action(I, M)) == P.size:
+        return True, None
+    # image[x] = sum a_i x_i, built coordinate by coordinate, the first fastest
+    zero_m = M.index(M.zero)
+    image = rows[gen_idx[-1]]
+    for g in reversed(gen_idx[:-1]):
+        shifts = [plus[v] for v in rows[g]]
+        image = [shift[total] for total in image for shift in shifts]
+    for x, total in enumerate(image):
         if total == zero_m and x not in K:
-            return False, {"kind": "flat", "ideal": gens, "kernel_element": x,
+            return False, {"kind": "flat", "ideal": gens, "kernel_element": P.elements[x],
                            "tensor_size": P.size // len(K)}
-    return True, None
+    raise RuntimeError(f"flatness check for {M.tag}: |K| |I*M| != |P|, yet K is the whole kernel")
 
 
 def _flat_by_local_freeness(M: FiniteModule) -> bool:
@@ -592,22 +567,17 @@ def _flat_by_local_freeness(M: FiniteModule) -> bool:
             for b in nonunits:
                 if R.add(a, b) in units:
                     raise RuntimeError(f"{R.descriptor}: factor at {e} is not local")
-        Me = [m for m in M.elements if M.act(e, m) == m]
+        row_e = M.rows[R.index(e)]
+        Me = [m for m in range(M.size) if row_e[m] == m]
         if len(Me) == 1:
             continue  # zero factor component: free of rank 0
         # m_e * M_e as a subgroup
-        sub = span(M.add, M.zero, {M.act(a, m) for a in nonunits for m in Me})
+        sub = span(M.plus, M.index(M.zero),
+                   {M.rows[R.index(a)][m] for a in nonunits for m in Me})
+        # free of rank k: |M_e| = |S_e|^k and |M_e / m_e M_e| = residue^k
         residue = len(S_elems) // max(len(nonunits), 1)
-        quotient_size = len(Me) // len(sub)
-        # rank = log_residue(quotient_size); freeness needs |Me| = |Se|^rank
-        rank = 0
-        q = quotient_size
-        while q > 1:
-            if q % residue:
-                return False
-            q //= residue
-            rank += 1
-        if len(Me) != len(S_elems) ** rank:
+        rank = round(math.log(len(Me), len(S_elems)))
+        if len(Me) != len(S_elems) ** rank or len(Me) // len(sub) != residue ** rank:
             return False
     return True
 
@@ -680,12 +650,12 @@ def verify_module_axioms(M: FiniteModule):
     n = len(E)
     where = M.descriptor()
     add, act = _tables(M)
-    zero = M.index(M.zero)
+    zero, minus = M.index(M.zero), M.minus
     one = act[R.index(R.one)]
     for m in range(n):
         if add[m][zero] != m:
             raise ValueError(f"{where}: m + 0 != m at {E[m]}")
-        if add[m][M.index(M.neg(E[m]))] != zero:
+        if add[m][minus[m]] != zero:
             raise ValueError(f"{where}: m + (-m) != 0 at {E[m]}")
         if one[m] != m:
             raise ValueError(f"{where}: 1*m != m at {E[m]}")
@@ -703,10 +673,9 @@ def verify_module_axioms(M: FiniteModule):
                 if row_ag[c] != row_a[row_g[c]]:
                     raise ValueError(
                         f"{where}: addition not associative at {E[a]},{E[g]},{E[c]}")
-    for r, act_r in zip(R.elements, act):
-        for s, act_s in zip(R.elements, act):
-            act_rs = act[R.index(R.mul(r, s))]
-            act_r_s = act[R.index(R.add(r, s))]
+    for i, (r, act_r, mul_r) in enumerate(zip(R.elements, act, R.rows)):
+        for s, act_s, rs, r_s in zip(R.elements, act, mul_r, R.plus[i]):
+            act_rs, act_r_s = act[rs], act[r_s]
             for g in gens:
                 if act_rs[g] != act_r[act_s[g]]:
                     raise ValueError(f"{where}: (rs)m != r(sm) at {r},{s},{E[g]}")

@@ -8,6 +8,7 @@ ring, so elements can be used as dict keys and set members everywhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -18,19 +19,31 @@ from .errors import BoundExceeded
 DEFAULT_LATTICE_BOUND = 512
 
 
+class Table(dict):
+    """Index rows composed one at a time: table[x] is row(x), built at first
+    use and kept, so a consumer that reads a few rows pays for those alone."""
+
+    def __init__(self, row):
+        self._row = row
+
+    def __missing__(self, x):
+        row = self[x] = self._row(x)
+        return row
+
+
 class Carrier:
     """The explicit finite carrier that rings and modules share: canonically
-    encoded elements in a fixed order, their index map, + and - on them, and
-    the action of the ring `scalars` (itself for a ring) as the table `rows`,
-    built at first use: rows[r][x] is the index of r*x.  A construction's
-    `compose` builds it from its parts' rows; a base carrier's `action`, r*x
-    on elements, fills it.  `name` is what error messages call it."""
+    encoded elements in a fixed order, their index map, and index tables
+    built at first use: rows[r][x] = r*x for r in `scalars` (itself for a
+    ring), plus[x][y] = x + y (a `Table`) and minus[x] = -x.  A
+    construction's `tables` compose them from its parts' tables; a base
+    carrier fills them from its formulas `action`, `add` and `neg` through
+    `index`, so a value outside the carrier raises ValueError.  Element-level
+    add, neg and action read the tables.  `name` is what errors call it."""
 
     def __init__(self, elements, add, neg, zero, element_str, name, scalars,
-                 action, compose):
+                 action, tables):
         self.elements = tuple(elements)
-        self.add = add
-        self.neg = neg
         self.zero = zero
         self._element_str = element_str or repr
         self._name = name
@@ -38,23 +51,36 @@ class Carrier:
         if len(self._index) != len(self.elements):
             raise ValueError(f"carrier of {name} has duplicate encodings")
         self.scalars = self if scalars is None else scalars
-        self._compose = compose or (lambda X: [[X.index(action(r, x)) for x in X.elements]
-                                               for r in X.scalars.elements])
+        self._tables = tables or (
+            lambda X: [[X.index(action(r, x)) for x in X.elements] for r in X.scalars.elements],
+            lambda X: Table(lambda x: [X.index(add(X.elements[x], y)) for y in X.elements]),
+            lambda X: [X.index(neg(x)) for x in X.elements])
 
     @cached_property
     def rows(self) -> list:
-        return self._compose(self)
+        return self._tables[0](self)
+
+    @cached_property
+    def plus(self) -> Table:
+        return self._tables[1](self)
+
+    @cached_property
+    def minus(self) -> list:
+        return self._tables[2](self)
 
     def _scaled(self, r, x):
-        """r*x on elements, read from `rows`."""
         return self.elements[self.rows[self.scalars._index[r]][self._index[x]]]
+
+    def add(self, a, b):
+        return self.elements[self.plus[self._index[a]][self._index[b]]]
+
+    def neg(self, a):
+        return self.elements[self.minus[self._index[a]]]
 
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def size(self):
-        return len(self.elements)
+    size = property(__len__)
 
     def index(self, x):
         try:
@@ -79,8 +105,8 @@ class FiniteRing(Carrier):
     """A finite commutative ring with explicit carrier and arithmetic."""
 
     def __init__(self, kind, elements, add, mul, neg, zero, one, descriptor,
-                 element_str=None, allow_trivial=False, rows=None):
-        super().__init__(elements, add, neg, zero, element_str, descriptor, None, mul, rows)
+                 element_str=None, allow_trivial=False, tables=None):
+        super().__init__(elements, add, neg, zero, element_str, descriptor, None, mul, tables)
         self.kind = kind
         self.one = one
         self.descriptor = descriptor
@@ -133,13 +159,8 @@ class FiniteRing(Carrier):
         return self._ideals
 
     def maximal_ideals(self) -> tuple["Ideal", ...]:
-        lattice = self.ideals()
-        proper = [I for I in lattice if len(I.elements) < self.size]
-        maximal = []
-        for I in proper:
-            if not any(I.elements < J.elements for J in proper):
-                maximal.append(I)
-        return tuple(maximal)
+        proper = [I for I in self.ideals() if len(I.elements) < self.size]
+        return tuple(I for I in proper if not any(I.elements < J.elements for J in proper))
 
     def idempotents(self) -> list:
         return [e for i, e in enumerate(self.elements) if self.rows[i][i] == i]
@@ -148,12 +169,8 @@ class FiniteRing(Carrier):
         """Primitive idempotents e_i with R = prod R*e_i, each factor local."""
         if self._local_factors is None:
             zero = self.zero
-            idem = [e for e in self.idempotents() if e != zero]
-            prims = []
-            for e in idem:
-                if not any(g != e and self.mul(g, e) == g for g in idem):
-                    prims.append(e)
-            prims = self.sorted_elements(prims)
+            idem = [e for e in self.idempotents() if e != zero]  # in carrier order
+            prims = [e for e in idem if not any(g != e and self.mul(g, e) == g for g in idem)]
             total = zero
             for e in prims:
                 for f in prims:
@@ -208,20 +225,41 @@ def Zmod(n: int) -> FiniteRing:
     )
 
 
+def sum_tables(parts, scalar_rows):
+    """The tables of a sum of `parts`, digit-wise: (a, b, ...) has index
+    a + |A| (b + |B| (...)), so the row composed from one row of each part
+    has entries row_A[a] + |A| (row_B[b] + ...).  x + y comes from the rows
+    of x's digits, and each scalar's row from the part rows that
+    `scalar_rows()` yields for it, scalar by scalar."""
+    sizes = [X.size for X in parts]
+
+    def radix(rows):
+        out = rows[-1]
+        for row, n in zip(rows[-2::-1], sizes[-2::-1]):
+            out = [x + n * y for y in out for x in row]
+        return out
+
+    def plus_row(x):
+        rows = []
+        for X, n in zip(parts, sizes):
+            rows.append(X.plus[x % n])
+            x //= n
+        return radix(rows)
+
+    return (lambda S: [radix(rows) for rows in scalar_rows()],
+            lambda S: Table(plus_row),
+            lambda S: radix([X.minus for X in parts]))
+
+
 def product_ring(A: FiniteRing, B: FiniteRing) -> FiniteRing:
     # carrier order: first component varies fastest, so Prod(Z2,Z2) lists
-    # (0,0), (1,0), (0,1), (1,1)
-    # (a, b) has index a + |A| b, so its row is built the same way from theirs
-    elements = [(a, b) for b in B.elements for a in A.elements]
-    n = A.size
+    # (0,0), (1,0), (0,1), (1,1); (a, b) has index a + |A| b
     R = FiniteRing(
         kind="product",
-        elements=elements,
-        add=lambda u, v: (A.add(u[0], v[0]), B.add(u[1], v[1])),
-        mul=None,
-        rows=lambda P: [[x + n * y for y in row_b for x in row_a]
-                        for row_b in B.rows for row_a in A.rows],
-        neg=lambda u: (A.neg(u[0]), B.neg(u[1])),
+        elements=[(a, b) for b in B.elements for a in A.elements],
+        add=None, mul=None, neg=None,
+        tables=sum_tables((A, B), lambda: ((row_a, row_b) for row_b in B.rows
+                                            for row_a in A.rows)),
         zero=(A.zero, B.zero),
         one=(A.one, B.one),
         descriptor=f"Prod({A.descriptor},{B.descriptor})",
@@ -250,36 +288,19 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
     # x^d = -(rel[0] + rel[1] x + ... + rel[d-1] x^(d-1))
     top = tuple((-rel[i]) % n for i in range(d))
 
-    def reduce(raw: list[int]) -> tuple[int, ...]:
-        for k in range(len(raw) - 1, d - 1, -1):
-            c = raw[k] % n
-            raw[k] = 0
-            if c:
-                for t in range(d):
-                    raw[k - d + t] += c * top[t]
-        return tuple(c % n for c in raw[:d])
-
     def mul(u, v):
-        raw = [0] * (2 * d - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    raw[i + j] += a * b
-        return reduce(raw)
-
-    # carrier order: little-endian on coefficients, so Z2[x]/(x^2) lists
-    # 0, 1, x, 1+x
-    elements = []
-    for value in range(n ** d):
-        v, digits = value, []
-        for _ in range(d):
-            digits.append(v % n)
-            v //= n
-        elements.append(tuple(digits))
+        # Horner: u v = (...(u_(d-1) v) x + u_(d-2) v) x + ... + u_0 v, where
+        # w x shifts w's coefficients up and puts w_(d-1) x^d = w_(d-1) top
+        out = (0,) * d
+        for c in reversed(u):
+            out = tuple((a + out[-1] * t + c * b) % n
+                        for a, t, b in zip((0,) + out[:-1], top, v))
+        return out
 
     return FiniteRing(
         kind="polyquot",
-        elements=elements,
+        # little-endian on coefficients, so Z2[x]/(x^2) lists 0, 1, x, 1+x
+        elements=[c[::-1] for c in itertools.product(range(n), repeat=d)],
         add=lambda u, v: tuple((a + b) % n for a, b in zip(u, v)),
         mul=mul,
         neg=lambda u: tuple((-a) % n for a in u),
@@ -314,95 +335,108 @@ def poly_str(coeffs: tuple[int, ...]) -> str:
 # submodules, multiplicative sets, quotients and localizations
 
 
-def span(op, identity, seed: Iterable) -> frozenset:
+def span(op, identity, seed: Iterable, gens: list | None = None) -> frozenset:
     """The smallest set holding `identity` and `seed` that `op` maps into itself.
 
-    `op` must be commutative and associative.  The closure H, from
-    {identity}, grows by coset extension: each seed element s outside H adds
-    the layers H*s, H*s^2, ... up to the first that adds nothing; as
+    `op` is commutative and associative: a function op(h, s), or an index
+    table op[s][h] = h*s such as a carrier's `plus`.  The closure H, from
+    {identity}, grows by coset extension: each seed element s outside H
+    adds the layers H*s, H*s^2, ... up to the first that adds nothing; as
     (h1 s^i)(h2 s^j) = h1 h2 s^(i+j), that union is closed.  Only a layer's
     new elements are multiplied by s (an old one, h s^i = h' s^j with j < i,
-    gives a product already in H), so building H costs O(|H|) op calls per
-    extension.  With op = + on a finite carrier the result is a subgroup.
+    gives a product already in H), so each extension costs O(|H|).  With
+    op = + the result is a subgroup; each extension at least doubles it, so
+    at most log2 |H| rows are read.  The extending seed elements, which
+    generate H, are appended to `gens` when given.
     """
     closed = {identity}
     for s in seed:
         if s in closed:
             continue
-        layer = list(closed)
+        if gens is not None:
+            gens.append(s)
+        step = (lambda h, s=s: op(h, s)) if callable(op) else op[s].__getitem__
+        layer = closed
         while layer:
-            fresh = []
-            for h in layer:
-                c = op(h, s)
-                if c not in closed:
-                    closed.add(c)
-                    fresh.append(c)
-            layer = fresh
+            layer = set(map(step, layer)) - closed
+            closed |= layer
     return frozenset(closed)
 
 
 def subgroup_lattice(S, make, max_count: int | None = None) -> list:
     """Every subgroup of the ring or module S that its scalars keep, once.
 
+    Members are index sets until make(generators, elements) builds them.
     Seeds are the cyclic subgroups {r*m}, each a column of S.rows, in
     carrier order; members are joined pairwise by their Minkowski sum
     {a + b}, which for finite subgroups is already closed, until no join is
-    new; a + b is built coset by coset, skipping each y in b already in it,
-    at |a + b| additions.
-    make(generators, elements) builds one member.  Sorted by size, then by
-    element indices.  `max_count` caps the members of a module's lattice
-    (S.tag names it).
+    new; a + b is built coset by coset, each y in b not yet in it adding a's
+    translate along the row S.plus[y].  Sorted by size, then by element
+    indices.  `max_count` caps the members of a module's lattice.
     """
-    seen = {}
-    E = S.elements
-    for i, m in enumerate(E):
-        elements = frozenset(E[row[i]] for row in S.rows)
-        if elements not in seen:
-            seen[elements] = make((m,), elements)
-    frontier = list(seen.values())
+    seen = {}  # member's indices -> its generators' indices
+    for i in range(S.size):
+        seen.setdefault(frozenset(row[i] for row in S.rows), (i,))
+    frontier = list(seen.items())
     while frontier:
         fresh = []
-        current = list(seen.values())
-        for a in frontier:
-            for b in current:
-                if a.elements <= b.elements or b.elements <= a.elements:
+        current = list(seen.items())
+        for a, gens_a in frontier:
+            for b, gens_b in current:
+                if a <= b or b <= a:
                     continue
-                joined = set(a.elements)
-                for y in b.elements:
+                joined = set(a)
+                for y in b:
                     if y not in joined:
-                        joined.update(S.add(x, y) for x in a.elements)
+                        joined.update(map(S.plus[y].__getitem__, a))
                 joined = frozenset(joined)
                 if joined not in seen:
-                    gens = tuple(S.sorted_elements(a.generators + b.generators))
-                    seen[joined] = member = make(gens, joined)
-                    fresh.append(member)
+                    seen[joined] = gens = tuple(sorted(gens_a + gens_b))
+                    fresh.append((joined, gens))
                     if max_count is not None and len(seen) > max_count:
                         raise BoundExceeded(f"submodule lattice of {S.tag} exceeds {max_count}")
         frontier = fresh
-    return sorted(seen.values(),
-                  key=lambda N: (len(N.elements), tuple(sorted(map(S.index, N.elements)))))
+    E = S.elements
+    return [make(tuple(map(E.__getitem__, gens)), frozenset(map(E.__getitem__, members)))
+            for members, gens in sorted(seen.items(), key=lambda m: (len(m[0]), sorted(m[0])))]
 
 
-def coset_quotient(S, subgroup: Iterable) -> tuple[dict, list]:
-    """(class map, representatives) of S modulo a subgroup: each coset is
-    represented by its least-index element, representatives in carrier order."""
-    rep_of, reps = {}, []
-    for x in S.elements:
-        if x not in rep_of:
+def coset_quotient(S, subgroup: Iterable) -> tuple[list, list]:
+    """(cls, reps) of S modulo a subgroup, on indices: x's class is
+    reps[cls[x]], its least index.  Each coset is walked from it along the
+    S.plus rows of the subgroup's generators (`span`), the only rows read."""
+    gens: list = []
+    span(S.plus, S.index(S.zero), subgroup, gens)
+    steps = [S.plus[g] for g in gens]
+    cls, reps = [None] * S.size, []
+    for x in range(S.size):
+        if cls[x] is None:
+            c = cls[x] = len(reps)
             reps.append(x)
-            for k in subgroup:
-                rep_of[S.add(x, k)] = x
-    return rep_of, reps
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for row in steps:
+                    z = row[y]
+                    if cls[z] is None:
+                        cls[z] = c
+                        stack.append(z)
+    return cls, reps
 
 
-def represented_rows(X: Carrier, rep_of: dict, Y: Carrier) -> list:
-    """The rows of Y, whose carrier holds the representatives of X's classes
-    under `rep_of` and whose scalars are elements of X's: r*c is the class
-    of r*c in X, through the representative index map."""
-    cls = [Y._index[rep_of[x]] for x in X.elements]
-    cols = [X._index[c] for c in Y.elements]
-    scalar = X.scalars._index
-    return [[cls[row[c]] for c in cols] for row in (X.rows[scalar[s]] for s in Y.scalars.elements)]
+def represented_tables(X: Carrier, cls, reps: list):
+    """The tables of a carrier on representatives `reps` of X's classes
+    (indices; x's class is reps[cls[x]]): each entry is the class of X's.
+    Its scalars are elements of X's (R_S's are elements of R), acting as in
+    X.  With `cls` on a subset that X keeps (a submodule) they restrict X."""
+    def rows(Y):
+        scalar = X.scalars._index
+        return [[cls[row[c]] for c in reps]
+                for row in (X.rows[scalar[s]] for s in Y.scalars.elements)]
+
+    return (rows,
+            lambda Y: Table(lambda c: [cls[y] for y in map(X.plus[reps[c]].__getitem__, reps)]),
+            lambda Y: [cls[X.minus[c]] for c in reps])
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +465,8 @@ def generated(X: Carrier, gens: list) -> frozenset:
     """The closure of `gens` in X under + and the action of its scalars: the
     additive span of every r*g, which is stable since s(rg) = (sr)g."""
     cols = [X.index(g) for g in gens]  # raises on an element outside X
-    E = X.elements
-    return span(X.add, X.zero, {E[row[g]] for row in X.rows for g in cols})
+    seed = {row[g] for row in X.rows for g in cols}
+    return frozenset(map(X.elements.__getitem__, span(X.plus, X.index(X.zero), seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +533,7 @@ class Ideal:
         """A short generating list: single generator when principal, else greedy."""
         R = self.ring
         for e in R.sorted_elements(self.elements):
-            if e == R.zero:
-                continue
-            if generated(R, [e]) == self.elements:
+            if e != R.zero and generated(R, [e]) == self.elements:
                 return (e,)
         gens: list = []
         closed = {R.zero}
@@ -509,8 +541,6 @@ class Ideal:
             if e not in closed:
                 gens.append(e)
                 closed = generated(R, gens)
-                if closed == self.elements:
-                    break
         return tuple(gens) if gens else (R.zero,)
 
 
@@ -636,8 +666,9 @@ def verify_ring_axioms(R: FiniteRing, bound: int = 64):
     if R.size > bound:
         raise BoundExceeded(f"axiom check bound {bound} exceeded for {R.descriptor}")
     modules.verify_module_axioms(modules.regular_module(R))
-    els = R.elements
+    els, rows = R.elements, R.rows
     for i, a in enumerate(els):
-        for b in els[i + 1:]:
-            if R.mul(a, b) != R.mul(b, a):
-                raise ValueError(f"{R.descriptor}: multiplication not commutative at {a},{b}")
+        for j in range(i + 1, len(els)):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(
+                    f"{R.descriptor}: multiplication not commutative at {a},{els[j]}")

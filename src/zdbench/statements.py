@@ -958,20 +958,21 @@ def criterion_oracle_agreement(U: Universe, max_ring: int = 6, max_module: int =
 
 def _annihilating_cofactors(R, cf):
     """The nonzero g with f*g = 0, deg g <= deg f = d, in `itertools.product`
-    order, by a depth-first walk over g's coefficients.  Coefficient j <= d
-    of f*g is fixed once g_0..g_j are, so it is tested there, and d+1..2d at
-    the leaf; only non-solutions are pruned."""
-    d, zero, g = len(cf) - 1, R.zero, [R.zero] * len(cf)
+    order, by a depth-first walk over the indices of g's coefficients.
+    Coefficient j <= d of f*g is fixed once g_0..g_j are, so it is tested
+    there, and d+1..2d at the leaf; only non-solutions are pruned."""
+    d, zero, plus = len(cf) - 1, R.index(R.zero), R.plus
+    f_rows = [R.rows[R.index(c)] for c in cf]
+    g = [zero] * len(cf)
 
     def coefficient(k):
         total = zero
         for i in range(max(0, k - d), min(d, k) + 1):
-            if cf[i] != zero and g[k - i] != zero:
-                total = R.add(total, R.mul(cf[i], g[k - i]))
+            total = plus[total][f_rows[i][g[k - i]]]
         return total
 
     def walk(j):
-        for c in R.elements:
+        for c in range(R.size):
             g[j] = c
             if coefficient(j) != zero:
                 continue
@@ -979,7 +980,7 @@ def _annihilating_cofactors(R, cf):
                 yield from walk(j + 1)
             elif any(b != zero for b in g) and all(
                     coefficient(k) == zero for k in range(d + 1, 2 * d + 1)):
-                yield tuple(g)
+                yield tuple(map(R.elements.__getitem__, g))
 
     return walk(0)
 

@@ -14,10 +14,12 @@ import re
 
 import pytest
 
+from zdbench import modules
 from zdbench.localize import localize, localize_module
 from zdbench.modules import (all_submodules, cyclic_module, direct_sum,
-                             hom_module, power_module, regular_module,
-                             verify_module_axioms, zero_divisors_module)
+                             free_module, hom_module, power_module,
+                             regular_module, verify_module_axioms,
+                             zero_divisors_module)
 from zdbench.rings import (Zmod, all_mult_closed_subsets, ideal_generated,
                            poly_quotient)
 
@@ -237,3 +239,194 @@ def test_planted_entry_moves_the_zero_divisor_scan():
     assert 3 in zero_divisors_module(M)
     with pytest.raises(ValueError):
         verify_module_axioms(M)
+
+
+# ---------------------------------------------------------------------------
+# composed addition tables: plus[x][y] is the index of x + y, minus[x] that
+# of -x, each against the construction's element-wise formula
+
+
+def _assert_additive(X, add, neg):
+    """X's plus (every row composed) and minus against add(x, y) and neg(x)."""
+    E = X.elements
+    assert [X.plus[x] for x in range(X.size)] == [[X.index(add(a, b)) for b in E] for a in E], X
+    assert X.minus == [X.index(neg(a)) for a in E], X
+
+
+def test_base_ring_add_tables_match_their_arithmetic(small_universe):
+    for R in small_universe.rings:
+        if R.kind == "zmod":
+            n = R.size
+            _assert_additive(R, lambda a, b: (a + b) % n, lambda a: -a % n)
+    for n, rel in itertools.product((2, 3, 4), ((0, 0, 1), (0, 0, 0, 1), (1, 1, 1), (1, 1, 0, 1))):
+        _assert_additive(poly_quotient(Zmod(n), rel),
+                         lambda u, v: tuple((a + b) % n for a, b in zip(u, v)),
+                         lambda u: tuple(-a % n for a in u))
+
+
+def test_product_ring_add_table_is_componentwise(small_universe):
+    products = [R for R in small_universe.rings if R.kind == "product"]
+    assert len(products) == 3
+    for R in products:
+        A, B = R.parts
+        _assert_additive(R, lambda u, v: (A.add(u[0], v[0]), B.add(u[1], v[1])),
+                         lambda u: (A.neg(u[0]), B.neg(u[1])))
+
+
+def test_localized_ring_add_table_goes_through_the_class_map(small_universe):
+    checked = 0
+    for R in small_universe.rings:
+        for S in _mult_sets(R):
+            loc = localize(R, S)
+            _assert_additive(loc.structure, lambda a, b: loc.to_class[R.add(a, b)],
+                             lambda a: loc.to_class[R.neg(a)])
+            checked += 1
+    assert checked > 50
+
+
+def test_regular_and_cyclic_add_tables(small_universe):
+    for R in small_universe.rings:
+        Reg = regular_module(R)
+        assert Reg.plus is R.plus and Reg.minus is R.minus
+        for I in R.ideals():
+            C = cyclic_module(R, I)
+
+            def coset_of(x, C=C, I=I):
+                c, = [c for c in C.elements if R.sub(x, c) in I.elements]
+                return c
+
+            _assert_additive(C, lambda a, b: coset_of(R.add(a, b)), lambda a: coset_of(R.neg(a)))
+
+
+def test_sum_and_power_add_tables_are_coordinatewise(small_universe):
+    sums = powers = 0
+    for R in small_universe.rings:
+        mods = small_universe.modules[R.descriptor]
+        for A, B in itertools.product(mods, repeat=2):
+            if A.size * B.size > 64:
+                continue
+            _assert_additive(direct_sum(A, B),
+                             lambda u, v: (A.add(u[0], v[0]), B.add(u[1], v[1])),
+                             lambda u: (A.neg(u[0]), B.neg(u[1])))
+            sums += 1
+        for M in mods:
+            for t in (1, 2, 3):
+                if M.size ** t > 216:
+                    continue
+                _assert_additive(power_module(M, t),
+                                 lambda u, v: tuple(M.add(a, b) for a, b in zip(u, v)),
+                                 lambda u: tuple(M.neg(a) for a in u))
+                powers += 1
+    assert sums > 200 and powers > 100
+
+
+def test_hom_add_table_is_pointwise(small_universe):
+    checked = 0
+    for _, M in small_universe.pairs():
+        if M.size > 12:
+            continue
+        _assert_additive(hom_module(M), lambda f, g: tuple(M.add(a, b) for a, b in zip(f, g)),
+                         lambda f: tuple(M.neg(a) for a in f))
+        checked += 1
+    assert checked > 50
+
+
+def test_submodule_add_tables_restrict_the_module(small_universe):
+    checked = 0
+    for _, M in small_universe.pairs():
+        if M.size > 16:
+            continue
+        for N in all_submodules(M):
+            _assert_additive(N.as_module(), M.add, M.neg)
+            checked += 1
+    assert checked > 300
+
+
+def test_algebra_view_shares_its_ring_add_table(small_universe):
+    # B's own table is checked by the ring cases above
+    checked = 0
+    for _, alg in small_universe.all_algebras():
+        BR = alg.as_module()
+        assert BR.plus is alg.ring.plus and BR.minus is alg.ring.minus, alg.descriptor
+        checked += 1
+    assert checked == small_universe.counts["algebras"]
+
+
+def test_localized_module_add_tables_at_every_mult_set(small_universe):
+    checked = 0
+    for R in small_universe.rings:
+        sets = _mult_sets(R)
+        rings = [localize(R, S) for S in sets]
+        for M in small_universe.modules[R.descriptor]:
+            if M.size > 16:
+                continue
+            for S, ring_loc in zip(sets, rings):
+                loc = localize_module(M, S, ring_loc)
+                _assert_additive(loc.structure, lambda a, b: loc.to_class[M.add(a, b)],
+                                 lambda a: loc.to_class[M.neg(a)])
+                checked += 1
+    assert checked > 500
+
+
+def _every_add_fault_is_rejected(M):
+    """Plant each wrong entry in M's composed plus and minus tables in turn,
+    check that `add` or `neg` reads it and that the axiom check rejects it,
+    then restore it."""
+    verify_module_axioms(M)
+    E, faults = M.elements, 0
+    cells = [(M.plus[x], y, E[x], E[y]) for x in range(M.size) for y in range(M.size)]
+    cells += [(M.minus, x, E[x], None) for x in range(M.size)]
+    for table, cell, a, b in cells:
+        right = table[cell]
+        for wrong in range(M.size):
+            if wrong == right:
+                continue
+            table[cell] = wrong
+            try:
+                assert (M.neg(a) if b is None else M.add(a, b)) == E[wrong]
+                with pytest.raises(ValueError, match=re.escape(M.descriptor())):
+                    verify_module_axioms(M)
+            finally:
+                table[cell] = right
+            faults += 1
+    verify_module_axioms(M)
+    return faults
+
+
+def test_fault_in_a_composed_sum_add_table_fails_axioms():
+    R = Zmod(4)
+    M = direct_sum(cyclic_module(R, ideal_generated(R, [2])), regular_module(R))
+    assert _every_add_fault_is_rejected(M) == (8 * 8 + 8) * 7
+
+
+def test_fault_in_a_composed_hom_add_table_fails_axioms():
+    R = Zmod(6)
+    M = hom_module(regular_module(R))
+    assert _every_add_fault_is_rejected(M) == (6 * 6 + 6) * 5
+
+
+def test_large_carriers_compose_few_add_rows(monkeypatch):
+    """P = M^t of the flatness check and quotient_free's F, past 10,000
+    elements, compose only the rows their spans and coset walks read: at
+    most log2 |X| per closure, never all |X| rows of an |X|^2 table."""
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(power_module(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(modules, "power_module", recorded)
+    R = poly_quotient(Zmod(3), (0, 0, 0, 1))
+    M = free_module(R, 3)
+    assert modules.is_flat(M).holds
+    # M itself, then one P = M^1 per nonzero ideal, all principal
+    assert len(built) == 4 and all(P.size == 19683 for P in built)
+    for P in built:
+        assert len(P.plus) <= P.size.bit_length(), P
+    built.clear()
+    rels = [(1, 2, 0, 0, 0, 1), (0, 0, 3, 1, 0, 0)]
+    Q = modules.quotient_free(Zmod(5), 6, rels, "Q")
+    F, = built
+    assert F.size == 15625 and Q.size == 625
+    # one span to build K, one to find its generators for the coset walk
+    assert len(F.plus) <= 2 * F.size.bit_length()
