@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .errors import BoundExceeded
 from .modules import (FiniteModule, Verdict, content_of_element,
                       is_content_module, regular_module, submodule_generated)
-from .rings import FiniteRing, ideal_generated, span
+from .rings import FiniteRing, ideal_generated, least_killed, span
 
 DEFAULT_SERIES_PRECISION = 8
 DEFAULT_BRUTE_BUDGET = 300_000
@@ -268,14 +268,10 @@ def is_zd_on_extension(f: ExtElement, M: FiniteModule) -> Verdict:
         raise ValueError("module is over a different ring")
     if M.is_zero:
         return Verdict(False, degenerate=True)
-    zero_m = M.zero
-    coeffs = f.coefficients()
-    for m in M.elements:
-        if m == zero_m:
-            continue
-        if all(M.act(c, m) == zero_m for c in coeffs):
-            return Verdict(True, witness={"kind": "ext_zd", "element": m})
-    return Verdict(False)
+    m = least_killed(M, f.coefficients())
+    if m is None:
+        return Verdict(False)
+    return Verdict(True, witness={"kind": "ext_zd", "element": m})
 
 
 def brute_force_zd(f: ExtElement, M: FiniteModule, degree_bound: int,
@@ -399,12 +395,17 @@ class FiniteAlgebra:
             raise ValueError(f"{self.descriptor}: structure map not total on {R.descriptor}")
         if phi[R.one] != B.one:
             raise ValueError(f"{self.descriptor}: structure map does not send 1 to 1")
-        for a in R.elements:
-            for b in R.elements:
-                if phi[R.add(a, b)] != B.add(phi[a], phi[b]):
-                    raise ValueError(f"{self.descriptor}: structure map not additive at {a},{b}")
-                if phi[R.mul(a, b)] != B.mul(phi[a], phi[b]):
-                    raise ValueError(f"{self.descriptor}: structure map not multiplicative at {a},{b}")
+        # on indices: image[a] is the index of phi(a) in B
+        image = [B.index(phi[a]) for a in R.elements]
+        for a, row_a in enumerate(R.rows):
+            plus_a, plus_fa, row_fa = R.plus[a], B.plus[image[a]], B.rows[image[a]]
+            for b, fb in enumerate(image):
+                if image[plus_a[b]] != plus_fa[fb]:
+                    raise ValueError(f"{self.descriptor}: structure map not additive at "
+                                     f"{R.elements[a]},{R.elements[b]}")
+                if image[row_a[b]] != row_fa[fb]:
+                    raise ValueError(f"{self.descriptor}: structure map not multiplicative at "
+                                     f"{R.elements[a]},{R.elements[b]}")
 
     def __repr__(self):
         return f"FiniteAlgebra({self.descriptor})"
@@ -465,15 +466,11 @@ def is_mccoy_algebra(algebra: FiniteAlgebra) -> Verdict:
     if not ohm_rush.holds:
         return Verdict(False, witness=ohm_rush.witness)
     B, R, BR = algebra.ring, algebra.base, algebra.as_module()
-    zero_b, zero_r = B.zero, R.zero
-    for f in B.elements:
-        c_gens = None
-        for g in B.elements:
-            if g == zero_b or B.mul(f, g) != zero_b:
-                continue
-            if c_gens is None:
-                c_gens = content_of_element(BR, f).generators
-            if not any(r != zero_r and all(R.mul(a, r) == zero_r for a in c_gens)
-                       for r in R.elements):
-                return Verdict(False, witness={"kind": "mccoy", "pair": (f, g)})
+    zero = B.index(B.zero)
+    for f, row in zip(B.elements, B.rows):
+        # the least g != 0 with f*g = 0 stands for every such g: whether c(f)
+        # kills some r != 0 does not depend on g
+        g = next((g for g, fg in enumerate(row) if fg == zero and g != zero), None)
+        if g is not None and least_killed(R, content_of_element(BR, f).generators) is None:
+            return Verdict(False, witness={"kind": "mccoy", "pair": (f, B.elements[g])})
     return Verdict(True)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .errors import BoundExceeded, PresentationUnavailable
 from .rings import (Carrier, FiniteRing, Ideal, Table, annihilator_of,
-                    coset_quotient, generated, ideal_generated,
+                    coset_quotient, generated, ideal_generated, least_killed,
                     represented_tables, span, subgroup_lattice, sum_tables,
                     zero_divisor_scan)
 
@@ -409,44 +409,33 @@ def has_property_A(M: FiniteModule) -> Verdict:
     """
     if M.is_zero:
         return Verdict(True, degenerate=True)
-    R = M.ring
     zd = zero_divisors_module(M)
-    zero = M.index(M.zero)
-    for I in R.ideals():
-        if not I.elements <= zd:
-            continue
-        gen_rows = [M.rows[R.index(a)] for a in I.generators]
-        killed = any(m != zero and all(row[m] == zero for row in gen_rows)
-                     for m in range(M.size))
-        if not killed:
+    for I in M.ring.ideals():
+        if I.elements <= zd and least_killed(M, I.generators) is None:
             return Verdict(False, witness={"kind": "property_a", "ideal": tuple(I.small_generators())})
     return Verdict(True)
 
 
 def is_auslander(M: FiniteModule) -> Verdict:
     """Z(R) is contained in Z(M); witness on failure: r in Z(R) \\ Z(M)."""
-    if M.is_zero:
-        return Verdict(False, degenerate=True)
-    R = M.ring
-    zr = R.zero_divisors() - {R.zero}
-    zm = zero_divisors_module(M) - {R.zero}
-    for r in R.sorted_elements(zr):
-        if r not in zm:
-            return Verdict(False, witness={"kind": "auslander", "element": r})
-    return Verdict(True)
+    return _inclusion(M, "auslander", M.ring.zero_divisors(), zero_divisors_module(M))
 
 
 def is_torsion_free(M: FiniteModule) -> Verdict:
     """Z(M) is contained in Z(R); witness on failure: r in Z(M) \\ Z(R)."""
+    return _inclusion(M, "torsion_free", zero_divisors_module(M), M.ring.zero_divisors())
+
+
+def _inclusion(M: FiniteModule, kind: str, inner: frozenset, outer: frozenset) -> Verdict:
+    """inner \\ {0} within outer, degenerate on the zero module; witness on
+    failure: the least r in inner \\ outer, r != 0."""
     if M.is_zero:
         return Verdict(False, degenerate=True)
     R = M.ring
-    zr = R.zero_divisors() - {R.zero}
-    zm = zero_divisors_module(M) - {R.zero}
-    for r in R.sorted_elements(zm):
-        if r not in zr:
-            return Verdict(False, witness={"kind": "torsion_free", "element": r})
-    return Verdict(True)
+    extra = inner - outer - {R.zero}
+    if not extra:
+        return Verdict(True)
+    return Verdict(False, witness={"kind": kind, "element": min(extra, key=R.index)})
 
 
 # ---------------------------------------------------------------------------
@@ -557,27 +546,17 @@ def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
 
 def _flat_by_local_freeness(M: FiniteModule) -> bool:
     """Oracle: finite ring = product of local rings; flat f.g. = free locally."""
-    R = M.ring
-    for e in R.local_factors():
-        S_elems = [x for x in R.elements if R.mul(x, e) == x]
-        S_set = set(S_elems)
-        units = {s for s in S_elems if any(R.mul(s, t) == e for t in S_elems)}
-        nonunits = S_set - units
-        for a in nonunits:
-            for b in nonunits:
-                if R.add(a, b) in units:
-                    raise RuntimeError(f"{R.descriptor}: factor at {e} is not local")
-        row_e = M.rows[R.index(e)]
+    for e, factor, maximal in M.ring.local_factors():
+        row_e = M.rows[e]
         Me = [m for m in range(M.size) if row_e[m] == m]
         if len(Me) == 1:
             continue  # zero factor component: free of rank 0
         # m_e * M_e as a subgroup
-        sub = span(M.plus, M.index(M.zero),
-                   {M.rows[R.index(a)][m] for a in nonunits for m in Me})
-        # free of rank k: |M_e| = |S_e|^k and |M_e / m_e M_e| = residue^k
-        residue = len(S_elems) // max(len(nonunits), 1)
-        rank = round(math.log(len(Me), len(S_elems)))
-        if len(Me) != len(S_elems) ** rank or len(Me) // len(sub) != residue ** rank:
+        sub = span(M.plus, M.index(M.zero), {M.rows[a][m] for a in maximal for m in Me})
+        # free of rank k: |M_e| = |eR|^k and |M_e / m_e M_e| = residue^k
+        residue = len(factor) // len(maximal)
+        rank = round(math.log(len(Me), len(factor)))
+        if len(Me) != len(factor) ** rank or len(Me) // len(sub) != residue ** rank:
             return False
     return True
 

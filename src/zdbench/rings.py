@@ -150,10 +150,10 @@ class FiniteRing(Carrier):
         Raises BoundExceeded past `bound` so callers shrink the universe
         rather than wait on an infeasible enumeration.
         """
+        if self.size > bound:
+            raise BoundExceeded(
+                f"ideal lattice of {self.descriptor} (size {self.size}) exceeds bound {bound}")
         if self._ideals is None:
-            if self.size > bound:
-                raise BoundExceeded(
-                    f"ideal lattice of {self.descriptor} (size {self.size}) exceeds bound {bound}")
             self._ideals = tuple(subgroup_lattice(
                 self, lambda gens, elements: Ideal(self, gens, elements)))
         return self._ideals
@@ -162,25 +162,33 @@ class FiniteRing(Carrier):
         proper = [I for I in self.ideals() if len(I.elements) < self.size]
         return tuple(I for I in proper if not any(I.elements < J.elements for J in proper))
 
-    def idempotents(self) -> list:
-        return [e for i, e in enumerate(self.elements) if self.rows[i][i] == i]
-
     def local_factors(self) -> tuple[tuple, ...]:
-        """Primitive idempotents e_i with R = prod R*e_i, each factor local."""
+        """R = prod eR over its primitive idempotents e, each factor local: one
+        (e, eR, m_e) per e in carrier order, all on indices, with m_e the
+        nonunits of eR, its maximal ideal.  As s = es for s in eR, st = s(et):
+        s is a unit of eR iff e lies in its row."""
         if self._local_factors is None:
-            zero = self.zero
-            idem = [e for e in self.idempotents() if e != zero]  # in carrier order
-            prims = [e for e in idem if not any(g != e and self.mul(g, e) == g for g in idem)]
+            rows, plus, zero = self.rows, self.plus, self.index(self.zero)
+            idem = [i for i in range(self.size) if rows[i][i] == i and i != zero]
+            prims = [e for e in idem if not any(g != e and rows[g][e] == g for g in idem)]
             total = zero
             for e in prims:
-                for f in prims:
-                    if e != f and self.mul(e, f) != zero:
-                        raise RuntimeError(
-                            f"{self.descriptor}: primitive idempotents not orthogonal")
-                total = self.add(total, e)
-            if total != self.one:
+                if any(f != e and rows[e][f] != zero for f in prims):
+                    raise RuntimeError(
+                        f"{self.descriptor}: primitive idempotents not orthogonal")
+                total = plus[total][e]
+            if total != self.index(self.one):
                 raise RuntimeError(f"{self.descriptor}: idempotent decomposition incomplete")
-            self._local_factors = tuple(prims)
+            factors = []
+            for e in prims:
+                factor = frozenset(rows[e])
+                units = {s for s in factor if e in rows[s]}
+                maximal = factor - units
+                if any(plus[a][b] in units for a in maximal for b in maximal):
+                    raise RuntimeError(
+                        f"{self.descriptor}: factor at {self.elements[e]} is not local")
+                factors.append((e, factor, maximal))
+            self._local_factors = tuple(factors)
         return self._local_factors
 
 
@@ -338,8 +346,8 @@ def poly_str(coeffs: tuple[int, ...]) -> str:
 def span(op, identity, seed: Iterable, gens: list | None = None) -> frozenset:
     """The smallest set holding `identity` and `seed` that `op` maps into itself.
 
-    `op` is commutative and associative: a function op(h, s), or an index
-    table op[s][h] = h*s such as a carrier's `plus`.  The closure H, from
+    `op` is a commutative and associative index table op[s][h] = h*s, such
+    as a carrier's `plus`, or a ring's `rows`.  The closure H, from
     {identity}, grows by coset extension: each seed element s outside H
     adds the layers H*s, H*s^2, ... up to the first that adds nothing; as
     (h1 s^i)(h2 s^j) = h1 h2 s^(i+j), that union is closed.  Only a layer's
@@ -349,18 +357,23 @@ def span(op, identity, seed: Iterable, gens: list | None = None) -> frozenset:
     at most log2 |H| rows are read.  The extending seed elements, which
     generate H, are appended to `gens` when given.
     """
-    closed = {identity}
+    return frozenset(_extend(op, {identity}, seed, gens))
+
+
+def _extend(op, closed: set, seed: Iterable, gens: list | None = None) -> set:
+    """Grow `closed`, already closed under `op`, in place to the closure of
+    closed and `seed`, by `span`'s coset extension."""
     for s in seed:
         if s in closed:
             continue
         if gens is not None:
             gens.append(s)
-        step = (lambda h, s=s: op(h, s)) if callable(op) else op[s].__getitem__
+        step = op[s].__getitem__
         layer = closed
         while layer:
             layer = set(map(step, layer)) - closed
             closed |= layer
-    return frozenset(closed)
+    return closed
 
 
 def subgroup_lattice(S, make, max_count: int | None = None) -> list:
@@ -461,6 +474,19 @@ def annihilator_of(X: Carrier, targets) -> "Ideal":
     return Ideal(X.scalars, tuple(elems), frozenset(elems))
 
 
+def least_killed(X: Carrier, scalars):
+    """The least nonzero x in X, in carrier order, with r*x = 0 for every r in
+    `scalars`, or None: whether a set of scalars kills a nonzero element, the
+    question behind property (A), the extension criterion and McCoy
+    algebras.  The scan stops at the first such x."""
+    zero = X.index(X.zero)
+    rows = [X.rows[X.scalars.index(r)] for r in scalars]
+    for x in range(X.size):
+        if x != zero and all(row[x] == zero for row in rows):
+            return X.elements[x]
+    return None
+
+
 def generated(X: Carrier, gens: list) -> frozenset:
     """The closure of `gens` in X under + and the action of its scalars: the
     additive span of every r*g, which is stable since s(rg) = (sr)g."""
@@ -530,18 +556,22 @@ class Ideal:
         return annihilator(self.ring, self)
 
     def small_generators(self) -> tuple:
-        """A short generating list: single generator when principal, else greedy."""
+        """A short generating list: single generator when principal, else
+        greedy: each member, in carrier order, joins when it lies outside the
+        closure of the earlier ones, which grows in place by the additive
+        span of the new generator's column {r*e} of R.rows."""
         R = self.ring
-        for e in R.sorted_elements(self.elements):
-            if e != R.zero and generated(R, [e]) == self.elements:
-                return (e,)
-        gens: list = []
-        closed = {R.zero}
-        for e in R.sorted_elements(self.elements):
+        members = sorted(map(R.index, self.elements))
+        for e in members:
+            # eR, the set of row e, lies in the ideal
+            if R.elements[e] != R.zero and len(set(R.rows[e])) == len(self.elements):
+                return (R.elements[e],)
+        gens, closed = [], {R.index(R.zero)}
+        for e in members:
             if e not in closed:
-                gens.append(e)
-                closed = generated(R, gens)
-        return tuple(gens) if gens else (R.zero,)
+                gens.append(R.elements[e])
+                _extend(R.plus, closed, {row[e] for row in R.rows})
+        return tuple(gens) or (R.zero,)
 
 
 def _check_same_ring(I: Ideal, J: Ideal):
@@ -603,13 +633,13 @@ class MultiplicativeSet:
     elements: frozenset = field(compare=True)
 
     def __post_init__(self):
-        if self.ring.one not in self.elements:
+        R, S = self.ring, self.elements
+        if R.one not in S:
             raise ValueError("multiplicative set must contain 1")
-        for a in self.elements:
-            for b in self.elements:
-                if self.ring.mul(a, b) not in self.elements:
-                    raise ValueError(
-                        f"set not closed under multiplication at {a!r}*{b!r}")
+        members = {R.index(e): e for e in S}
+        for (a, e), (b, f) in itertools.product(members.items(), repeat=2):
+            if R.rows[a][b] not in members:
+                raise ValueError(f"set not closed under multiplication at {e!r}*{f!r}")
 
     def __repr__(self):
         elems = ",".join(self.ring.element_str(e) for e in self.ring.sorted_elements(self.elements))
@@ -617,11 +647,9 @@ class MultiplicativeSet:
 
 
 def multiplicative_closure(R: FiniteRing, seed: Iterable) -> MultiplicativeSet:
-    """Close `seed` (plus 1) under multiplication."""
-    seed = set(seed)
-    for s in seed:
-        R.index(s)  # raises on an element outside R
-    return MultiplicativeSet(R, span(R.mul, R.one, seed))
+    """Close `seed` (plus 1) under multiplication, along R.rows."""
+    closed = span(R.rows, R.index(R.one), {R.index(s) for s in seed})
+    return MultiplicativeSet(R, frozenset(map(R.elements.__getitem__, closed)))
 
 
 def all_mult_closed_subsets(R: FiniteRing, within: Iterable) -> list[MultiplicativeSet]:
@@ -629,23 +657,20 @@ def all_mult_closed_subsets(R: FiniteRing, within: Iterable) -> list[Multiplicat
 
     `within` must be closed under multiplication itself (true for the
     regular-on-M candidate sets this is used on); enumeration walks closures
-    rather than all subsets.
+    along R.rows, on indices, rather than all subsets: each found S, already
+    closed, grows by one more element e.  Ordered by size, then by element
+    indices.
     """
-    allowed = frozenset(within) | {R.one}
-    base = multiplicative_closure(R, [R.one])
-    found = {base.elements: base}
-    frontier = [base]
+    one = R.index(R.one)
+    allowed = frozenset(map(R.index, within)) | {one}
+    found = frontier = {frozenset({one})}
     while frontier:
-        fresh = []
-        for S in frontier:
-            for e in R.sorted_elements(allowed - S.elements):
-                bigger = multiplicative_closure(R, S.elements | {e})
-                if bigger.elements <= allowed and bigger.elements not in found:
-                    found[bigger.elements] = bigger
-                    fresh.append(bigger)
-        frontier = fresh
-    return sorted(found.values(),
-                  key=lambda S: (len(S.elements), tuple(sorted(map(R.index, S.elements)))))
+        bigger = {frozenset(_extend(R.rows, set(S), (e,)))
+                  for S in frontier for e in allowed - S}
+        frontier = {S for S in bigger if S <= allowed} - found
+        found |= frontier
+    return [MultiplicativeSet(R, frozenset(map(R.elements.__getitem__, S)))
+            for S in sorted(found, key=lambda S: (len(S), sorted(S)))]
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,6 @@ class ZRegularCase:
     """Z as a module over itself: the domain-side instance for flat families."""
 
     case_id: str = "Z"
-    is_flat: bool = True
-    is_domain: bool = True
 
     def is_auslander(self) -> Verdict:
         return Verdict(True)   # Z(Z) = {0}

@@ -116,7 +116,8 @@ def test_brute_force_budget():
 
 
 def test_criterion_matches_brute_force_small():
-    # exhaustive agreement for degree <= 2 over Z/4 and Z/6 regular modules
+    # exhaustive agreement for degree <= 2 over Z/4 and Z/6 regular modules;
+    # the witness is the least nonzero m that every coefficient kills
     for n in (4, 6):
         R = Zmod(n)
         M = regular_module(R)
@@ -125,8 +126,11 @@ def test_criterion_matches_brute_force_small():
             if not support:
                 continue
             f = ring_poly(R, support)
-            crit = is_zd_on_extension(f, M).holds
-            assert crit == brute_force_zd(f, M, 2).holds
+            crit = is_zd_on_extension(f, M)
+            assert crit.holds == brute_force_zd(f, M, 2).holds
+            killed = [m for m in M.elements
+                      if m != M.zero and all(M.act(c, m) == M.zero for c in coeffs)]
+            assert crit.witness == ({"kind": "ext_zd", "element": killed[0]} if killed else None)
 
 
 def test_mccoy_witness_examples():
@@ -223,6 +227,13 @@ def test_algebra_structure_map_validated():
     bad_embed = {r: B.zero for r in R.elements}
     with pytest.raises(ValueError):
         FiniteAlgebra(B, R, bad_embed)
+    with pytest.raises(ValueError, match="not additive at 1,1"):
+        FiniteAlgebra(Zmod(4), Zmod(2), {0: 0, 1: 1})
+    # additive and 1 -> 1, but (1,0) is idempotent and its image x is not
+    P, D = product_ring(Zmod(2), Zmod(2)), poly_quotient(Zmod(2), (0, 0, 1))
+    embed = {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 1), (1, 1): (1, 0)}
+    with pytest.raises(ValueError, match=r"not multiplicative at \(1, 0\),\(1, 0\)"):
+        FiniteAlgebra(D, P, embed)
 
 
 def test_ohm_rush_examples():

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from zdbench.errors import BoundExceeded
-from zdbench.rings import (FiniteRing, Zmod, all_ideals,
+from zdbench.rings import (FiniteRing, MultiplicativeSet, Zmod, all_ideals,
                            all_mult_closed_subsets, annihilator,
                            ideal_combine, ideal_generated, ideal_power,
                            multiplicative_closure, poly_quotient, product_ring,
@@ -135,6 +135,13 @@ def test_lattice_bound_exceeded():
         Zmod(20).ideals(bound=10)
 
 
+def test_lattice_bound_checked_with_warm_cache():
+    R = Zmod(6)
+    assert len(R.ideals()) == 4
+    with pytest.raises(BoundExceeded):
+        R.ideals(bound=4)
+
+
 def test_zero_divisors_examples():
     assert zero_divisors_ring(Zmod(6)) == frozenset({0, 2, 3, 4})
     P = product_ring(Zmod(2), Zmod(2))
@@ -219,6 +226,14 @@ def test_multiplicative_closure_inserts_one():
     assert S.elements == frozenset({1, 5})
     T = multiplicative_closure(R, [2])
     assert T.elements == frozenset({1, 2, 4})  # 2*2=4, 2*4=2
+
+
+def test_multiplicative_set_checks_its_input():
+    R = Zmod(6)
+    with pytest.raises(ValueError, match="must contain 1"):
+        MultiplicativeSet(R, frozenset({5}))
+    with pytest.raises(ValueError, match="not closed under multiplication at 2\\*2"):
+        MultiplicativeSet(R, frozenset({1, 2}))
 
 
 def test_all_mult_closed_subsets_of_units():
