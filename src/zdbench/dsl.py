@@ -1,7 +1,8 @@
 """Construction DSL: parsing, printing, and building of rings, modules,
 algebras, and extension-element literals.
 
-Grammar (whitespace-insensitive):
+Grammar (whitespace-insensitive).  Z<digits> and Reg are atoms; every other
+head is one row of GRAMMAR, which the parser and print_node both read:
 
     Ring    := Z<digits> | Prod(Ring,Ring) | PolyQuot(Ring, xpoly)
              | Localize(Ring, {elem,...}) | TotalQuotient(Ring)
@@ -9,17 +10,19 @@ Grammar (whitespace-insensitive):
              | Hom(Module) | Tensor(Module, Algebra)
     Algebra := Algebra(Ring, Ring)           # canonical structure map
     elem    := <int> | (elem,elem) | xpoly   # xpoly only in PolyQuot rings
+    xpoly   := c | x | x^e | c*x | c*x^e, joined by +
     extpoly := term + term + ...             # coefficients times X-monomials
     series  := series(<precision>; extpoly)
 
-Printing then reparsing yields an equal tree (spans excluded from equality).
+Printing then reparsing yields an equal tree (spans excluded from equality),
+and every descriptor and tag the constructions write prints back to itself.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import DslError
 from .extensions import (ExtElement, FiniteAlgebra, diagonal_algebra,
@@ -28,7 +31,7 @@ from .localize import closed_multiplicative_set, localize, total_quotient
 from .modules import (FiniteModule, cyclic_module, direct_sum, free_module,
                       hom_module, regular_module, tensor_with_algebra)
 from .rings import (FiniteRing, Zmod, ideal_generated, poly_quotient,
-                    poly_str, poly_terms, product_ring)
+                    poly_display, poly_str, product_ring)
 
 log = logging.getLogger(__name__)
 
@@ -59,21 +62,19 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(ch, ch, i, i + 1))
             i += 1
             continue
+        j = i + 1
         if ch.isdigit():
-            j = i
+            kind = "int"
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("int", text[i:j], i, j))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            kind = "name"
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("name", text[i:j], i, j))
-            i = j
-            continue
-        raise DslError(f"unexpected character {ch!r}", (i, i + 1))
+        else:
+            raise DslError(f"unexpected character {ch!r}", (i, i + 1))
+        tokens.append(Token(kind, text[i:j], i, j))
+        i = j
     return tokens
 
 
@@ -176,8 +177,37 @@ class AlgebraNode:
     span: tuple = field(compare=False, default=(0, 0))
 
 
-RING_HEADS = {"Prod", "PolyQuot", "Localize", "TotalQuotient"}
-MODULE_HEADS = {"Reg", "Free", "Cyclic", "Sum", "Hom", "Tensor"}
+# ---------------------------------------------------------------------------
+# the grammar, read by both the parser and the printer
+#
+# Z<n> (a ring) and Reg (a module) are the only atoms; every other ring,
+# module or algebra is a head from GRAMMAR applied to parenthesized
+# arguments, which fill the node class's fields in order.
+
+
+class Rule(NamedTuple):
+    sort: str      # "ring" | "module" | "algebra"
+    cls: type      # node class; its fields before span take the arguments
+    args: tuple    # argument sorts, keys of _ARGUMENTS
+    sep: str = ""  # printed between arguments
+
+
+GRAMMAR = {
+    "Prod": Rule("ring", ProdNode, ("ring", "ring"), ","),
+    "PolyQuot": Rule("ring", PolyQuotNode, ("ring", "xpoly"), ", "),
+    "Localize": Rule("ring", LocalizeNode, ("ring", "set"), ", "),
+    "TotalQuotient": Rule("ring", TotalQuotientNode, ("ring",)),
+    "Free": Rule("module", FreeNode, ("int",)),
+    "Cyclic": Rule("module", CyclicNode, ("elems",)),
+    "Sum": Rule("module", SumNode, ("module", "module"), ","),
+    "Hom": Rule("module", HomNode, ("module",)),
+    "Tensor": Rule("module", TensorNode, ("module", "algebra"), ", "),
+    "Algebra": Rule("algebra", AlgebraNode, ("ring", "ring"), ", "),
+}
+
+_UNKNOWN_HEAD = {"ring": "unknown ring constructor {!r}",
+                 "module": "unknown module constructor {!r}",
+                 "algebra": "expected Algebra(...), found {!r}"}
 
 
 class _Parser:
@@ -186,14 +216,21 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Optional[Token]:
+    def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def at(self, kind: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.kind == kind
+
+    def end_error(self, message: str) -> DslError:
+        end = len(self.text)
+        return DslError(message, (end, end))
 
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            end = len(self.text)
-            raise DslError("unexpected end of input", (end, end))
+            raise self.end_error("unexpected end of input")
         self.pos += 1
         return tok
 
@@ -208,116 +245,59 @@ class _Parser:
         if tok is not None:
             raise DslError(f"trailing input {tok.text!r}", (tok.start, len(self.text)))
 
-    # -- rings
-
-    def ring(self):
+    def node(self, sort: str):
+        """A ring, module or algebra: an atom, or a GRAMMAR head of `sort`
+        with its arguments."""
         tok = self.expect("name")
-        name = tok.text
-        if name.startswith("Z") and name[1:].isdigit():
-            return ZmodNode(int(name[1:]), span=(tok.start, tok.end))
-        if name == "Prod":
-            self.expect("(")
-            left = self.ring()
-            self.expect(",")
-            right = self.ring()
-            close = self.expect(")")
-            return ProdNode(left, right, span=(tok.start, close.end))
-        if name == "PolyQuot":
-            self.expect("(")
-            base = self.ring()
-            self.expect(",")
-            rel = self.xpoly()
-            close = self.expect(")")
-            return PolyQuotNode(base, rel.coeffs, span=(tok.start, close.end))
-        if name == "Localize":
-            self.expect("(")
-            ring = self.ring()
-            self.expect(",")
-            self.expect("{")
-            elems = [self.element()]
-            while self.peek() and self.peek().kind == ",":
-                self.next()
-                elems.append(self.element())
-            self.expect("}")
-            close = self.expect(")")
-            return LocalizeNode(ring, tuple(elems), span=(tok.start, close.end))
-        if name == "TotalQuotient":
-            self.expect("(")
-            ring = self.ring()
-            close = self.expect(")")
-            return TotalQuotientNode(ring, span=(tok.start, close.end))
-        raise DslError(f"unknown ring constructor {name!r}", (tok.start, tok.end))
-
-    # -- modules
-
-    def module(self):
-        tok = self.expect("name")
-        name = tok.text
-        if name == "Reg":
-            return RegNode(span=(tok.start, tok.end))
-        if name == "Free":
-            self.expect("(")
-            k = self.expect("int")
-            close = self.expect(")")
-            return FreeNode(int(k.text), span=(tok.start, close.end))
-        if name == "Cyclic":
-            self.expect("(")
-            gens = []
-            if self.peek() and self.peek().kind != ")":
-                gens.append(self.element())
-                while self.peek() and self.peek().kind == ",":
-                    self.next()
-                    gens.append(self.element())
-            close = self.expect(")")
-            return CyclicNode(tuple(gens), span=(tok.start, close.end))
-        if name == "Sum":
-            self.expect("(")
-            left = self.module()
-            self.expect(",")
-            right = self.module()
-            close = self.expect(")")
-            return SumNode(left, right, span=(tok.start, close.end))
-        if name == "Hom":
-            self.expect("(")
-            inner = self.module()
-            close = self.expect(")")
-            return HomNode(inner, span=(tok.start, close.end))
-        if name == "Tensor":
-            self.expect("(")
-            inner = self.module()
-            self.expect(",")
-            alg = self.algebra()
-            close = self.expect(")")
-            return TensorNode(inner, alg, span=(tok.start, close.end))
-        raise DslError(f"unknown module constructor {name!r}", (tok.start, tok.end))
-
-    def algebra(self):
-        tok = self.expect("name")
-        if tok.text != "Algebra":
-            raise DslError(f"expected Algebra(...), found {tok.text!r}", (tok.start, tok.end))
+        head, span = tok.text, (tok.start, tok.end)
+        if sort == "ring" and head.startswith("Z") and head[1:].isdigit():
+            return ZmodNode(int(head[1:]), span=span)
+        if sort == "module" and head == "Reg":
+            return RegNode(span=span)
+        rule = GRAMMAR.get(head)
+        if rule is None or rule.sort != sort:
+            raise DslError(_UNKNOWN_HEAD[sort].format(head), span)
         self.expect("(")
-        over = self.ring()
-        self.expect(",")
-        base = self.ring()
+        args = []
+        for i, arg in enumerate(rule.args):
+            if i:
+                self.expect(",")
+            args.append(_ARGUMENTS[arg][0](self))
         close = self.expect(")")
-        return AlgebraNode(over, base, span=(tok.start, close.end))
+        return rule.cls(*args, span=(tok.start, close.end))
+
+    def repeated(self, read, sep: str) -> list:
+        """read(), then read() again after each `sep`."""
+        items = [read()]
+        while self.at(sep):
+            self.next()
+            items.append(read())
+        return items
 
     # -- elements
+
+    def elements(self) -> tuple:
+        """One or more elements, comma-separated."""
+        return tuple(self.repeated(self.element, ","))
+
+    def delimited(self, open_kind: str, close_kind: str) -> tuple:
+        """open, one or more elements, close: (the elements, the close token)."""
+        self.expect(open_kind)
+        items = self.elements()
+        return items, self.expect(close_kind)
+
+    def element_list(self) -> tuple:
+        """Zero or more elements, up to the closing parenthesis."""
+        return self.elements() if self.peek() and not self.at(")") else ()
 
     def element(self):
         tok = self.peek()
         if tok is None:
-            end = len(self.text)
-            raise DslError("expected an element", (end, end))
+            raise self.end_error("expected an element")
         if tok.kind == "(":
-            self.next()
-            items = [self.element()]
-            while self.peek() and self.peek().kind == ",":
-                self.next()
-                items.append(self.element())
-            close = self.expect(")")
-            return TupleElem(tuple(items), span=(tok.start, close.end))
-        if tok.kind == "int" or (tok.kind == "name" and tok.text == "x"):
+            items, close = self.delimited("(", ")")
+            return TupleElem(items, span=(tok.start, close.end))
+        if tok.kind == "int" or (tok.kind == "name" and _is_x(tok.text)):
             poly = self.xpoly()
             if len(poly.coeffs) == 1:
                 return IntElem(poly.coeffs[0], span=poly.span)
@@ -328,92 +308,76 @@ class _Parser:
         """Sum of integer-coefficient terms in the lowercase variable x."""
         start_tok = self.peek()
         if start_tok is None:
-            end = len(self.text)
-            raise DslError("expected a polynomial", (end, end))
+            raise self.end_error("expected a polynomial")
         terms = {}
-        end = start_tok.end
-        while True:
-            coeff, exp, end = self._xterm()
+        for coeff, exp, end in self.repeated(self._xterm, "+"):
             terms[exp] = terms.get(exp, 0) + coeff
-            tok = self.peek()
-            if tok is not None and tok.kind == "+":
-                self.next()
-                continue
-            break
-        degree = max(terms) if terms else 0
-        coeffs = tuple(terms.get(k, 0) for k in range(degree + 1))
+        coeffs = tuple(terms.get(k, 0) for k in range(max(terms) + 1))
         return XPolyElem(coeffs, span=(start_tok.start, end))
 
-    def _after_star_is_x(self) -> bool:
-        if self.pos + 1 < len(self.tokens):
-            tok = self.tokens[self.pos + 1]
-            return tok.kind == "name" and tok.text == "x"
-        return False
-
     def _xterm(self):
+        """c, x^e or c*x^e (^e optional): (coefficient, exponent, end)."""
         tok = self.next()
+        coeff = 1
         if tok.kind == "int":
             coeff = int(tok.text)
-            end = tok.end
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "*" and self._after_star_is_x():
-                self.next()
-                exp, end = self._xpow()
-                return coeff, exp, end
-            return coeff, 0, end
-        if tok.kind == "name" and tok.text == "x":
-            exp, end = self._xpow_tail(tok)
-            return 1, exp, end
-        raise DslError(f"cannot parse polynomial term at {tok.text!r}",
-                       (tok.start, tok.end))
+            if not self.star_var(_is_x):
+                return coeff, 0, tok.end
+            self.next()        # the '*'
+            tok = self.next()  # the x
+        elif not (tok.kind == "name" and _is_x(tok.text)):
+            raise DslError(f"cannot parse polynomial term at {tok.text!r}",
+                           (tok.start, tok.end))
+        return (coeff, *self.power(tok))
 
-    def _xpow(self):
-        tok = self.expect("name")
-        if tok.text != "x":
-            raise DslError(f"expected x, found {tok.text!r}", (tok.start, tok.end))
-        return self._xpow_tail(tok)
+    # -- variables, shared by x-polynomials and X-literals
 
-    def _xpow_tail(self, tok):
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "^":
+    def power(self, var: Token) -> tuple:
+        """The optional ^e after the variable token `var`: (e, end)."""
+        if self.at("^"):
             self.next()
             e = self.expect("int")
             return int(e.text), e.end
-        return 1, tok.end
+        return 1, var.end
+
+    def star_var(self, is_var) -> bool:
+        """Whether '*' and then a variable name accepted by `is_var` come next."""
+        ahead = self.tokens[self.pos:self.pos + 2]
+        return (len(ahead) == 2 and ahead[0].kind == "*"
+                and ahead[1].kind == "name" and is_var(ahead[1].text))
+
+
+def _is_x(name: str) -> bool:
+    return name == "x"
+
+
+def _parse(text: str, sort: str) -> object:
+    p = _Parser(text)
+    node = p.node(sort)
+    p.done()
+    return node
 
 
 def parse_ring(text: str) -> object:
-    p = _Parser(text)
-    node = p.ring()
-    p.done()
-    return node
+    return _parse(text, "ring")
 
 
 def parse_module(text: str) -> object:
-    p = _Parser(text)
-    node = p.module()
-    p.done()
-    return node
+    return _parse(text, "module")
 
 
 def parse_algebra(text: str) -> object:
-    p = _Parser(text)
-    node = p.algebra()
-    p.done()
-    return node
+    return _parse(text, "algebra")
 
 
 def parse_dsl(text: str) -> object:
-    """Dispatch on the leading constructor name."""
+    """Parse a ring, module or algebra, the sort read off the leading name."""
     tokens = tokenize(text)
     if not tokens:
         raise DslError("empty input", (0, 0))
     head = tokens[0].text
-    if head == "Algebra":
-        return parse_algebra(text)
-    if head in MODULE_HEADS:
-        return parse_module(text)
-    return parse_ring(text)
+    rule = GRAMMAR.get(head)
+    return _parse(text, rule.sort if rule else "module" if head == "Reg" else "ring")
 
 
 # ---------------------------------------------------------------------------
@@ -424,41 +388,45 @@ def _print_elem(node) -> str:
     if isinstance(node, IntElem):
         return str(node.value)
     if isinstance(node, TupleElem):
-        return "(" + ",".join(_print_elem(i) for i in node.items) + ")"
+        return "(" + _print_elems(node.items) + ")"
     if isinstance(node, XPolyElem):
-        return "+".join(reversed(poly_terms(node.coeffs))) or "0"
+        return poly_display(node.coeffs)
     raise TypeError(f"not an element node: {node!r}")
 
 
+def _print_elems(items) -> str:
+    return ",".join(map(_print_elem, items))
+
+
 def print_node(node) -> str:
+    printed = _PRINTED.get(type(node))
+    if printed is not None:
+        head, names, args, sep = printed
+        return head + "(" + sep.join(
+            _ARGUMENTS[a][1](getattr(node, f)) for a, f in zip(args, names)) + ")"
     if isinstance(node, ZmodNode):
         return f"Z{node.n}"
-    if isinstance(node, ProdNode):
-        return f"Prod({print_node(node.left)},{print_node(node.right)})"
-    if isinstance(node, PolyQuotNode):
-        return f"PolyQuot({print_node(node.base)}, {poly_str(node.relation)})"
-    if isinstance(node, LocalizeNode):
-        elems = ",".join(_print_elem(e) for e in node.elements)
-        return f"Localize({print_node(node.ring)}, {{{elems}}})"
-    if isinstance(node, TotalQuotientNode):
-        return f"TotalQuotient({print_node(node.ring)})"
     if isinstance(node, RegNode):
         return "Reg"
-    if isinstance(node, FreeNode):
-        return f"Free({node.rank})"
-    if isinstance(node, CyclicNode):
-        return "Cyclic(" + ",".join(_print_elem(e) for e in node.generators) + ")"
-    if isinstance(node, SumNode):
-        return f"Sum({print_node(node.left)},{print_node(node.right)})"
-    if isinstance(node, HomNode):
-        return f"Hom({print_node(node.inner)})"
-    if isinstance(node, TensorNode):
-        return f"Tensor({print_node(node.module)}, {print_node(node.algebra)})"
-    if isinstance(node, AlgebraNode):
-        return f"Algebra({print_node(node.over)}, {print_node(node.base)})"
     if isinstance(node, (IntElem, TupleElem, XPolyElem)):
         return _print_elem(node)
     raise TypeError(f"cannot print {node!r}")
+
+
+# each argument sort's reader, called on the parser, and its printer
+_ARGUMENTS = {
+    "ring": (lambda p: p.node("ring"), print_node),
+    "module": (lambda p: p.node("module"), print_node),
+    "algebra": (lambda p: p.node("algebra"), print_node),
+    "int": (lambda p: int(p.expect("int").text), str),
+    "xpoly": (lambda p: p.xpoly().coeffs, poly_str),
+    "set": (lambda p: p.delimited("{", "}")[0], lambda items: "{" + _print_elems(items) + "}"),
+    "elems": (_Parser.element_list, _print_elems),
+}
+
+# node class -> (head, argument field names, argument sorts, separator)
+_PRINTED = {rule.cls: (head, [f.name for f in fields(rule.cls)][:-1], rule.args, rule.sep)
+            for head, rule in GRAMMAR.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -594,62 +562,38 @@ def parse_ext(text: str, R: FiniteRing, M: FiniteModule | None = None) -> ExtEle
     """Parse '2*X^2 + (1,0)*X + 3' or 'series(N; ...)' over R (or over M when
     given, for module-valued cofactors)."""
     p = _Parser(text)
-    tok = p.peek()
     precision = None
     variant = "monoid"
-    if tok is not None and tok.kind == "name" and tok.text == "series":
+    if p.at("name") and p.peek().text == "series":
         p.next()
         p.expect("(")
         precision = int(p.expect("int").text)
         p.expect(";")
         variant = "series"
-    support: dict = {}
-    arity = 1
-    base = M if M is not None else R
-    base_kind = "module" if M is not None else "ring"
-    add = base.add if M is not None else R.add
-    zero = base.zero
-    while True:
-        coeff, exp = _parse_ext_term(p, R)
-        arity = max(arity, len(exp))
-        support.setdefault(exp, [])
-        support[exp].append(coeff)
-        nxt = p.peek()
-        if nxt is not None and nxt.kind == "+":
-            p.next()
-            continue
-        break
+    terms = p.repeated(lambda: _parse_ext_term(p, R), "+")
     if variant == "series":
         p.expect(")")
     p.done()
-    merged = {}
-    for exp, coeffs in support.items():
-        exp = tuple(list(exp) + [0] * (arity - len(exp)))
-        total = zero
-        for c in coeffs:
-            total = add(total, c)
-        if total != zero:
-            if exp in merged:
-                merged[exp] = add(merged[exp], total)
-            else:
-                merged[exp] = total
-    return make_ext(base_kind, base, merged, variant, arity, precision)
+    base = R if M is None else M
+    arity = max(len(exp) for _, exp in terms)
+    support: dict = {}
+    for coeff, exp in terms:
+        exp += (0,) * (arity - len(exp))
+        support[exp] = base.add(support.get(exp, base.zero), coeff)
+    return make_ext("ring" if M is None else "module", base, support, variant,
+                    arity, precision)
 
 
 def _parse_ext_term(p: _Parser, R: FiniteRing):
     tok = p.peek()
     if tok is None:
-        raise DslError("expected a term", (len(p.text), len(p.text)))
+        raise p.end_error("expected a term")
     if tok.kind == "name" and _is_ext_var(tok.text):
-        exp = _parse_ext_mono(p)
-        return R.one, exp
-    coeff_node = p.element()
-    coeff = resolve_element(coeff_node, R)
-    nxt = p.peek()
-    if nxt is not None and nxt.kind == "*":
+        return R.one, _parse_ext_mono(p)
+    coeff = resolve_element(p.element(), R)
+    if p.at("*"):
         p.next()
-        exp = _parse_ext_mono(p)
-        return coeff, exp
+        return coeff, _parse_ext_mono(p)
     return coeff, (0,)
 
 
@@ -658,6 +602,7 @@ def _is_ext_var(name: str) -> bool:
 
 
 def _parse_ext_mono(p: _Parser) -> tuple:
+    """X-variables joined by '*', each with an optional ^e: an exponent tuple."""
     exps: dict = {}
     while True:
         tok = p.expect("name")
@@ -667,23 +612,9 @@ def _parse_ext_mono(p: _Parser) -> tuple:
         index = 0 if tok.text == "X" else int(tok.text[1:]) - 1
         if index < 0:
             raise DslError("X variables are numbered from 1", (tok.start, tok.end))
-        e = 1
-        nxt = p.peek()
-        if nxt is not None and nxt.kind == "^":
-            p.next()
-            e = int(p.expect("int").text)
+        e, _ = p.power(tok)
         exps[index] = exps.get(index, 0) + e
-        nxt = p.peek()
-        if nxt is not None and nxt.kind == "*" and _next_is_var(p):
-            p.next()
-            continue
-        break
-    arity = max(exps) + 1
-    return tuple(exps.get(i, 0) for i in range(arity))
-
-
-def _next_is_var(p: _Parser) -> bool:
-    if p.pos + 1 < len(p.tokens):
-        tok = p.tokens[p.pos + 1]
-        return tok.kind == "name" and _is_ext_var(tok.text)
-    return False
+        if not p.star_var(_is_ext_var):
+            break
+        p.next()
+    return tuple(exps.get(i, 0) for i in range(max(exps) + 1))

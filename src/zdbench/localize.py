@@ -104,10 +104,6 @@ def _finish(loc: Localization) -> Localization:
     return loc
 
 
-def _set_display(R: FiniteRing, S: MultiplicativeSet) -> str:
-    return ",".join(R.element_str(e) for e in R.sorted_elements(S.elements))
-
-
 def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
     """R_S presented as a FiniteRing so every ring predicate applies unchanged."""
     if not R.same_ring(S.ring):
@@ -120,7 +116,7 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
         tables=represented_tables(R, cls, reps),
         zero=to_class[R.zero],
         one=to_class[R.one],
-        descriptor=f"Localize({R.descriptor}, {{{_set_display(R, S)}}})",
+        descriptor=f"Localize({R.descriptor}, {S.display()})",
         element_str=R.element_str,
         allow_trivial=True,
     )
@@ -142,7 +138,7 @@ def localize_module(M: FiniteModule, S: MultiplicativeSet,
     # the action on M/K is independent of the R_S representative chosen
     structure = module_on_representatives(
         M, ring_localization.structure, cls, reps,
-        f"Localize({M.tag}, {{{_set_display(R, S)}}})")
+        f"Localize({M.tag}, {S.display()})")
     return _finish(Localization(
         source=M, kind="module", mult_set=S, act=M.act, kernel=K,
         structure=structure, to_class=to_class))

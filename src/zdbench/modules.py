@@ -151,8 +151,7 @@ def cyclic_module(R: FiniteRing, I: Ideal, tag: str | None = None) -> FiniteModu
     if not R.same_ring(I.ring):
         raise ValueError("cyclic module: ideal belongs to a different ring")
     if tag is None:
-        gens = ",".join(R.element_str(g) for g in I.generators)
-        tag = f"Cyclic({gens})"
+        tag = "Cyclic" + R.tuple_str(I.generators)
     return quotient_module(regular_module(R), I.elements, tag)
 
 
@@ -182,7 +181,7 @@ def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModul
         zero=tuple([M.zero] * t),
         tables=sum_tables((M,) * t, lambda: ((row,) * t for row in M.rows)),
         tag=tag or f"{M.tag}^{t}",
-        element_str=lambda u: "(" + ",".join(M.element_str(a) for a in u) + ")",
+        element_str=M.tuple_str,
     )
 
 

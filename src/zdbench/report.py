@@ -54,8 +54,7 @@ def _verdict_section(verdict, R, M, kind) -> dict:
             owner = M if kind == "content" else R
             display = owner.element_str(verdict.witness["element"])
         elif "ideal" in verdict.witness:
-            display = "(" + ",".join(R.element_str(g)
-                                     for g in verdict.witness["ideal"]) + ")"
+            display = R.tuple_str(verdict.witness["ideal"])
         out["witness"] = {
             "kind": kind, "ring": R.descriptor, "module": M.tag,
             "value": to_jsonable(value), "display": display,
@@ -79,9 +78,8 @@ def analyze_report(ring_text: str, module_text: str,
             "is_field": preds.is_field,
             "is_domain": preds.is_domain,
             "is_local": preds.is_local,
-            "maximal_ideals": [
-                "(" + ",".join(R.element_str(g) for g in I.small_generators()) + ")"
-                for I in preds.maximal_ideals],
+            "maximal_ideals": [R.tuple_str(I.small_generators())
+                               for I in preds.maximal_ideals],
             "ideal_count": len(R.ideals()),
             "zero_divisors": _zd_section(R, R.zero_divisors()),
             "units": _zd_section(R, R.units()),
@@ -98,8 +96,7 @@ def analyze_report(ring_text: str, module_text: str,
         "size": M.size,
         "is_zero": M.is_zero,
         "zero_divisors": _zd_section(S, zero_divisors_module(M)),
-        "annihilator": "(" + ",".join(
-            S.element_str(g) for g in ann(M).small_generators()) + ")",
+        "annihilator": S.tuple_str(ann(M).small_generators()),
         "auslander": _verdict_section(ausl, S, M, "auslander"),
         "torsion_free": _verdict_section(tf, S, M, "torsion_free"),
         "property_a": _verdict_section(prop_a, S, M, "property_a"),

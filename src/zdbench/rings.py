@@ -94,6 +94,10 @@ class Carrier:
     def element_str(self, x):
         return self._element_str(x)
 
+    def tuple_str(self, xs) -> str:
+        """(x1,x2,...): how a tuple of elements, or a generator list, displays."""
+        return "(" + ",".join(map(self.element_str, xs)) + ")"
+
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
@@ -315,7 +319,7 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
         zero=tuple([0] * d),
         one=tuple([1] + [0] * (d - 1)),
         descriptor=f"PolyQuot({base.descriptor}, {poly_str(rel)})",
-        element_str=lambda u: "+".join(poly_terms(u)) or "0",
+        element_str=poly_display,
     )
 
 
@@ -331,6 +335,11 @@ def poly_terms(coeffs) -> list[str]:
             mono = "x" if k == 1 else f"x^{k}"
             terms.append(mono if c == 1 else f"{c}*{mono}")
     return terms
+
+
+def poly_display(coeffs) -> str:
+    """Display of a polynomial-quotient element, constant term first."""
+    return "+".join(poly_terms(coeffs)) or "0"
 
 
 def poly_str(coeffs: tuple[int, ...]) -> str:
@@ -520,8 +529,7 @@ class Ideal:
         return hash((self.ring.descriptor, self.elements))
 
     def __repr__(self):
-        gens = ",".join(self.ring.element_str(g) for g in self.generators)
-        return f"Ideal({self.ring.descriptor}: ({gens}))"
+        return f"Ideal({self.ring.descriptor}: {self.ring.tuple_str(self.generators)})"
 
     def __len__(self):
         return len(self.elements)
@@ -641,9 +649,13 @@ class MultiplicativeSet:
             if R.rows[a][b] not in members:
                 raise ValueError(f"set not closed under multiplication at {e!r}*{f!r}")
 
+    def display(self) -> str:
+        """{s1,s2,...}: the members' displays in carrier order."""
+        R = self.ring
+        return "{" + ",".join(map(R.element_str, R.sorted_elements(self.elements))) + "}"
+
     def __repr__(self):
-        elems = ",".join(self.ring.element_str(e) for e in self.ring.sorted_elements(self.elements))
-        return f"MultSet({self.ring.descriptor}: {{{elems}}})"
+        return f"MultSet({self.ring.descriptor}: {self.display()})"
 
 
 def multiplicative_closure(R: FiniteRing, seed: Iterable) -> MultiplicativeSet:

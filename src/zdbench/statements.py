@@ -87,10 +87,6 @@ def _member(R, M) -> str:
     return f"{R.descriptor} :: {M.tag}"
 
 
-def _set_str(R, S) -> str:
-    return "{" + ",".join(R.element_str(s) for s in R.sorted_elements(S.elements)) + "}"
-
-
 def witness_entry(kind, *, ring=None, module=None, algebra=None, value=None,
                   display="", variant=None) -> dict:
     entry = {"kind": kind, "display": display, "value": to_jsonable(value)}
@@ -226,7 +222,7 @@ def _ext_profile(U: Universe, R, M, variant: str):
         if zd_ring != zd_mod and (ausl if zd_ring else tf):
             wit = witness_entry("ext_ideal", ring=R, module=M,
                                 value=gens, variant=variant,
-                                display="c(f) = (" + ",".join(map(R.element_str, gens)) + ")")
+                                display="c(f) = " + R.tuple_str(gens))
             if zd_ring:
                 ausl, ausl_wit = False, wit
             else:
@@ -421,7 +417,7 @@ def _prop_2_3(U: Universe, rep: StatementReport):
             ring_loc = _localization_of(U, R, S)
             mod_loc = localize_module(M, S, ring_loc)
             MS = mod_loc.structure
-            s_display = _set_str(R, S)
+            s_display = S.display()
             has_ring_zd = any(s in zr and s != R.zero for s in S.elements)
             verdict = is_auslander(MS)
             if has_ring_zd:
@@ -549,7 +545,7 @@ def _rem_3_3_1(U: Universe, rep: StatementReport):
         for S in all_mult_closed_subsets(R, candidates):
             loc = _localization_of(U, R, S)
             RS_mod = localized_ring_as_base_module(loc)
-            member = f"{R.descriptor} @ S={_set_str(R, S)}"
+            member = f"{R.descriptor} @ S={S.display()}"
             rep.applicable.append(member)
             rep.checked += 1
             z_loc = zero_divisors_module(RS_mod)
@@ -559,6 +555,13 @@ def _rem_3_3_1(U: Universe, rep: StatementReport):
             if not (is_torsion_free(RS_mod).holds and is_auslander(RS_mod).holds):
                 rep.failures.append({"member": member,
                                      "reason": "not torsion-free Auslander"})
+
+
+def _z_torsion_witness(case, k: int) -> dict:
+    """Z/n's torsion witness k; keys in this order, which the pinned report
+    holds, not witness_entry's."""
+    return {"kind": "torsion_free", "ring": "Z", "module": case.case_id,
+            "value": k, "display": str(k)}
 
 
 def _rem_3_3_2(U: Universe, rep: StatementReport):
@@ -573,9 +576,7 @@ def _rem_3_3_2(U: Universe, rep: StatementReport):
         if not ok:
             rep.failures.append({"member": f"Z :: {case.case_id}"})
         else:
-            torsion_witnesses.append({
-                "kind": "torsion_free", "ring": "Z", "module": case.case_id,
-                "value": witness, "display": str(witness)})
+            torsion_witnesses.append(_z_torsion_witness(case, witness))
     rep.extra["torsion_free_witnesses"] = torsion_witnesses
 
 
@@ -907,15 +908,12 @@ def z_adapter_check(case_id: str) -> dict:
     if case.degenerate:
         return {"case": case.case_id, "degenerate": True, "excluded": True}
     tf = case.is_torsion_free()
-    witness = tf.witness["element"]
     return {
         "case": case.case_id,
         "degenerate": False,
         "auslander": case.is_auslander().holds,
         "torsion_free": tf.holds,
-        "torsion_free_witness": {
-            "kind": "torsion_free", "ring": "Z", "module": case.case_id,
-            "value": witness, "display": str(witness)},
+        "torsion_free_witness": _z_torsion_witness(case, tf.witness["element"]),
         "zero_divisors_contain_ideal_n": case.contains_ideal_n(),
         "zero_divisor_rule": case.zero_divisor_description(),
     }

@@ -40,6 +40,12 @@ class UniverseLimits:
     series_precision: int = 8
     axiom_check_max: int = 64
 
+    def __post_init__(self):
+        for f in fields(self):
+            least = 1 if f.name == "series_precision" else 0
+            if getattr(self, f.name) < least:
+                raise ValueError(f"{f.name} must be >= {least}, got {getattr(self, f.name)}")
+
     def as_dict(self) -> dict:
         """The limits reports echo, in field order.  `axiom_check_max` is left
         out: the pinned report digests predate it, so echoing it is a report

@@ -7,8 +7,8 @@ from zdbench.dsl import (AlgebraNode, CyclicNode, FreeNode, HomNode, IntElem,
                          LocalizeNode, PolyQuotNode, ProdNode, RegNode,
                          SumNode, TensorNode, TupleElem, TotalQuotientNode,
                          XPolyElem, ZmodNode, build_algebra, build_module,
-                         build_ring, parse_dsl, parse_ext, parse_module,
-                         parse_ring, print_node)
+                         build_ring, parse_algebra, parse_dsl, parse_ext,
+                         parse_module, parse_ring, print_node)
 from zdbench.errors import DslError
 from zdbench.modules import regular_module
 from zdbench.rings import Zmod
@@ -221,3 +221,98 @@ def test_literals_over_localized_rings_resolve_to_classes():
     assert dsl.resolve_element(node, R) == (1, 0)
     Q = build_ring("TotalQuotient(Z12)")
     assert dsl.resolve_element(IntElem(14), Q) == 2
+
+
+_PARSERS = {"ring": parse_ring, "module": parse_module, "algebra": parse_algebra,
+            "dsl": parse_dsl, "ext": lambda text: parse_ext(text, Zmod(4))}
+
+# (parser, input, outcome): an error's text with its span, a parsed node with
+# its span, or a literal's (arity, support) over Z4
+_OUTCOMES = [
+    ("ring", "Reg", "unknown ring constructor 'Reg' (at 0..3)"),
+    ("ring", "", "unexpected end of input (at 0..0)"),
+    ("ring", "Z", "unknown ring constructor 'Z' (at 0..1)"),
+    ("ring", "Prod(Z2 Z2)", "expected ',', found 'Z2' (at 8..10)"),
+    ("ring", "Prod(Z2,Z2", "unexpected end of input (at 10..10)"),
+    ("ring", "Z6 trailing", "trailing input 'trailing' (at 3..11)"),
+    ("ring", "Z2$", "unexpected character '$' (at 2..3)"),
+    ("ring", "(Z2)", "expected 'name', found '(' (at 0..1)"),
+    ("ring", "Prod(Z2,Reg)", "unknown ring constructor 'Reg' (at 8..11)"),
+    ("ring", "Algebra(Z4, Z4)", "unknown ring constructor 'Algebra' (at 0..7)"),
+    ("ring", "PolyQuot(Z2,", "expected a polynomial (at 12..12)"),
+    ("ring", "PolyQuot(Z2, x^)", "expected 'int', found ')' (at 15..16)"),
+    ("ring", "PolyQuot(Z2, y)", "cannot parse polynomial term at 'y' (at 13..14)"),
+    ("ring", "PolyQuot(Z2, x + )", "cannot parse polynomial term at ')' (at 17..18)"),
+    ("ring", "PolyQuot(Z4, x*x)", "expected ')', found '*' (at 14..15)"),
+    ("ring", "Localize(Z6, {})", "cannot parse element at '}' (at 14..15)"),
+    ("ring", "Localize(Z6, {", "expected an element (at 14..14)"),
+    ("ring", "Localize(Z6, 1)", "expected '{', found '1' (at 13..14)"),
+    ("ring", "TotalQuotient(Z6", "unexpected end of input (at 16..16)"),
+    ("ring", "Localize(Z6, {1,x^2+2*x})",
+     LocalizeNode(ZmodNode(6), (IntElem(1), XPolyElem((0, 2, 1))), span=(0, 25))),
+    ("module", "Z6", "unknown module constructor 'Z6' (at 0..2)"),
+    ("module", "Hom(Reg,Reg)", "expected ')', found ',' (at 7..8)"),
+    ("module", "Tensor(Reg, Prod(Z2,Z2))", "expected Algebra(...), found 'Prod' (at 12..16)"),
+    ("module", "Cyclic(x*x)", "expected ')', found '*' (at 8..9)"),
+    ("module", "Cyclic(2*y)", "expected ')', found '*' (at 8..9)"),
+    ("module", "Cyclic(1,)", "cannot parse element at ')' (at 9..10)"),
+    ("module", "Cyclic(())", "cannot parse element at ')' (at 8..9)"),
+    ("module", "Cyclic(X)", "cannot parse element at 'X' (at 7..8)"),
+    ("module", "Cyclic(", "unexpected end of input (at 7..7)"),
+    ("module", "Free()", "expected 'int', found ')' (at 5..6)"),
+    ("module", "Free(x)", "expected 'int', found 'x' (at 5..6)"),
+    ("module", "Sum(Reg)", "expected ',', found ')' (at 7..8)"),
+    ("module", "Reg(1)", "trailing input '(' (at 3..6)"),
+    ("module", "Cyclic(2*x^3 + x + 2*x, (1,x))",
+     CyclicNode((XPolyElem((0, 3, 0, 2)), TupleElem((IntElem(1), XPolyElem((0, 1))))),
+                span=(0, 30))),
+    ("algebra", "Reg", "expected Algebra(...), found 'Reg' (at 0..3)"),
+    ("algebra", "Algebra(Z4)", "expected ',', found ')' (at 10..11)"),
+    ("algebra", "Algebra(Z4, Z4, Z4)", "expected ')', found ',' (at 14..15)"),
+    ("dsl", "", "empty input (at 0..0)"),
+    ("dsl", "   ", "empty input (at 0..0)"),
+    ("dsl", "Nope(1)", "unknown ring constructor 'Nope' (at 0..4)"),
+    ("dsl", ")", "expected 'name', found ')' (at 0..1)"),
+    ("dsl", "Algebra(Z4,Reg)", "unknown ring constructor 'Reg' (at 11..14)"),
+    ("dsl", "Free(2)", FreeNode(2, span=(0, 7))),
+    ("ext", "X0", "X variables are numbered from 1 (at 0..2)"),
+    ("ext", "2*X*Y", "trailing input '*' (at 3..5)"),
+    ("ext", "2*Y", "expected an X variable, found 'Y' (at 2..3)"),
+    ("ext", "2*x", "polynomial element not valid in Z4 (at 0..3)"),
+    ("ext", "Y", "cannot parse element at 'Y' (at 0..1)"),
+    ("ext", "X^", "unexpected end of input (at 2..2)"),
+    ("ext", "", "expected a term (at 0..0)"),
+    ("ext", "X +", "expected a term (at 3..3)"),
+    ("ext", "series(8 2)", "expected ';', found '2' (at 9..10)"),
+    ("ext", "series(8; X", "unexpected end of input (at 11..11)"),
+    ("ext", "series(2; X^3)", "exponent 3 at or past series precision 2"),
+    ("ext", "X1*X1^2 + 3*X2", (2, {(3, 0): 1, (0, 1): 3})),
+    ("ext", "2*X^1 + 3*X2^2*X1", (2, {(1, 0): 2, (1, 2): 3})),
+    ("ext", "X2 + X + 2 + 2", (2, {(1, 0): 1, (0, 1): 1})),
+    ("ext", "X + X1*X2 + 3*X", (2, {(1, 1): 1})),
+    ("ext", "X1^2 + X1*X1", (1, {(2,): 2})),
+    ("ext", "X + X + X + X", (1, {})),
+]
+
+
+def test_malformed_and_edge_inputs():
+    wrong = []
+    for parser, text, outcome in _OUTCOMES:
+        try:
+            got = _PARSERS[parser](text)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            got = (got.arity, dict(got.support)) if parser == "ext" else (got, got.span)
+            outcome = outcome if parser == "ext" else (outcome, outcome.span)
+        if got != outcome:
+            wrong.append((parser, text, got))
+    assert wrong == []
+
+
+def test_universe_descriptors_print_back_to_themselves(universe):
+    texts = [(parse_ring, R.descriptor) for R in universe.rings]
+    for R in universe.rings:
+        texts += [(parse_module, M.tag) for M in universe.modules[R.descriptor]]
+        texts += [(parse_algebra, B.descriptor) for B in universe.algebras[R.descriptor]]
+    assert [text for parse, text in texts if print_node(parse(text)) != text] == []

@@ -185,6 +185,19 @@ def test_cli_dsl_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--degree-bound", "-1", "degree_bound"),
+    ("--series-precision", "0", "series_precision"),
+    ("--max-module", "-5", "max_module"),
+])
+def test_cli_out_of_range_limit_is_a_usage_error(capsys, option, value, field):
+    code = main(["theorems", option, value, "--suite", "lem-2.7", "--zmod-max", "3",
+                 "--no-products"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 def test_cli_theorems_small(capsys):
     code = main(["theorems", "--suite", "rem-3.3-3", "--zmod-max", "4",
                  "--max-module", "20"])
