@@ -21,6 +21,7 @@ and every descriptor and tag the constructions write prints back to itself.
 from __future__ import annotations
 
 import logging
+import string
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -40,6 +41,14 @@ log = logging.getLogger(__name__)
 # tokens
 
 _SYMBOLS = set("(){},+*^;")
+# ASCII only: str.isdigit and str.isalnum also accept digits such as '²'
+_DIGITS = set(string.digits)
+_NAME_START = set(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
+
+
+def _is_number(text: str) -> bool:
+    return text != "" and set(text) <= _DIGITS
 
 
 @dataclass(frozen=True)
@@ -63,13 +72,13 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         j = i + 1
-        if ch.isdigit():
+        if ch in _DIGITS:
             kind = "int"
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-        elif ch.isalpha() or ch == "_":
+        elif ch in _NAME_START:
             kind = "name"
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
         else:
             raise DslError(f"unexpected character {ch!r}", (i, i + 1))
@@ -250,7 +259,7 @@ class _Parser:
         with its arguments."""
         tok = self.expect("name")
         head, span = tok.text, (tok.start, tok.end)
-        if sort == "ring" and head.startswith("Z") and head[1:].isdigit():
+        if sort == "ring" and head.startswith("Z") and _is_number(head[1:]):
             return ZmodNode(int(head[1:]), span=span)
         if sort == "module" and head == "Reg":
             return RegNode(span=span)
@@ -305,14 +314,16 @@ class _Parser:
         raise DslError(f"cannot parse element at {tok.text!r}", (tok.start, tok.end))
 
     def xpoly(self) -> XPolyElem:
-        """Sum of integer-coefficient terms in the lowercase variable x."""
+        """Sum of integer-coefficient terms in the lowercase variable x, with
+        zero coefficients above the leading one dropped."""
         start_tok = self.peek()
         if start_tok is None:
             raise self.end_error("expected a polynomial")
         terms = {}
         for coeff, exp, end in self.repeated(self._xterm, "+"):
             terms[exp] = terms.get(exp, 0) + coeff
-        coeffs = tuple(terms.get(k, 0) for k in range(max(terms) + 1))
+        degree = max((k for k, c in terms.items() if c), default=0)
+        coeffs = tuple(terms.get(k, 0) for k in range(degree + 1))
         return XPolyElem(coeffs, span=(start_tok.start, end))
 
     def _xterm(self):
@@ -598,7 +609,7 @@ def _parse_ext_term(p: _Parser, R: FiniteRing):
 
 
 def _is_ext_var(name: str) -> bool:
-    return name == "X" or (name.startswith("X") and name[1:].isdigit())
+    return name == "X" or (name.startswith("X") and _is_number(name[1:]))
 
 
 def _parse_ext_mono(p: _Parser) -> tuple:

@@ -2,13 +2,15 @@
 
 Every statement is one row of `STATEMENTS`: its id, its description, the
 sweep that checks it, the sweep's arguments and the static notes of its
-report.  Twenty-one rows run over four shared sweeps (an implication over the
-universe pairs, the extension-ring transfer, the McCoy tensor transfer and
-direct sums); the other twelve have sweeps of their own.  A sweep visits the
-universe members satisfying the statement's hypotheses, evaluates its
-conclusion, and reports pass/fail with re-checkable witnesses.  A statement
-never asserts on members failing its hypotheses, and zero applicable members
-surfaces as a warning instead of a silent pass.
+report.  Twenty-seven rows run over six shared sweeps (an implication over the
+universe pairs, the extension-ring transfer, the McCoy tensor transfer,
+direct sums, an independent re-derivation per pair or algebra, and one per
+part of a small pair); the other six have sweeps of their own.  A sweep
+visits the universe members satisfying the statement's hypotheses, evaluates
+its conclusion, and reports pass/fail with re-checkable witnesses through
+`StatementReport.visit`.  A statement never asserts on members failing its
+hypotheses, and zero applicable members surfaces as a warning instead of a
+silent pass.
 
 Hypotheses and conclusions are named by one predicate vocabulary, which the
 counterexample `search` reads too.
@@ -43,7 +45,7 @@ from .modules import (all_submodules, ann, content_of_element,
                       tensor_with_algebra, zero_divisors_module)
 from .rings import (Zmod, all_mult_closed_subsets, ideal_generated,
                     product_ring, ring_predicates)
-from .universe import Universe, ZAdapterCase, ZRegularCase, z_adapter_cases
+from .universe import Universe, ZAdapterCase, z_adapter_cases
 
 
 @dataclass
@@ -62,6 +64,15 @@ class StatementReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def visit(self, member: str, failure: dict | None = None) -> bool:
+        """Count `member` as applicable and checked; a `failure`'s fields are
+        recorded under its name.  Whether it passed."""
+        self.applicable.append(member)
+        self.checked += 1
+        if failure is not None:
+            self.failures.append({"member": member, **failure})
+        return failure is None
 
     def finish(self) -> "StatementReport":
         if not self.applicable:
@@ -150,6 +161,35 @@ _ALGEBRA_VOCABULARY = {
 }
 
 
+# the integer adapter's facts, keyed by the vocabulary's names; `_implication`
+# and `search` both read them
+_ADAPTER_FACTS = {
+    # Z/n over Z for n >= 2; flatness and friends are analytic facts
+    "quotient": {
+        "auslander": True, "torsion_free": False, "reg_module": False,
+        "nonzero": True, "domain": True, "field": False, "local": False,
+        "flat": False, "faithfully_flat": False, "property_a": True,
+        "zero_annihilator": False,
+    },
+    # Z over itself
+    "regular": {
+        "auslander": True, "torsion_free": True, "reg_module": True,
+        "nonzero": True, "domain": True, "field": False, "local": False,
+        "flat": True, "faithfully_flat": True, "property_a": True,
+        "content_module": True, "content_surjective": True,
+        "zero_annihilator": True,
+    },
+}
+
+
+def _adapter_members(z_label: str = "Z"):
+    """(facts, member names) of the integer adapter: Z/n over Z, then Z over
+    itself, named `z_label`."""
+    return ((_ADAPTER_FACTS["quotient"],
+             [f"Z :: {case.case_id}" for case in z_adapter_cases()]),
+            (_ADAPTER_FACTS["regular"], [f"Z :: {z_label}"]))
+
+
 def _meets(rep: StatementReport, U: Universe, R, M, hyp) -> bool:
     """Whether (R, M) meets every named hypothesis; a bound hit is a noted skip."""
     try:
@@ -160,15 +200,12 @@ def _meets(rep: StatementReport, U: Universe, R, M, hyp) -> bool:
 
 
 def _check(rep: StatementReport, member: str, concl, U: Universe, R, X) -> bool:
-    """Count `member` as checked on X; a failing conclusion is a failure."""
-    rep.applicable.append(member)
-    rep.checked += 1
+    """Visit `member`, checked on X; a failing conclusion is a failure."""
     for name in concl:
         verdict = _PAIR_VOCABULARY[name](U, R, X)
         if not verdict:
-            rep.failures.append({"member": member, "witness": verdict.witness})
-            return False
-    return True
+            return rep.visit(member, {"witness": verdict.witness})
+    return rep.visit(member)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +217,8 @@ def _implication(U: Universe, rep: StatementReport, hyp, concl, hom=False,
     """Every nonzero pair meeting `hyp` satisfies `concl`, on M itself or, with
     `hom`, on its module of linear self-maps.
 
-    `adapter` = (with the Z/n cases, label of Z itself) adds integer-adapter
-    members, whose conclusions their own classes decide analytically."""
+    `adapter`, the name of Z over itself, adds the integer-adapter members
+    that meet `hyp`, deciding them by their analytic facts."""
     for R, M in _nonzero_pairs(U):
         if not _meets(rep, U, R, M, hyp):
             continue
@@ -194,15 +231,11 @@ def _implication(U: Universe, rep: StatementReport, hyp, concl, hom=False,
                       lambda: hom_module(M, budget=U.limits.hom_budget))
         _check(rep, _member(R, M), concl, U, R, X)
     if adapter is not None:
-        with_quotients, z_label = adapter
-        members = [(f"Z :: {case.case_id}", case)
-                   for case in (z_adapter_cases() if with_quotients else [])]
-        members.append((f"Z :: {z_label}", ZRegularCase()))
-        for label, case in members:
-            rep.applicable.append(label)
-            rep.checked += 1
-            if not all(getattr(case, f"is_{name}")().holds for name in concl):
-                rep.failures.append({"member": f"Z :: {case.case_id}"})
+        for facts, members in _adapter_members(adapter):
+            if all(facts.get(name, False) for name in hyp):
+                holds = all(facts.get(name, False) for name in concl)
+                for member in members:
+                    rep.visit(member, None if holds else {})
 
 
 def _ext_profile(U: Universe, R, M, variant: str):
@@ -240,8 +273,6 @@ def _extension_iff(U: Universe, rep: StatementReport, variant: str,
             continue
         if side in ("auslander", "both") and not has_property_A(M).holds:
             continue
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
         ausl_ext, tf_ext, ausl_wit, tf_wit = _memo(
             U, ("extp", R.descriptor, M.tag, variant),
             lambda: _ext_profile(U, R, M, variant))
@@ -256,13 +287,11 @@ def _extension_iff(U: Universe, rep: StatementReport, variant: str,
         else:
             agree = (ausl_ext and tf_ext) == (base_ausl and base_tf)
             wit = ausl_wit or tf_wit
-        if not agree:
-            rep.failures.append({
-                "member": _member(R, M),
-                "extension": {"auslander": ausl_ext, "torsion_free": tf_ext},
-                "base": {"auslander": base_ausl, "torsion_free": base_tf},
-                "witness": wit,
-            })
+        rep.visit(_member(R, M), None if agree else {
+            "extension": {"auslander": ausl_ext, "torsion_free": tf_ext},
+            "base": {"auslander": base_ausl, "torsion_free": base_tf},
+            "witness": wit,
+        })
 
 
 def _mccoy_algebras_of(U: Universe, R):
@@ -298,12 +327,9 @@ def _mccoy_tensor(U: Universe, rep: StatementReport, flat: bool, concl):
                 if not alg.is_trivial_extension:
                     nontrivial.append(member)
                 if T.is_zero:
-                    rep.applicable.append(member)
-                    rep.checked += 1
-                    rep.failures.append({"member": member,
-                                         "reason": "tensor collapsed to zero"})
-                    continue
-                _check(rep, member, concl, U, alg.ring, T)
+                    rep.visit(member, {"reason": "tensor collapsed to zero"})
+                else:
+                    _check(rep, member, concl, U, alg.ring, T)
     rep.extra["nontrivial_applicable"] = nontrivial
 
 
@@ -330,75 +356,121 @@ def _summands(U: Universe, rep: StatementReport, flat: bool, concl, labels):
                     triple_done = True
 
 
+_PARTWISE_MAX = 64
+
+
+def _recheck(U: Universe, rep: StatementReport, check, algebras: bool = False):
+    """Visit every nonzero pair (every universe algebra, with `algebras`);
+    `check(R, X)` recomputes a verdict independently and returns the fields
+    of a failure, or None."""
+    if algebras:
+        members = ((alg.descriptor, R, alg) for R, alg in U.all_algebras())
+    else:
+        members = ((_member(R, M), R, M) for R, M in _nonzero_pairs(U))
+    for member, R, X in members:
+        rep.visit(member, check(R, X))
+
+
+def _partwise(U: Universe, rep: StatementReport, parts, check):
+    """Every nonzero pair with |M| <= _PARTWISE_MAX is one applicable member,
+    checked once per part in `parts(M)`; `check(R, M, part)` returns the
+    fields of a failure, or None.  A bound hit in `parts` is a noted skip."""
+    for R, M in _nonzero_pairs(U):
+        if M.size > _PARTWISE_MAX:
+            continue
+        member = _member(R, M)
+        try:
+            items = parts(M)
+        except BoundExceeded as exc:
+            rep.notes.append(f"skipped {member}: {exc}")
+            continue
+        rep.applicable.append(member)
+        for part in items:
+            rep.checked += 1
+            failure = check(R, M, part)
+            if failure is not None:
+                rep.failures.append({"member": member, **failure})
+
+
+# ---------------------------------------------------------------------------
+# independent re-derivations, the rows of `_recheck` and `_partwise`
+
+
+def _auslander_inclusion(R, M):
+    """The Auslander verdict against Z(R) within Z(M) from raw scans."""
+    zr = R.zero_divisors() - {R.zero}
+    zm = zero_divisors_module(M) - {R.zero}
+    v = is_auslander(M)
+    if v.holds != zr.issubset(zm):
+        return {"verdict": v.holds}
+    if not v.holds:
+        r = v.witness["element"]
+        if r not in zr or r in zm:
+            return {"witness_invalid": to_jsonable(r)}
+    return None
+
+
+def _content_meet(R, M, m):
+    """c(m) against the meet of the lattice ideals I with m in IM."""
+    qualifying = [I for I in R.ideals() if m in ideal_action(I, M).elements]
+    if not qualifying:
+        return {"element": to_jsonable(m), "reason": "no qualifying ideal"}
+    expected = frozenset.intersection(*[I.elements for I in qualifying])
+    c = content_of_element(M, m)
+    if c.elements != expected or not all(c.elements <= I.elements for I in qualifying):
+        return {"element": to_jsonable(m)}
+    return None
+
+
+def _submodule_zero_divisors(R, M, N):
+    """Z(N) within Z(M), so an Auslander N forces M to be Auslander."""
+    zm = zero_divisors_module(M)
+    Nmod = N.as_module()
+    if not zero_divisors_module(Nmod) <= zm:
+        return {"submodule_size": len(N.elements), "reason": "Z(N) not within Z(M)"}
+    if is_auslander(Nmod).holds and not is_auslander(M).holds:
+        return {"submodule_size": len(N.elements),
+                "reason": "Auslander submodule but M not Auslander"}
+    return None
+
+
+def _property_a_direct(R, M):
+    """Property (A) against a direct scan: each ideal inside Z(M) u {0}
+    kills a nonzero element."""
+    v = has_property_A(M)
+    zm = zero_divisors_module(M) - {R.zero}
+    direct = True
+    offending = None
+    for I in R.ideals():
+        if not (I.elements - {R.zero}) <= zm:
+            continue
+        if not any(m != M.zero and all(M.act(a, m) == M.zero for a in I.elements)
+                   for m in M.elements):
+            direct = False
+            offending = I.small_generators()
+            break
+    if v.holds and direct:
+        return None
+    return {"verdict": v.holds, "direct_recheck": direct,
+            "ideal": to_jsonable(offending), "witness": v.witness}
+
+
+def _ohm_rush_identity(R, alg):
+    v = is_ohm_rush(alg)
+    return None if v.holds else {"witness": v.witness}
+
+
+def _torsion_free_kernel(R, M):
+    """Torsion-freeness against the kernel of M -> M (x) Q."""
+    kernel_trivial = natural_map_kernel(M).is_zero
+    v = is_torsion_free(M)
+    if kernel_trivial == v.holds:
+        return None
+    return {"kernel_trivial": kernel_trivial, "inclusion_verdict": v.holds}
+
+
 # ---------------------------------------------------------------------------
 # statements with sweeps of their own
-
-
-def _def_2_1(U: Universe, rep: StatementReport):
-    for R, M in _nonzero_pairs(U):
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        zr = R.zero_divisors() - {R.zero}
-        zm = zero_divisors_module(M) - {R.zero}
-        v = is_auslander(M)
-        if v.holds != zr.issubset(zm):
-            rep.failures.append({"member": _member(R, M), "verdict": v.holds})
-        elif not v.holds:
-            r = v.witness["element"]
-            if r not in zr or r in zm:
-                rep.failures.append({"member": _member(R, M),
-                                     "witness_invalid": to_jsonable(r)})
-
-
-def _content_def(U: Universe, rep: StatementReport):
-    for R, M in _nonzero_pairs(U):
-        if M.size > 64:
-            continue
-        rep.applicable.append(_member(R, M))
-        for m in M.elements:
-            rep.checked += 1
-            qualifying = [I for I in R.ideals()
-                          if m in ideal_action(I, M).elements]
-            if not qualifying:
-                rep.failures.append({"member": _member(R, M),
-                                     "element": to_jsonable(m),
-                                     "reason": "no qualifying ideal"})
-                continue
-            expected = frozenset.intersection(*[I.elements for I in qualifying])
-            c = content_of_element(M, m)
-            if c.elements != expected or not all(c.elements <= I.elements for I in qualifying):
-                rep.failures.append({"member": _member(R, M),
-                                     "element": to_jsonable(m)})
-
-
-def _prop_2_2_5(U: Universe, rep: StatementReport):
-    for R, M in _nonzero_pairs(U):
-        if M.size > 64:
-            continue
-        try:
-            subs = all_submodules(M)
-        except BoundExceeded as exc:
-            rep.notes.append(f"skipped {_member(R, M)}: {exc}")
-            continue
-        rep.applicable.append(_member(R, M))
-        zm = zero_divisors_module(M)
-        for N in subs:
-            if N.is_zero:
-                continue
-            rep.checked += 1
-            Nmod = N.as_module()
-            zn = zero_divisors_module(Nmod)
-            if not zn <= zm:
-                rep.failures.append({
-                    "member": _member(R, M),
-                    "submodule_size": len(N.elements),
-                    "reason": "Z(N) not within Z(M)"})
-                continue
-            if is_auslander(Nmod).holds and not is_auslander(M).holds:
-                rep.failures.append({
-                    "member": _member(R, M),
-                    "submodule_size": len(N.elements),
-                    "reason": "Auslander submodule but M not Auslander"})
 
 
 def _localization_of(U: Universe, R, S):
@@ -431,40 +503,11 @@ def _prop_2_3(U: Universe, rep: StatementReport):
                     "localized_ring_size": len(ring_loc.structure.elements),
                     "localized_module_size": MS.size,
                 })
-            if not hyp:
-                continue
-            rep.applicable.append(f"{_member(R, M)} @ S={s_display}")
-            rep.checked += 1
-            if not verdict.holds and not verdict.degenerate:
-                rep.failures.append({
-                    "member": _member(R, M), "S": s_display,
-                    "witness": verdict.witness})
+            if hyp:
+                rep.visit(f"{_member(R, M)} @ S={s_display}",
+                          None if verdict.holds or verdict.degenerate
+                          else {"S": s_display, "witness": verdict.witness})
     rep.extra["zero_divisor_S_instances"] = instances
-
-
-def _prop_a_def(U: Universe, rep: StatementReport):
-    for R, M in _nonzero_pairs(U):
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        v = has_property_A(M)
-        zm = zero_divisors_module(M) - {R.zero}
-        direct = True
-        offending = None
-        for I in R.ideals():
-            if not (I.elements - {R.zero}) <= zm:
-                continue
-            if not any(m != M.zero and all(M.act(a, m) == M.zero for a in I.elements)
-                       for m in M.elements):
-                direct = False
-                offending = I.small_generators()
-                break
-        if not v.holds or not direct:
-            rep.failures.append({
-                "member": _member(R, M),
-                "verdict": v.holds,
-                "direct_recheck": direct,
-                "ideal": to_jsonable(offending),
-                "witness": v.witness})
 
 
 def _lem_2_7(U: Universe, rep: StatementReport):
@@ -477,36 +520,19 @@ def _lem_2_7(U: Universe, rep: StatementReport):
     rep.notes.append(f"degrees <= {degree}, rings with |R| <= 8")
 
 
-def _rem_2_10(U: Universe, rep: StatementReport):
-    for R, alg in U.all_algebras():
-        rep.applicable.append(alg.descriptor)
-        rep.checked += 1
-        v = is_ohm_rush(alg)
-        if not v.holds:
-            rep.failures.append({"member": alg.descriptor, "witness": v.witness})
-
-
 def _def_2_11(U: Universe, rep: StatementReport):
     for R in U.rings:
         alg = U.algebras[R.descriptor][0]
-        rep.applicable.append(alg.descriptor)
-        rep.checked += 1
-        if not is_mccoy_algebra(alg).holds:
-            rep.failures.append({"member": alg.descriptor,
-                                 "reason": "self algebra rejected"})
+        rep.visit(alg.descriptor, None if is_mccoy_algebra(alg).holds
+                  else {"reason": "self algebra rejected"})
     Z2 = Zmod(2)
     diag = diagonal_algebra(Z2, product_ring(Z2, Z2))
-    rep.applicable.append(diag.descriptor)
-    rep.checked += 1
     v = is_mccoy_algebra(diag)
-    expected_pair = ((1, 0), (0, 1))
-    if v.holds or v.witness.get("pair") != expected_pair:
-        rep.failures.append({"member": diag.descriptor,
-                             "verdict": v.holds,
-                             "witness": v.witness})
+    pair = (v.witness or {}).get("pair")
+    rep.visit(diag.descriptor, {"verdict": v.holds, "witness": v.witness}
+              if v.holds or pair != ((1, 0), (0, 1)) else None)
     rep.extra["rejection"] = witness_entry(
-        "mccoy", algebra=diag, value=v.witness.get("pair"),
-        display="f=(1,0), g=(0,1)")
+        "mccoy", algebra=diag, value=pair, display="f=(1,0), g=(0,1)")
     # independent inline re-derivation on small algebras
     for R, alg in U.all_algebras():
         B = alg.ring
@@ -525,19 +551,6 @@ def _def_2_11(U: Universe, rep: StatementReport):
                                  "verdict": verdict, "direct_recheck": direct})
 
 
-def _tf_3_1(U: Universe, rep: StatementReport):
-    for R, M in _nonzero_pairs(U):
-        rep.applicable.append(_member(R, M))
-        rep.checked += 1
-        kernel_trivial = natural_map_kernel(M).is_zero
-        v = is_torsion_free(M)
-        if kernel_trivial != v.holds:
-            rep.failures.append({
-                "member": _member(R, M),
-                "kernel_trivial": kernel_trivial,
-                "inclusion_verdict": v.holds})
-
-
 def _rem_3_3_1(U: Universe, rep: StatementReport):
     for R in U.rings:
         candidates = R.regular_elements()
@@ -545,16 +558,12 @@ def _rem_3_3_1(U: Universe, rep: StatementReport):
         for S in all_mult_closed_subsets(R, candidates):
             loc = _localization_of(U, R, S)
             RS_mod = localized_ring_as_base_module(loc)
-            member = f"{R.descriptor} @ S={S.display()}"
-            rep.applicable.append(member)
-            rep.checked += 1
-            z_loc = zero_divisors_module(RS_mod)
-            if z_loc != zr:
-                rep.failures.append({"member": member, "reason": "Z(R_S) != Z(R)"})
-                continue
-            if not (is_torsion_free(RS_mod).holds and is_auslander(RS_mod).holds):
-                rep.failures.append({"member": member,
-                                     "reason": "not torsion-free Auslander"})
+            failure = None
+            if zero_divisors_module(RS_mod) != zr:
+                failure = {"reason": "Z(R_S) != Z(R)"}
+            elif not (is_torsion_free(RS_mod).holds and is_auslander(RS_mod).holds):
+                failure = {"reason": "not torsion-free Auslander"}
+            rep.visit(f"{R.descriptor} @ S={S.display()}", failure)
 
 
 def _z_torsion_witness(case, k: int) -> dict:
@@ -567,15 +576,11 @@ def _z_torsion_witness(case, k: int) -> dict:
 def _rem_3_3_2(U: Universe, rep: StatementReport):
     torsion_witnesses = []
     for case in z_adapter_cases():
-        rep.applicable.append(f"Z :: {case.case_id}")
-        rep.checked += 1
         tf = case.is_torsion_free()
         witness = tf.witness["element"]
         ok = (case.is_auslander().holds and not tf.holds
               and case.contains_ideal_n() and case.in_zero_divisors(witness))
-        if not ok:
-            rep.failures.append({"member": f"Z :: {case.case_id}"})
-        else:
+        if rep.visit(f"Z :: {case.case_id}", None if ok else {}):
             torsion_witnesses.append(_z_torsion_witness(case, witness))
     rep.extra["torsion_free_witnesses"] = torsion_witnesses
 
@@ -584,8 +589,6 @@ def _rem_3_3_3(U: Universe, rep: StatementReport):
     R = product_ring(Zmod(2), Zmod(2))
     I = ideal_generated(R, [(0, 1)])
     M = cyclic_module(R, I)
-    rep.applicable.append(_member(R, M))
-    rep.checked += 1
     zr = R.zero_divisors()
     zm = zero_divisors_module(M)
     ausl = is_auslander(M)
@@ -594,12 +597,10 @@ def _rem_3_3_3(U: Universe, rep: StatementReport):
     expected_zm = frozenset({(0, 0), (0, 1)})
     ok = (zr == expected_zr and zm == expected_zm and tf.holds
           and not ausl.holds and ausl.witness["element"] == (1, 0))
-    if not ok:
-        rep.failures.append({
-            "member": _member(R, M),
-            "Z_R": to_jsonable(R.sorted_elements(zr)),
-            "Z_M": to_jsonable(R.sorted_elements(zm)),
-            "torsion_free": tf.holds, "auslander": ausl.holds})
+    rep.visit(_member(R, M), None if ok else {
+        "Z_R": to_jsonable(R.sorted_elements(zr)),
+        "Z_M": to_jsonable(R.sorted_elements(zm)),
+        "torsion_free": tf.holds, "auslander": ausl.holds})
     rep.extra["reproduction"] = {
         "ring": R.descriptor,
         "module": M.tag,
@@ -629,16 +630,17 @@ STATEMENTS = (
     ("def-2.1",
      "Auslander predicate coherence: verdict equals the set inclusion "
      "Z(R) within Z(M), recomputed from raw zero-divisor scans",
-     _def_2_1, {}, ()),
+     _recheck, dict(check=_auslander_inclusion), ()),
     ("content-def",
      "content coherence: c(m) equals the intersection of all lattice ideals "
      "I with m in IM, and is contained in each of them",
-     _content_def, {}, ("members with |M| <= 64 checked elementwise",)),
+     _partwise, dict(parts=lambda M: M.elements, check=_content_meet),
+     (f"members with |M| <= {_PARTWISE_MAX} checked elementwise",)),
     ("prop-2.2-1",
      "over a domain every nonzero module is Auslander "
      "(finite domains are fields; the integer adapter supplies the "
      "non-field domain instances)",
-     _implication, dict(hyp=("domain",), concl=_AUSL, adapter=(True, "Z")), ()),
+     _implication, dict(hyp=("domain",), concl=_AUSL, adapter="Z"), ()),
     ("prop-2.2-2",
      "a flat content module whose element contents reach every principal "
      "ideal is Auslander",
@@ -652,7 +654,9 @@ STATEMENTS = (
     ("prop-2.2-5",
      "Z(N) is contained in Z(M) for every submodule N, so an Auslander "
      "submodule forces M to be Auslander",
-     _prop_2_2_5, {}, ("members with |M| <= 64, full submodule lattice",)),
+     _partwise, dict(parts=lambda M: [N for N in all_submodules(M) if not N.is_zero],
+                     check=_submodule_zero_divisors),
+     (f"members with |M| <= {_PARTWISE_MAX}, full submodule lattice",)),
     ("prop-2.2-6",
      "a direct sum with an Auslander summand is Auslander "
      "(finite-index instantiation: two to three summands)",
@@ -668,7 +672,7 @@ STATEMENTS = (
     ("prop-a-def",
      "property (A) holds for every universe member (finitely generated "
      "modules over Noetherian rings), re-derived independently per ideal",
-     _prop_a_def, {},
+     _recheck, dict(check=_property_a_direct),
      ("a failure here indicates an engine bug, not a refutation",)),
     ("thm-2.4",
      "for modules with property (A): M[G] is Auslander over R[G] iff M is "
@@ -693,7 +697,7 @@ STATEMENTS = (
     ("rem-2.10",
      "every universe algebra is free as a module (hence projective), so "
      "each must satisfy the element-content identity f in c(f)B",
-     _rem_2_10, {}, ()),
+     _recheck, dict(check=_ohm_rush_identity, algebras=True), ()),
     ("def-2.11",
      "McCoy predicate calibration: every ring over itself is McCoy; the "
      "diagonal into a square of a field is rejected with an annihilating "
@@ -711,7 +715,7 @@ STATEMENTS = (
     ("tf-3.1",
      "the two torsion-free definitions coincide: the natural map into "
      "M (x) Q is injective iff Z(M) is within Z(R)",
-     _tf_3_1, {}, ()),
+     _recheck, dict(check=_torsion_free_kernel), ()),
     ("thm-3.2",
      "over a ring with property (A): M[G] is torsion-free over R[G] iff "
      "M is torsion-free",
@@ -737,7 +741,7 @@ STATEMENTS = (
      _extension_iff, dict(variant="series", side="torsion_free"), (_PRECISION,)),
     ("prop-3.5-1", "over a domain, flat modules are torsion-free Auslander",
      _implication, dict(hyp=("domain", "flat"), concl=_TF_AUSL,
-                        adapter=(False, "Z (flat)")), ()),
+                        adapter="Z (flat)"), ()),
     ("prop-3.5-2",
      "a flat content module with element contents reaching every "
      "principal ideal is torsion-free Auslander",
@@ -809,25 +813,6 @@ def run_suite(pattern: str, U: Universe) -> list[StatementReport]:
 # counterexample search
 
 
-_ADAPTER_FACTS = {
-    # Z/n over Z for n >= 2; flatness and friends are analytic facts
-    "quotient": {
-        "auslander": True, "torsion_free": False, "reg_module": False,
-        "nonzero": True, "domain": True, "field": False, "local": False,
-        "flat": False, "faithfully_flat": False, "property_a": True,
-        "zero_annihilator": False,
-    },
-    # Z over itself
-    "regular": {
-        "auslander": True, "torsion_free": True, "reg_module": True,
-        "nonzero": True, "domain": True, "field": False, "local": False,
-        "flat": True, "faithfully_flat": True, "property_a": True,
-        "content_module": True, "content_surjective": True,
-        "zero_annihilator": True,
-    },
-}
-
-
 def parse_predicate_expression(text: str) -> list[tuple[str, bool]]:
     """Conjunction of possibly negated predicate names: 'a and not b'."""
     atoms = []
@@ -880,12 +865,8 @@ def search_counterexample(hyp: str, concl: str, U: Universe,
         if refuted(_ALGEBRA_VOCABULARY, U, alg):
             results.append({"kind": "algebra", "member": alg.descriptor})
     if include_adapter:
-        adapter_members = (
-            ("quotient", [f"Z :: {case.case_id}" for case in z_adapter_cases()]),
-            ("regular", ["Z :: Z"]))
-        for kind, members in adapter_members:
-            facts = {name: (lambda v=v: v) for name, v in _ADAPTER_FACTS[kind].items()}
-            if refuted(facts):
+        for facts, members in _adapter_members():
+            if refuted({name: (lambda v=v: v) for name, v in facts.items()}):
                 results.extend({"kind": "adapter", "member": m} for m in members)
     return results
 

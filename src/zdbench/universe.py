@@ -222,18 +222,5 @@ class ZAdapterCase:
         return Verdict(False, witness={"kind": "torsion_free", "element": witness})
 
 
-@dataclass(frozen=True)
-class ZRegularCase:
-    """Z as a module over itself: the domain-side instance for flat families."""
-
-    case_id: str = "Z"
-
-    def is_auslander(self) -> Verdict:
-        return Verdict(True)   # Z(Z) = {0}
-
-    def is_torsion_free(self) -> Verdict:
-        return Verdict(True)   # Z(Z) = {0} and no torsion
-
-
 def z_adapter_cases(n_max: int = 30) -> list[ZAdapterCase]:
     return [ZAdapterCase(n) for n in range(2, n_max + 1)]

@@ -72,6 +72,15 @@ def test_monic_relation_accepted():
     assert R.size == 4
 
 
+def test_zero_leading_coefficients_are_dropped():
+    node = parse_module("Cyclic(0*x)")
+    assert node == CyclicNode((IntElem(0),))
+    assert parse_module(print_node(node)) == node
+    R = build_ring("PolyQuot(Z2, 0*x^3 + x^2)")
+    assert R.descriptor == "PolyQuot(Z2, x^2)"
+    assert R.same_ring(build_ring("PolyQuot(Z2, x^2)"))
+
+
 def test_build_ring_examples():
     assert build_ring("Z6").size == 6
     assert build_ring("Prod(Z2,Z2)").size == 4
@@ -236,6 +245,7 @@ _OUTCOMES = [
     ("ring", "Prod(Z2,Z2", "unexpected end of input (at 10..10)"),
     ("ring", "Z6 trailing", "trailing input 'trailing' (at 3..11)"),
     ("ring", "Z2$", "unexpected character '$' (at 2..3)"),
+    ("ring", "PolyQuot(Z2, 0*x^3 + x^2)", PolyQuotNode(ZmodNode(2), (0, 0, 1), span=(0, 25))),
     ("ring", "(Z2)", "expected 'name', found '(' (at 0..1)"),
     ("ring", "Prod(Z2,Reg)", "unknown ring constructor 'Reg' (at 8..11)"),
     ("ring", "Algebra(Z4, Z4)", "unknown ring constructor 'Algebra' (at 0..7)"),
@@ -261,6 +271,8 @@ _OUTCOMES = [
     ("module", "Cyclic(", "unexpected end of input (at 7..7)"),
     ("module", "Free()", "expected 'int', found ')' (at 5..6)"),
     ("module", "Free(x)", "expected 'int', found 'x' (at 5..6)"),
+    ("module", "Free(²)", "unexpected character '²' (at 5..6)"),
+    ("module", "Cyclic(0*x)", CyclicNode((IntElem(0),), span=(0, 11))),
     ("module", "Sum(Reg)", "expected ',', found ')' (at 7..8)"),
     ("module", "Reg(1)", "trailing input '(' (at 3..6)"),
     ("module", "Cyclic(2*x^3 + x + 2*x, (1,x))",
@@ -275,6 +287,7 @@ _OUTCOMES = [
     ("dsl", ")", "expected 'name', found ')' (at 0..1)"),
     ("dsl", "Algebra(Z4,Reg)", "unknown ring constructor 'Reg' (at 11..14)"),
     ("dsl", "Free(2)", FreeNode(2, span=(0, 7))),
+    ("dsl", "Z²", "unexpected character '²' (at 1..2)"),
     ("ext", "X0", "X variables are numbered from 1 (at 0..2)"),
     ("ext", "2*X*Y", "trailing input '*' (at 3..5)"),
     ("ext", "2*Y", "expected an X variable, found 'Y' (at 2..3)"),

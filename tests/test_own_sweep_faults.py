@@ -1,8 +1,11 @@
-"""Statements with sweeps of their own can fail.
+"""The rows of the two re-derivation sweeps and of the own sweeps can fail.
 
 On the pattern of tests/test_statement_faults.py: each case hands one
 statement a wrong verdict or answer on one object it checks and asserts
-that the statement reports a failure.
+that the statement reports a failure.  The re-derivation rows are def-2.1,
+prop-a-def, rem-2.10 and tf-3.1 (one check per member) and content-def and
+prop-2.2-5 (one check per element or submodule); the six own sweeps are
+prop-2.3, lem-2.7, def-2.11 and rem-3.3-1/2/3.
 """
 
 import pytest
@@ -44,6 +47,20 @@ def test_wrong_verdict_fails_own_sweep(small_universe, monkeypatch, sid, predica
     assert flipped, f"{sid} never called {predicate}"
     assert rep.failures, f"{sid} missed a wrong verdict on {flipped[0]}"
     assert rep.passed is False
+
+
+def test_wrong_diagonal_verdict_fails_def_2_11(small_universe, monkeypatch):
+    """def-2.11 must see the diagonal Z2 -> Z2 x Z2 rejected; a verdict that
+    accepts it, with no witness, is a failure naming it, not a crash."""
+    real = statements.is_mccoy_algebra
+    diagonal = "Algebra(Prod(Z2,Z2), Z2)"
+
+    def accepts_diagonal(alg):
+        return Verdict(True) if alg.descriptor == diagonal else real(alg)
+
+    monkeypatch.setattr(statements, "is_mccoy_algebra", accepts_diagonal)
+    rep = statements.run_statement("def-2.11", small_universe)
+    assert diagonal in [f["member"] for f in rep.failures]
 
 
 def test_wrong_localized_verdict_fails_prop_2_3(small_universe, monkeypatch):

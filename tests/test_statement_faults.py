@@ -1,9 +1,15 @@
-"""Every row of the four shared statement sweeps can fail.
+"""Every row of the implication, extension, tensor and summand sweeps can fail.
 
 Each case hands one statement a wrong verdict on one object it checks and
 asserts that the statement reports a failure.  Byte-identical reports show
-that passing runs are unchanged; these cases guard the failing path.
+that passing runs are unchanged; these cases guard the failing path.  The
+rows of the two re-derivation sweeps and of the own sweeps are covered in
+tests/test_own_sweep_faults.py; together the two files name every row.
 """
+
+import ast
+import pathlib
+import re
 
 import pytest
 
@@ -60,3 +66,31 @@ def test_wrong_verdict_fails_statement(small_universe, monkeypatch,
     assert flipped, f"{sid} never called {predicate} on an object it checks"
     assert rep.failures, f"{sid} missed a wrong verdict on {flipped[0]}"
     assert rep.passed is False
+
+
+def test_wrong_adapter_fact_fails_adapter_rows(small_universe, monkeypatch):
+    """prop-2.2-1 and prop-3.5-1 decide their integer-adapter members by
+    `_ADAPTER_FACTS`; a wrong fact on Z itself fails both, and each failure
+    names a member the statement counted."""
+    monkeypatch.setitem(statements._ADAPTER_FACTS["regular"], "auslander", False)
+    for sid in ("prop-2.2-1", "prop-3.5-1"):
+        rep = statements.run_statement(sid, small_universe)
+        assert rep.failures, f"{sid} missed a wrong adapter fact"
+        assert [f["member"] for f in rep.failures
+                if f["member"] not in rep.applicable] == [], sid
+
+
+# the paper's statement labels: def-2.1, content-def, prop-a-def, thm-2.4, ...
+_ID_SHAPE = re.compile(r"(def|content|prop|lem|thm|cor|rem|tf)(-[a-z0-9.]+)+")
+
+
+def test_every_row_has_a_fault_case():
+    """The statement ids named in the two fault-test files, taken together,
+    are exactly the registry: moving a row between sweeps keeps its case."""
+    named = set()
+    for name in ("test_statement_faults.py", "test_own_sweep_faults.py"):
+        tree = ast.parse(pathlib.Path(__file__).with_name(name).read_text(encoding="utf-8"))
+        named |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and _ID_SHAPE.fullmatch(node.value)}
+    assert named == set(statements.REGISTRY)

@@ -1,5 +1,6 @@
 import pytest
 
+from zdbench import statements
 from zdbench.statements import (REGISTRY, StatementReport,
                                 parse_predicate_expression, run_statement,
                                 run_suite, search_counterexample,
@@ -57,6 +58,15 @@ def test_adapter_cases():
     assert case.in_zero_divisors(0)  # gcd(0, 6) = 6
     assert not case.in_zero_divisors(5)
     assert len(z_adapter_cases()) == 29
+
+
+def test_adapter_facts_agree_with_the_gcd_analysis():
+    """The Z/n facts that the implication sweeps and `search` read match the
+    verdicts rem-3.3-2 computes for every case."""
+    facts = statements._ADAPTER_FACTS["quotient"]
+    for case in z_adapter_cases():
+        assert facts["auslander"] == case.is_auslander().holds, case.case_id
+        assert facts["torsion_free"] == case.is_torsion_free().holds, case.case_id
 
 
 def test_z_adapter_check_reports():
