@@ -218,10 +218,12 @@ def all_submodules(M: FiniteModule, max_count: int = 512) -> list[Submodule]:
 def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModule:
     """All R-linear maps M -> M with action (r.f)(x) = r.f(x).
 
-    Candidates are generator-image assignments extended by a spanning walk,
-    then validated for additivity and equivariance by `_is_linear`.  Both
-    steps run on carrier indices over `_tables(M)`; maps are ordered by their
-    index tuples and turned back into element tuples at the end.
+    Raises BoundExceeded when |M|^k > `budget`, the one hom budget gate.  A
+    linear f has ann(g) in ann(f(g)), as rg = 0 forces r f(g) = 0, so each
+    generator g takes candidate images only from (0 :_M ann g).  Each tuple
+    of them, in lexicographic order, is extended by `_extend_linear`, which
+    returns linear maps only.  Both run on carrier indices over `_tables(M)`;
+    maps are ordered by their index tuples and turned back into elements.
     """
     R, gens = M.ring, generating_set(M)  # () for the zero module
     k = len(gens)
@@ -232,11 +234,13 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     add_t, act_t = _tables(M)
     zero = M.index(M.zero)
     gen_idx = [M.index(g) for g in gens]
-    add_gens = _additive_generators(add_t, zero)
+    # (0 :_M ann g): the columns of act_t that vanish on every row killing g
+    images = [[v for v in range(M.size) if all(row[v] == zero for row in act_t if row[g] == zero)]
+              for g in gen_idx]
     found = []
-    for images in itertools.product(range(M.size), repeat=k):
-        f = _extend_linear(add_t, act_t, zero, gen_idx, images)
-        if f is not None and _is_linear(add_t, act_t, f, add_gens):
+    for chosen in itertools.product(*images):
+        f = _extend_linear(add_t, act_t, zero, gen_idx, chosen)
+        if f is not None:
             found.append(tuple(f))
     found.sort()
     maps = [tuple(M.elements[i] for i in f) for f in found]
@@ -271,10 +275,18 @@ def _tables(M: FiniteModule):
 
 
 def _extend_linear(add, act, zero, gens, images):
-    """Propagate f(gens) = images through sums m + r*g; None on conflict.
+    """The R-linear f with f(gens) = images, or None when there is none.
 
-    Everything is a carrier index over the tables of `_tables`; the result
-    is the list f with f[m] the image of m.
+    Carrier indices over the tables of `_tables`; f[m] is the image of m.
+    From f(0) = 0 a walk sets or checks f(m + r g_i) = f(m) + r v_i, with
+    v_i = images[i], for every reached m, every r and every i, and returns
+    None on a conflict.  A returned f reached every m, so each m is a sum of
+    terms r g_i and the rule holds on all of M.  By M's module axioms f is
+    then linear: f of a sum of terms r g_i is the sum of the r v_i (the rule
+    from 0, term by term), so f(g_i) = v_i, and f(s b) = s f(b) as both are
+    the sum of the (s r) v_i over b's terms; f(a + b) = f(a) + f(b) by
+    induction on b's terms: f(a + b' + r g_i) = f(a + b') + r v_i
+    = f(a) + f(b') + r v_i = f(a) + f(b' + r g_i).
     """
     f = [None] * len(add)
     f[zero] = zero
@@ -297,33 +309,6 @@ def _extend_linear(add, act, zero, gens, images):
     if None in f:
         return None
     return f
-
-
-def _additive_generators(add, zero) -> list:
-    """Greedy generators of the group with table `add`, as carrier indices:
-    each index outside the closure `span` has built of the earlier ones
-    joins.  `span` needs a commutative op, so callers check that first.  An
-    unchecked table can only gain generators, as every index `span` adds is
-    a sum of earlier ones: M stays +-generated, all Light's test needs."""
-    gens: list = []
-    span(add, zero, range(len(add)), gens)
-    return gens
-
-
-def _is_linear(add, act, f, gens) -> bool:
-    """f(a+g) = f(a)+f(g) and f(rg) = r f(g) for all a, r and g in `gens`.
-
-    With `gens` from `_additive_generators` this makes f R-linear, by
-    induction on sums: f(a+b+c) = f(a+b)+f(c) = f(a)+f(b+c), and then
-    f(r(m+n)) = f(rm)+f(rn) = r f(m)+r f(n) = r f(m+n).
-    """
-    for g in gens:
-        fg = f[g]
-        if any(f[row[g]] != add[f[a]][fg] for a, row in enumerate(add)):
-            return False
-        if any(f[row[g]] != row[fg] for row in act):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +595,7 @@ def verify_module_axioms(M: FiniteModule):
 
     Sweeps on the tables of `_tables`, in order, reporting the first
     offending elements: identity and inverses; commutativity on all pairs;
-    then, with g over the generators G of `_additive_generators`,
+    then, with g over the greedy generators G that `span` appends,
     associativity (a+g)+c = a+(g+c), (rs)g = r(sg), (r+s)g = rg+sg and
     r(a+g) = ra+rg.  Passing all of them makes M a module, by induction on
     sums of generators.  Associativity (Light's test): the g that pass
@@ -642,7 +627,11 @@ def verify_module_axioms(M: FiniteModule):
         for b in range(a + 1, n):
             if row[b] != add[b][a]:
                 raise ValueError(f"{where}: addition not commutative at {E[a]},{E[b]}")
-    gens = _additive_generators(add, zero)
+    # span needs + commutative, checked above; on an unchecked table it can
+    # only gain generators, as every index it adds is a sum of earlier ones:
+    # M stays +-generated, all Light's test needs
+    gens: list = []
+    span(add, zero, range(n), gens)
     for a in range(n):
         row_a = add[a]
         for g in gens:

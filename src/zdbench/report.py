@@ -214,7 +214,7 @@ def revalidate_witness(entry: dict) -> bool:
         if kind == "torsion_free":
             return math.gcd(value, n) > 1
         return False
-    if kind in ("auslander", "torsion_free", "property_a", "content"):
+    if kind in ("auslander", "torsion_free", "property_a", "content", "ext_ideal"):
         node = dsl.parse_module(module_tag)
         # Tensor(..., Algebra(B, R0)) is built over R0 and lives over B
         base = node.algebra.base if isinstance(node, dsl.TensorNode) else ring_desc
@@ -229,12 +229,14 @@ def revalidate_witness(entry: dict) -> bool:
         if kind == "torsion_free":
             return value in zm and value not in zr and value != R.zero
         if kind == "property_a":
-            gens = [from_jsonable(g) for g in entry["value"]]
-            I = ideal_generated(R, gens)
+            I = ideal_generated(R, value)
             inside = (I.elements - {R.zero}) <= (zm - {R.zero})
-            killed = any(m != M.zero and all(M.act(a, m) == M.zero for a in gens)
-                         for m in M.elements)
-            return inside and not killed
+            return inside and not _kills_nonzero(value, M.elements, M.zero, M.act)
+        if kind == "ext_ideal":
+            # f with content c(f) = (value) is a zero-divisor on R[X] or
+            # R[[X]] (on M[X] or M[[X]]) iff c(f) kills a nonzero r (m)
+            return (_kills_nonzero(value, R.elements, R.zero, R.mul)
+                    != _kills_nonzero(value, M.elements, M.zero, M.act))
         if kind == "content":
             c = content_of_element(M, value)
             return value not in ideal_action(c, M).elements
@@ -248,14 +250,19 @@ def revalidate_witness(entry: dict) -> bool:
         if g == B.zero or B.rows[B.index(f)][B.index(g)] != B.index(B.zero):
             return False
         gens = content_of_element(BR, f).generators
-        return not any(r != Rb.zero and all(Rb.mul(a, r) == Rb.zero for a in gens)
-                       for r in Rb.elements)
+        return not _kills_nonzero(gens, Rb.elements, Rb.zero, Rb.mul)
     if kind == "mccoy_witness":
         R = dsl.build_ring(entry["ring"])
         m, zero = R.index(value), R.index(R.zero)
         coeffs = [R.index(from_jsonable(c)) for _, c in entry["f_support"]]
         return m != zero and all(R.rows[c][m] == zero for c in coeffs)
     raise ValueError(f"no revalidator for witness kind {kind!r}")
+
+
+def _kills_nonzero(gens, elements, zero, act) -> bool:
+    """Whether some nonzero x in `elements` has act(a, x) = zero for every a
+    in `gens`, by an element scan."""
+    return any(x != zero and all(act(a, x) == zero for a in gens) for x in elements)
 
 
 def revalidate_report(report: dict) -> dict:

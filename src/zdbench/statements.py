@@ -39,10 +39,10 @@ from .localize import (localize, localize_module, localized_ring_as_base_module,
                        natural_map_kernel)
 from .modules import (all_submodules, ann, content_of_element,
                       content_surjective, cyclic_module, direct_sum,
-                      generating_set, has_property_A, hom_module,
-                      ideal_action, is_auslander, is_content_module,
-                      is_faithfully_flat, is_flat, is_torsion_free,
-                      tensor_with_algebra, zero_divisors_module)
+                      has_property_A, hom_module, ideal_action,
+                      is_auslander, is_content_module, is_faithfully_flat,
+                      is_flat, is_torsion_free, tensor_with_algebra,
+                      zero_divisors_module)
 from .rings import (Zmod, all_mult_closed_subsets, ideal_generated,
                     product_ring, ring_predicates)
 from .universe import Universe, ZAdapterCase, z_adapter_cases
@@ -224,11 +224,12 @@ def _implication(U: Universe, rep: StatementReport, hyp, concl, hom=False,
             continue
         X = M
         if hom:
-            if M.size ** len(generating_set(M)) > U.limits.hom_budget:
+            try:
+                X = _memo(U, ("hom", R.descriptor, M.tag),
+                          lambda: hom_module(M, budget=U.limits.hom_budget))
+            except BoundExceeded:
                 rep.notes.append(f"skipped {_member(R, M)}: hom budget")
                 continue
-            X = _memo(U, ("hom", R.descriptor, M.tag),
-                      lambda: hom_module(M, budget=U.limits.hom_budget))
         _check(rep, _member(R, M), concl, U, R, X)
     if adapter is not None:
         for facts, members in _adapter_members(adapter):

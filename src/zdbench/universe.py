@@ -3,9 +3,9 @@
 Rings: Z/n for 2 <= n <= 12, binary products of Z/a with a <= 4, and monic
 polynomial quotients (nilpotent and Galois-type relations) over small Z/n.
 Modules per ring: the regular module, Free(2), every cyclic quotient, sums of
-two cyclics, and Hom of each cyclic, capped by size bounds.  Algebras per
-ring: the ring over itself, the diagonal into its square, and polynomial
-quotient extensions over Zmod bases.
+two cyclics, and Hom of each cyclic, capped by size bounds and the hom
+budget.  Algebras per ring: the ring over itself, the diagonal into its
+square, and polynomial quotient extensions over Zmod bases.
 
 Also hosts the analytic integer-ring adapter: Z and Z/n handled by gcd
 arithmetic, never by enumerating an infinite carrier.
@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .errors import BoundExceeded
 from .extensions import (FiniteAlgebra, diagonal_algebra, extension_algebra,
                          self_algebra)
-from .modules import (FiniteModule, Verdict, cyclic_module, direct_sum,
-                      free_module, hom_module, regular_module,
+from .modules import (DEFAULT_HOM_BUDGET, FiniteModule, Verdict, cyclic_module,
+                      direct_sum, free_module, hom_module, regular_module,
                       verify_module_axioms)
 from .rings import (FiniteRing, Zmod, poly_quotient, product_ring,
                     verify_ring_axioms)
@@ -33,7 +34,7 @@ class UniverseLimits:
     max_module: int = 160
     max_algebra: int = 64
     max_sum_pairs: int = 6
-    hom_budget: int = 2000
+    hom_budget: int = DEFAULT_HOM_BUDGET
     presentation_budget: int = 30000
     brute_budget: int = 300_000
     degree_bound: int = 2
@@ -151,10 +152,11 @@ def generate_universe(limits: UniverseLimits = DEFAULT_LIMITS) -> Universe:
                     counts["modules_sum"] += 1
                     sums += 1
         for C in cyclics:
-            gens = 1  # cyclic modules have a single generator
-            if C.size ** gens <= limits.hom_budget:
+            try:
                 mods.append(hom_module(C, budget=limits.hom_budget))
                 counts["modules_hom"] += 1
+            except BoundExceeded:
+                pass
         for M in mods:
             verify_module_axioms(M)
         U.modules[R.descriptor] = mods

@@ -10,9 +10,8 @@ import re
 
 import pytest
 
-from zdbench.modules import (FiniteModule, _additive_generators, _extend_linear,
-                             _is_linear, _tables, ann, cyclic_module,
-                             direct_sum, free_module, generating_set,
+from zdbench.modules import (FiniteModule, _extend_linear, _tables, ann,
+                             cyclic_module, direct_sum, generating_set,
                              hom_module, regular_module, verify_module_axioms,
                              zero_divisors_module)
 from zdbench.rings import Zmod, ideal_generated, poly_quotient, product_ring
@@ -122,35 +121,33 @@ def test_every_single_entry_fault_fails_axioms():
     assert faults == 710
 
 
-def test_one_wrong_entry_fails_is_linear():
-    add, act = _tables(regular_module(Zmod(4)))
-    identity = [0, 1, 2, 3]
-    gens = _additive_generators(add, 0)
-    assert _is_linear(add, act, identity, gens)
-    for i, wrong in itertools.product(range(4), range(4)):
-        if wrong != identity[i]:
-            f = list(identity)
-            f[i] = wrong
-            assert not _is_linear(add, act, f, gens), f"accepted {f}"
-
-
-def test_additive_but_not_equivariant_fails_is_linear():
-    # swapping the coefficients of a + bx is additive but x*f(1) != f(x*1)
-    M = regular_module(poly_quotient(Zmod(2), (0, 0, 1)))
-    add, act = _tables(M)
-    swap = [M.index((b, a)) for a, b in M.elements]
-    assert all(swap[add[a][b]] == add[swap[a]][swap[b]]
-               for a in range(M.size) for b in range(M.size))
-    assert not _is_linear(add, act, swap, _additive_generators(add, 0))
-
-
-def test_equivariant_but_not_additive_fails_is_linear():
-    # on Z2^2 over Z2, fixing (1,0) and (0,1) but killing (1,1) is equivariant
-    M = free_module(Zmod(2), 2)
-    add, act = _tables(M)
-    f = [0, 1, 2, 0]
-    assert all(f[row[m]] == row[f[m]] for row in act for m in range(M.size))
-    assert not _is_linear(add, act, f, _additive_generators(add, 0))
+def test_extend_linear_returns_only_linear_maps(small_universe):
+    """Over every generator-image tuple, a returned map is additive and
+    R-equivariant element by element, and an image outside (0 :_M ann g)
+    is refused."""
+    checked = 0
+    for R, M in small_universe.pairs():
+        if M.size > 8:
+            continue
+        E, zero = M.elements, M.zero
+        gens = generating_set(M)
+        add, act = _tables(M)
+        g_idx = [M.index(g) for g in gens]
+        matched = [{v for v in E
+                    if all(M.act(r, v) == zero for r in R.elements if M.act(r, g) == zero)}
+                   for g in gens]
+        for images in itertools.product(E, repeat=len(gens)):
+            f = _extend_linear(add, act, M.index(zero), g_idx, [M.index(v) for v in images])
+            if any(v not in ok for v, ok in zip(images, matched)):
+                assert f is None, (M.descriptor(), images)
+            if f is None:
+                continue
+            fx = {x: E[i] for x, i in zip(E, f)}
+            assert all(fx[M.add(a, b)] == M.add(fx[a], fx[b]) for a in E for b in E)
+            assert all(fx[M.act(r, a)] == M.act(r, fx[a]) for r in R.elements for a in E)
+            assert [fx[g] for g in gens] == list(images)
+            checked += 1
+    assert checked >= 300
 
 
 def test_conflicting_generator_image_fails_extend_linear():

@@ -54,6 +54,11 @@ def test_revalidate_witness_kinds():
     assert not revalidate_witness({
         "kind": "torsion_free", "ring": "Z", "module": "Z/6", "value": 5,
         "display": "5"})
+    # (0,1) kills (1,0) in the ring but no nonzero element of the module
+    ext_ideal = {"kind": "ext_ideal", "ring": "Prod(Z2,Z2)", "module": "Cyclic((1,0))",
+                 "value": [[0, 1]], "variant": "monoid", "display": "c(f) = ((0,1))"}
+    assert revalidate_witness(ext_ideal)
+    assert not revalidate_witness(dict(ext_ideal, value=[[1, 1]]))
     with pytest.raises(ValueError):
         revalidate_witness({"kind": "nonsense", "ring": "Z4", "value": 0})
 
@@ -65,8 +70,9 @@ def test_revalidate_witness_kinds():
     {"kind": "content", "ring": "Z4", "module": "Reg", "value": 9},
     {"kind": "ohm_rush", "algebra": "Algebra(PolyQuot(Z2, x^2), Z2)", "value": [1, 2]},
     {"kind": "mccoy", "algebra": "Algebra(PolyQuot(Z2, x^2), Z2)", "value": [[0, 1], [0, 2]]},
+    {"kind": "ext_ideal", "ring": "Prod(Z2,Z2)", "module": "Cyclic((1,0))", "value": [[2, 1]]},
 ], ids=["mccoy_witness", "mccoy_witness_coefficient", "auslander", "content",
-        "ohm_rush", "mccoy"])
+        "ohm_rush", "mccoy", "ext_ideal"])
 def test_witness_outside_its_carrier_fails(entry):
     # 8 = 0 in Z4 and 2*8 = 0, but 8 is no element of Z4's carrier
     assert revalidate_report({"witnesses": [entry]})["failed"] == [entry]

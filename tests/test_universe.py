@@ -1,6 +1,7 @@
 import pytest
 
 from zdbench import statements
+from zdbench.modules import generating_set
 from zdbench.statements import (REGISTRY, StatementReport,
                                 parse_predicate_expression, run_statement,
                                 run_suite, search_counterexample,
@@ -35,6 +36,22 @@ def test_module_size_cap_blocks_free_rank_two():
             if M.tag == "Free(2)":
                 assert R.size <= 2
             assert M.size <= 4 or M.tag == "Reg" or R.size > 4
+
+
+def test_hom_members_honour_hom_budget():
+    # Cyclic((0,0)) over a product ring has one generator per factor, so its
+    # Hom needs 4^2 tuples over Prod(Z2,Z2) and 12^2 over Prod(Z3,Z4):
+    # budgets 10 and 100 skip those members and still build the universe
+    counts = []
+    for budget in (2000, 100, 10):
+        U = generate_universe(UniverseLimits(zmod_max=2, hom_budget=budget))
+        for R, H in U.pairs():
+            if H.tag.startswith("Hom("):
+                C, = [C for C in U.modules[R.descriptor] if H.tag == f"Hom({C.tag})"]
+                assert C.size ** len(generating_set(C)) <= budget, H.descriptor()
+        counts.append(U.counts["modules_hom"])
+    assert counts == sorted(counts, reverse=True)
+    assert counts[-1] < counts[0]
 
 
 def test_deterministic_generation_order():
