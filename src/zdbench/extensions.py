@@ -352,7 +352,8 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
     M = g.base
     zero = M.index(M.zero)
     f_rows = [M.rows[M.ring.index(c)] for c in f.coefficients()]
-    chain = span(M.plus, zero, {row[M.index(c)] for row in M.rows for c in g.coefficients()})
+    g_cols = [M.index(c) for c in g.coefficients()]
+    chain = span(M.plus, zero, {row[c] for row in M.rows for c in g_cols})
     while True:
         if len(chain) == 1:
             raise RuntimeError("content chain started at zero for nonzero g")

@@ -222,8 +222,11 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     linear f has ann(g) in ann(f(g)), as rg = 0 forces r f(g) = 0, so each
     generator g takes candidate images only from (0 :_M ann g).  Each tuple
     of them, in lexicographic order, is extended by `_extend_linear`, which
-    returns linear maps only.  Both run on carrier indices over `_tables(M)`;
-    maps are ordered by their index tuples and turned back into elements.
+    returns linear maps only; it reads the action rows of an additive
+    generating set S of R, which `span` finds, so its walk and checks cost
+    |M| k |S| steps rather than |M| k |R|.  Both run on carrier indices over
+    `_tables(M)`; maps are ordered by their index tuples and turned back
+    into elements.
     """
     R, gens = M.ring, generating_set(M)  # () for the zero module
     k = len(gens)
@@ -237,9 +240,12 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     # (0 :_M ann g): the columns of act_t that vanish on every row killing g
     images = [[v for v in range(M.size) if all(row[v] == zero for row in act_t if row[g] == zero)]
               for g in gen_idx]
+    S: list = []  # an additive generating set of R: {1} for Z/n
+    span(R.plus, R.index(R.zero), range(R.size), S)
+    act_s = [act_t[s] for s in S]
     found = []
     for chosen in itertools.product(*images):
-        f = _extend_linear(add_t, act_t, zero, gen_idx, chosen)
+        f = _extend_linear(add_t, act_s, zero, gen_idx, chosen)
         if f is not None:
             found.append(tuple(f))
     found.sort()
@@ -277,16 +283,24 @@ def _tables(M: FiniteModule):
 def _extend_linear(add, act, zero, gens, images):
     """The R-linear f with f(gens) = images, or None when there is none.
 
-    Carrier indices over the tables of `_tables`; f[m] is the image of m.
-    From f(0) = 0 a walk sets or checks f(m + r g_i) = f(m) + r v_i, with
-    v_i = images[i], for every reached m, every r and every i, and returns
-    None on a conflict.  A returned f reached every m, so each m is a sum of
-    terms r g_i and the rule holds on all of M.  By M's module axioms f is
-    then linear: f of a sum of terms r g_i is the sum of the r v_i (the rule
-    from 0, term by term), so f(g_i) = v_i, and f(s b) = s f(b) as both are
-    the sum of the (s r) v_i over b's terms; f(a + b) = f(a) + f(b) by
-    induction on b's terms: f(a + b' + r g_i) = f(a + b') + r v_i
-    = f(a) + f(b') + r v_i = f(a) + f(b' + r g_i).
+    Carrier indices over the tables of `_tables`; f[m] is the image of m,
+    and `act` holds the action rows of an additive generating set S of R
+    (all of R's rows also do).  From f(0) = 0 a walk sets or checks
+    f(m + s g_i) = f(m) + s v_i, with v_i = images[i], for every reached m,
+    every s in S and every i, and returns None on a conflict.  The rule then
+    holds for every r in R: it holds for r = 0, and if it holds for r and s
+    at every m, then f(m + (r + s) g_i) = f(m + r g_i + s g_i)
+    = f(m + r g_i) + s v_i = f(m) + (r + s) v_i; every r is a sum of
+    elements of S.  For the same reason the terms s g_i reach what the terms
+    r g_i do, and any f the rule over R admits passes the walk over S, so
+    the answer is the one the walk over all of R gives.  A returned f
+    reached every m, so each m is a sum of terms r g_i and the rule holds on
+    all of M.  By M's module axioms f is then linear: f of a sum of terms
+    r g_i is the sum of the r v_i (the rule from 0, term by term), so
+    f(g_i) = v_i, and f(t b) = t f(b) as both are the sum of the (t r) v_i
+    over b's terms; f(a + b) = f(a) + f(b) by induction on b's terms:
+    f(a + b' + r g_i) = f(a + b') + r v_i = f(a) + f(b') + r v_i
+    = f(a) + f(b' + r g_i).
     """
     f = [None] * len(add)
     f[zero] = zero

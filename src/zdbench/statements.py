@@ -939,27 +939,31 @@ def criterion_oracle_agreement(U: Universe, max_ring: int = 6, max_module: int =
 def _annihilating_cofactors(R, cf):
     """The nonzero g with f*g = 0, deg g <= deg f = d, in `itertools.product`
     order, by a depth-first walk over the indices of g's coefficients.
-    Coefficient j <= d of f*g is fixed once g_0..g_j are, so it is tested
-    there, and d+1..2d at the leaf; only non-solutions are pruned."""
-    d, zero, plus = len(cf) - 1, R.index(R.zero), R.plus
+    Coefficient j <= d of f*g is f_0 g_j + rest_j, where rest_j reads only
+    g_0..g_(j-1), so g_j runs over the solutions x of f_0 x = -rest_j,
+    ascending, from a table built once per f; coefficients d+1..2d are
+    tested at the leaf.  Only non-solutions are skipped."""
+    d, zero, plus, minus = len(cf) - 1, R.index(R.zero), R.plus, R.minus
     f_rows = [R.rows[R.index(c)] for c in cf]
+    solutions = [[] for _ in range(R.size)]  # solutions[t]: the x with f_0 x = t
+    for x, t in enumerate(f_rows[0]):
+        solutions[t].append(x)
     g = [zero] * len(cf)
 
-    def coefficient(k):
+    def rest(k):
+        # coefficient k of f*g without its f_0 g_k term, the whole of it for k > d
         total = zero
-        for i in range(max(0, k - d), min(d, k) + 1):
+        for i in range(max(1, k - d), min(d, k) + 1):
             total = plus[total][f_rows[i][g[k - i]]]
         return total
 
     def walk(j):
-        for c in range(R.size):
+        for c in solutions[minus[rest(j)]]:
             g[j] = c
-            if coefficient(j) != zero:
-                continue
             if j < d:
                 yield from walk(j + 1)
             elif any(b != zero for b in g) and all(
-                    coefficient(k) == zero for k in range(d + 1, 2 * d + 1)):
+                    rest(k) == zero for k in range(d + 1, 2 * d + 1)):
                 yield tuple(map(R.elements.__getitem__, g))
 
     return walk(0)
@@ -977,8 +981,11 @@ def mccoy_witness_sweep(U: Universe, max_ring: int = 8, degree: int = 2) -> dict
         zero = R.zero
         count = 0
         for cf in itertools.product(R.elements, repeat=n_coeff):
-            for cg in _annihilating_cofactors(R, cf):
-                f = ring_poly(R, {(i,): c for i, c in enumerate(cf) if c != zero})
+            cofactors = list(_annihilating_cofactors(R, cf))
+            if not cofactors:
+                continue
+            f = ring_poly(R, {(i,): c for i, c in enumerate(cf) if c != zero})
+            for cg in cofactors:
                 g = module_poly(Reg, {(i,): c for i, c in enumerate(cg) if c != zero})
                 count += 1
                 out["pairs_checked"] += 1

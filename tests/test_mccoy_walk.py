@@ -1,4 +1,4 @@
-"""The pruned cofactor walk behind lem-2.7 against a full filter, and the
+"""The solved cofactor walk behind lem-2.7 against a full filter, and the
 McCoy witness of each pair against a chain of closed submodules.
 
 The reference enumerates every coefficient vector g with `itertools.product`
@@ -10,10 +10,13 @@ import itertools
 
 from zdbench.extensions import mccoy_witness, module_poly, ring_poly
 from zdbench.modules import submodule_generated
+from zdbench.rings import Zmod, poly_quotient
 from zdbench.statements import _annihilating_cofactors, mccoy_witness_sweep
 
 MAX_RING = 6
 DEGREES = (0, 1, 2)
+# (|R| bound, degrees): at degree 3 the solved walk runs three levels deep
+WALKS = ((MAX_RING, DEGREES), (4, (3,)))
 
 
 def _annihilators(R, cf):
@@ -38,11 +41,29 @@ def _small_rings(U):
 
 
 def test_walk_yields_the_filtered_cofactors_in_order(small_universe):
-    for R in _small_rings(small_universe):
-        for degree in DEGREES:
-            for cf in itertools.product(R.elements, repeat=degree + 1):
-                assert list(_annihilating_cofactors(R, cf)) == _annihilators(R, cf), \
-                    (R.descriptor, cf)
+    for max_ring, degrees in WALKS:
+        rings = [R for R in small_universe.rings if R.size <= max_ring]
+        assert len(rings) >= 5
+        for R in rings:
+            for degree in degrees:
+                for cf in itertools.product(R.elements, repeat=degree + 1):
+                    assert list(_annihilating_cofactors(R, cf)) == _annihilators(R, cf), \
+                        (R.descriptor, cf)
+
+
+def test_walk_solves_with_the_negated_rest():
+    """On the small universe's rings, solving f_0 x = rest_j in place of
+    -rest_j changes no answer (over Z/n, f*g = 0 forces every f_i g_j = 0).
+    Z9[x]/(x^2) has no such rule: (3 + xX)(3 + 2xX) = 0 with 3 * 2x != 0.
+    The nine f = 3 + cX with c in xR are compared."""
+    R = poly_quotient(Zmod(9), (0, 0, 1))
+    three, x = (3, 0), (0, 1)
+    found = 0
+    for c in sorted({R.mul(x, r) for r in R.elements}, key=R.index):
+        expected = _annihilators(R, (three, c))
+        assert list(_annihilating_cofactors(R, (three, c))) == expected, c
+        found += len(expected)
+    assert found > 100
 
 
 def test_sweep_counts_match_the_filter(small_universe):

@@ -14,7 +14,8 @@ from zdbench.modules import (FiniteModule, _extend_linear, _tables, ann,
                              cyclic_module, direct_sum, generating_set,
                              hom_module, regular_module, verify_module_axioms,
                              zero_divisors_module)
-from zdbench.rings import Zmod, ideal_generated, poly_quotient, product_ring
+from zdbench.rings import (Zmod, ideal_generated, poly_quotient, product_ring,
+                           span)
 
 
 def _with(M, **ops):
@@ -148,6 +149,32 @@ def test_extend_linear_returns_only_linear_maps(small_universe):
             assert [fx[g] for g in gens] == list(images)
             checked += 1
     assert checked >= 300
+
+
+def test_extend_linear_on_additive_generators_matches_all_rows(small_universe):
+    """The walk over the action rows of an additive generating set S of R,
+    as `hom_module` runs it, returns what the walk over all of R's rows
+    returns, on every image tuple in M^k, maps and refusals alike."""
+    maps = refused = wide = 0
+    for R, M in small_universe.pairs():
+        gens = generating_set(M)
+        if M.size ** len(gens) > 4096:
+            continue
+        S: list = []
+        span(R.plus, R.index(R.zero), range(R.size), S)
+        wide += len(S) > 1
+        add, act = _tables(M)
+        zero, g_idx = M.index(M.zero), [M.index(g) for g in gens]
+        act_s = [act[s] for s in S]
+        for images in itertools.product(range(M.size), repeat=len(gens)):
+            f = _extend_linear(add, act, zero, g_idx, images)
+            assert _extend_linear(add, act_s, zero, g_idx, images) == f, \
+                (M.descriptor(), images)
+            if f is None:
+                refused += 1
+            else:
+                maps += 1
+    assert maps > 1000 and refused > 1000 and wide > 10, (maps, refused, wide)
 
 
 def test_conflicting_generator_image_fails_extend_linear():
