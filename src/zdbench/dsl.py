@@ -88,102 +88,95 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST nodes (span never participates in equality)
+# AST nodes
+
+
+@dataclass(frozen=True, kw_only=True)
+class Node:
+    """A parsed node: its source span (start, end), keyword-only and never
+    compared, then the fields of its class."""
+    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class IntElem:
+class IntElem(Node):
     value: int
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class TupleElem:
+class TupleElem(Node):
     items: tuple
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class XPolyElem:
+class XPolyElem(Node):
     coeffs: tuple  # dense, constant term first
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class ZmodNode:
+class ZmodNode(Node):
     n: int
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class ProdNode:
+class ProdNode(Node):
     left: object
     right: object
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class PolyQuotNode:
+class PolyQuotNode(Node):
     base: object
     relation: tuple  # dense coefficients, constant term first
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class LocalizeNode:
+class LocalizeNode(Node):
     ring: object
     elements: tuple
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class TotalQuotientNode:
+class TotalQuotientNode(Node):
     ring: object
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class RegNode:
-    span: tuple = field(compare=False, default=(0, 0))
+class RegNode(Node):
+    pass
 
 
 @dataclass(frozen=True)
-class FreeNode:
+class FreeNode(Node):
     rank: int
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class CyclicNode:
+class CyclicNode(Node):
     generators: tuple
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class SumNode:
+class SumNode(Node):
     left: object
     right: object
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class HomNode:
+class HomNode(Node):
     inner: object
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class TensorNode:
+class TensorNode(Node):
     module: object
     algebra: object
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 @dataclass(frozen=True)
-class AlgebraNode:
+class AlgebraNode(Node):
     over: object   # ring node for B
     base: object   # ring node for R
-    span: tuple = field(compare=False, default=(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +189,7 @@ class AlgebraNode:
 
 class Rule(NamedTuple):
     sort: str      # "ring" | "module" | "algebra"
-    cls: type      # node class; its fields before span take the arguments
+    cls: type      # node class; its fields after span take the arguments
     args: tuple    # argument sorts, keys of _ARGUMENTS
     sep: str = ""  # printed between arguments
 
@@ -436,7 +429,7 @@ _ARGUMENTS = {
 }
 
 # node class -> (head, argument field names, argument sorts, separator)
-_PRINTED = {rule.cls: (head, [f.name for f in fields(rule.cls)][:-1], rule.args, rule.sep)
+_PRINTED = {rule.cls: (head, [f.name for f in fields(rule.cls)][1:], rule.args, rule.sep)
             for head, rule in GRAMMAR.items()}
 
 
@@ -473,7 +466,7 @@ def resolve_element(node, R: FiniteRing):
         power = R.one
         for k, c in enumerate(node.coeffs):
             if c:
-                const = resolve_element(IntElem(c, node.span), R)
+                const = resolve_element(IntElem(c, span=node.span), R)
                 out = R.add(out, R.mul(const, power))
             power = R.mul(power, x)
         return out

@@ -15,9 +15,9 @@ from typing import Iterable, Optional
 
 from .errors import BoundExceeded, PresentationUnavailable
 from .rings import (Carrier, FiniteRing, Ideal, Table, annihilator_of,
-                    coset_quotient, generated, ideal_generated, least_killed,
-                    represented_tables, span, subgroup_lattice, sum_tables,
-                    zero_divisor_scan)
+                    coset_quotient, cyclic_subgroups, generated, ideal_generated,
+                    least_killed, represented_tables, span, subgroup_lattice,
+                    sum_tables, zero_divisor_scan)
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kernels
@@ -39,7 +39,6 @@ class FiniteModule(Carrier):
         self._generators = None
         self._presentation: dict = {}
         self._flat: dict = {}
-        self._ffl: dict = {}
         self._content_cache: dict = {}
         self._ideal_action_cache: dict = {}
 
@@ -207,8 +206,8 @@ def generating_set(M: FiniteModule) -> tuple:
 
 def all_submodules(M: FiniteModule, max_count: int = 512) -> list[Submodule]:
     """Every submodule exactly once, ordered by size, then by element indices."""
-    return subgroup_lattice(M, lambda gens, elements: Submodule(M, gens, elements),
-                            max_count)
+    return subgroup_lattice(M, M.plus, cyclic_subgroups(M),
+                            lambda gens, elements: Submodule(M, gens, elements), max_count)
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +584,8 @@ def is_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET) -> Verdi
 
 
 def is_faithfully_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET) -> Verdict:
-    """Flat and M/pM nonzero at every maximal ideal p."""
-    cached = M._ffl.get(budget)
-    if cached is not None:
-        return cached
+    """Flat and M/pM nonzero at every maximal ideal p; not memoized, as its
+    callers memoize it or ask once."""
     verdict = is_flat(M, budget=budget)
     if verdict.holds:
         for p in M.ring.maximal_ideals():
@@ -596,7 +593,6 @@ def is_faithfully_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGE
                 verdict = Verdict(False, witness={
                     "kind": "faithfully_flat", "maximal_ideal": p.small_generators()})
                 break
-    M._ffl[budget] = verdict
     return verdict
 
 

@@ -21,8 +21,8 @@ from .modules import (ann, content_of_element, has_property_A, ideal_action,
                       is_flat, is_torsion_free, regular_module,
                       zero_divisors_module)
 from .rings import FiniteRing, ideal_generated, ring_predicates
-from .statements import (faithfully_flat_mccoy_algebras, run_suite,
-                         search_counterexample)
+from .statements import (faithfully_flat_mccoy_algebras, kills_nonzero,
+                         run_suite, search_counterexample)
 from .universe import DEFAULT_LIMITS, UniverseLimits, generate_universe
 
 SCHEMA_VERSION = 1
@@ -158,8 +158,7 @@ def search_report(hyp: str, concl: str,
     }
 
 
-def witness_report(f_text: str, g_text: str, ring_text: str,
-                   limits: UniverseLimits = DEFAULT_LIMITS) -> dict:
+def witness_report(f_text: str, g_text: str, ring_text: str) -> dict:
     R = dsl.build_ring(ring_text)
     M = regular_module(R)
     f = dsl.parse_ext(f_text, R)
@@ -231,12 +230,12 @@ def revalidate_witness(entry: dict) -> bool:
         if kind == "property_a":
             I = ideal_generated(R, value)
             inside = (I.elements - {R.zero}) <= (zm - {R.zero})
-            return inside and not _kills_nonzero(value, M.elements, M.zero, M.act)
+            return inside and not kills_nonzero(value, M.elements, M.zero, M.act)
         if kind == "ext_ideal":
             # f with content c(f) = (value) is a zero-divisor on R[X] or
             # R[[X]] (on M[X] or M[[X]]) iff c(f) kills a nonzero r (m)
-            return (_kills_nonzero(value, R.elements, R.zero, R.mul)
-                    != _kills_nonzero(value, M.elements, M.zero, M.act))
+            return (kills_nonzero(value, R.elements, R.zero, R.mul)
+                    != kills_nonzero(value, M.elements, M.zero, M.act))
         if kind == "content":
             c = content_of_element(M, value)
             return value not in ideal_action(c, M).elements
@@ -250,19 +249,13 @@ def revalidate_witness(entry: dict) -> bool:
         if g == B.zero or B.rows[B.index(f)][B.index(g)] != B.index(B.zero):
             return False
         gens = content_of_element(BR, f).generators
-        return not _kills_nonzero(gens, Rb.elements, Rb.zero, Rb.mul)
+        return not kills_nonzero(gens, Rb.elements, Rb.zero, Rb.mul)
     if kind == "mccoy_witness":
         R = dsl.build_ring(entry["ring"])
         m, zero = R.index(value), R.index(R.zero)
         coeffs = [R.index(from_jsonable(c)) for _, c in entry["f_support"]]
         return m != zero and all(R.rows[c][m] == zero for c in coeffs)
     raise ValueError(f"no revalidator for witness kind {kind!r}")
-
-
-def _kills_nonzero(gens, elements, zero, act) -> bool:
-    """Whether some nonzero x in `elements` has act(a, x) = zero for every a
-    in `gens`, by an element scan."""
-    return any(x != zero and all(act(a, x) == zero for a in gens) for x in elements)
 
 
 def revalidate_report(report: dict) -> dict:

@@ -159,7 +159,8 @@ class FiniteRing(Carrier):
                 f"ideal lattice of {self.descriptor} (size {self.size}) exceeds bound {bound}")
         if self._ideals is None:
             self._ideals = tuple(subgroup_lattice(
-                self, lambda gens, elements: Ideal(self, gens, elements)))
+                self, self.plus, cyclic_subgroups(self),
+                lambda gens, elements: Ideal(self, gens, elements)))
         return self._ideals
 
     def maximal_ideals(self) -> tuple["Ideal", ...]:
@@ -385,20 +386,22 @@ def _extend(op, closed: set, seed: Iterable, gens: list | None = None) -> set:
     return closed
 
 
-def subgroup_lattice(S, make, max_count: int | None = None) -> list:
-    """Every subgroup of the ring or module S that its scalars keep, once.
+def subgroup_lattice(S, op, atoms, make, max_count: int | None = None) -> list:
+    """Every join of `atoms` under `op` in S, once: with op = S.plus and
+    `cyclic_subgroups(S)`, the subgroups of S that its scalars keep.
 
-    Members are index sets until make(generators, elements) builds them.
-    Seeds are the cyclic subgroups {r*m}, each a column of S.rows, in
-    carrier order; members are joined pairwise by their Minkowski sum
-    {a + b}, which for finite subgroups is already closed, until no join is
-    new; a + b is built coset by coset, each y in b not yet in it adding a's
-    translate along the row S.plus[y].  Sorted by size, then by element
-    indices.  `max_count` caps the members of a module's lattice.
+    `op` is a commutative, associative index table, as for `span`; `atoms`
+    yields (i, A), A generated by i, closed under `op` and holding its
+    identity.  Members are joined pairwise by a*b = {x*y}, closed and
+    holding a and b, until no join is new; a*b is built coset by coset,
+    each y in b not yet in it adding a's translate along op[y] (y = x0*y0
+    in it has y*a within y0*a).  Members are index sets until
+    make(generators, elements) builds them; sorted by size, then by
+    element indices.  `max_count` caps the members.
     """
     seen = {}  # member's indices -> its generators' indices
-    for i in range(S.size):
-        seen.setdefault(frozenset(row[i] for row in S.rows), (i,))
+    for i, atom in atoms:
+        seen.setdefault(atom, (i,))
     frontier = list(seen.items())
     while frontier:
         fresh = []
@@ -410,7 +413,7 @@ def subgroup_lattice(S, make, max_count: int | None = None) -> list:
                 joined = set(a)
                 for y in b:
                     if y not in joined:
-                        joined.update(map(S.plus[y].__getitem__, a))
+                        joined.update(map(op[y].__getitem__, a))
                 joined = frozenset(joined)
                 if joined not in seen:
                     seen[joined] = gens = tuple(sorted(gens_a + gens_b))
@@ -421,6 +424,11 @@ def subgroup_lattice(S, make, max_count: int | None = None) -> list:
     E = S.elements
     return [make(tuple(map(E.__getitem__, gens)), frozenset(map(E.__getitem__, members)))
             for members, gens in sorted(seen.items(), key=lambda m: (len(m[0]), sorted(m[0])))]
+
+
+def cyclic_subgroups(S):
+    """(m, {r*m}) for each m in S, on indices: the columns of S.rows."""
+    return ((m, frozenset(row[m] for row in S.rows)) for m in range(S.size))
 
 
 def coset_quotient(S, subgroup: Iterable) -> tuple[list, list]:
@@ -665,24 +673,18 @@ def multiplicative_closure(R: FiniteRing, seed: Iterable) -> MultiplicativeSet:
 
 
 def all_mult_closed_subsets(R: FiniteRing, within: Iterable) -> list[MultiplicativeSet]:
-    """Every multiplicatively closed subset of `within` that contains 1.
+    """Every multiplicatively closed subset of `within` that contains 1, by
+    size, then by element indices.
 
     `within` must be closed under multiplication itself (true for the
-    regular-on-M candidate sets this is used on); enumeration walks closures
-    along R.rows, on indices, rather than all subsets: each found S, already
-    closed, grows by one more element e.  Ordered by size, then by element
-    indices.
+    regular-on-M candidate sets this is used on): they are the joins along
+    R.rows of its cyclic submonoids {1, e, e^2, ...}, by `subgroup_lattice`.
     """
     one = R.index(R.one)
-    allowed = frozenset(map(R.index, within)) | {one}
-    found = frontier = {frozenset({one})}
-    while frontier:
-        bigger = {frozenset(_extend(R.rows, set(S), (e,)))
-                  for S in frontier for e in allowed - S}
-        frontier = {S for S in bigger if S <= allowed} - found
-        found |= frontier
-    return [MultiplicativeSet(R, frozenset(map(R.elements.__getitem__, S)))
-            for S in sorted(found, key=lambda S: (len(S), sorted(S)))]
+    cyclic = ((e, span(R.rows, one, (e,)))
+              for e in sorted({one, *map(R.index, within)}))
+    return subgroup_lattice(R, R.rows, cyclic,
+                            lambda gens, elements: MultiplicativeSet(R, elements))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ universe pairs, the extension-ring transfer, the McCoy tensor transfer,
 direct sums, an independent re-derivation per pair or algebra, and one per
 part of a small pair); the other six have sweeps of their own.  A sweep
 visits the universe members satisfying the statement's hypotheses, evaluates
-its conclusion, and reports pass/fail with re-checkable witnesses through
-`StatementReport.visit`.  A statement never asserts on members failing its
-hypotheses, and zero applicable members surfaces as a warning instead of a
-silent pass.
+its conclusion, and reports pass/fail with re-checkable witnesses.  Most
+sweeps keep their books through `StatementReport.visit`; `_partwise`, lem-2.7
+and def-2.11's inline re-derivation keep their own.  A statement never
+asserts on members failing its hypotheses, and zero applicable members
+surfaces as a warning instead of a silent pass.
 
 Hypotheses and conclusions are named by one predicate vocabulary, which the
 counterexample `search` reads too.
@@ -45,7 +46,7 @@ from .modules import (all_submodules, ann, content_of_element,
                       zero_divisors_module)
 from .rings import (Zmod, all_mult_closed_subsets, ideal_generated,
                     product_ring, ring_predicates)
-from .universe import Universe, ZAdapterCase, z_adapter_cases
+from .universe import Z_ADAPTER_MAX, Universe, ZAdapterCase, z_adapter_cases
 
 
 @dataclass
@@ -358,6 +359,7 @@ def _summands(U: Universe, rep: StatementReport, flat: bool, concl, labels):
 
 
 _PARTWISE_MAX = 64
+_MCCOY_RING_MAX = 8  # lem-2.7's annihilating pairs are over rings with |R| <= this
 
 
 def _recheck(U: Universe, rep: StatementReport, check, algebras: bool = False):
@@ -395,6 +397,12 @@ def _partwise(U: Universe, rep: StatementReport, parts, check):
 
 # ---------------------------------------------------------------------------
 # independent re-derivations, the rows of `_recheck` and `_partwise`
+
+
+def kills_nonzero(gens, elements, zero, act) -> bool:
+    """Whether some nonzero x in `elements` has act(a, x) = zero for every a
+    in `gens`: an element scan, apart from `least_killed`'s index scan."""
+    return any(x != zero and all(act(a, x) == zero for a in gens) for x in elements)
 
 
 def _auslander_inclusion(R, M):
@@ -445,8 +453,7 @@ def _property_a_direct(R, M):
     for I in R.ideals():
         if not (I.elements - {R.zero}) <= zm:
             continue
-        if not any(m != M.zero and all(M.act(a, m) == M.zero for a in I.elements)
-                   for m in M.elements):
+        if not kills_nonzero(I.elements, M.elements, M.zero, M.act):
             direct = False
             offending = I.small_generators()
             break
@@ -513,12 +520,12 @@ def _prop_2_3(U: Universe, rep: StatementReport):
 
 def _lem_2_7(U: Universe, rep: StatementReport):
     degree = min(2, U.limits.degree_bound)
-    sweep = mccoy_witness_sweep(U, max_ring=8, degree=degree)
+    sweep = mccoy_witness_sweep(U, degree=degree)
     rep.checked = sweep["pairs_checked"]
     rep.applicable = [f"{d} ({c} annihilating pairs)"
                       for d, c in sweep["per_ring"].items()]
     rep.failures = sweep["failures"]
-    rep.notes.append(f"degrees <= {degree}, rings with |R| <= 8")
+    rep.notes.append(f"degrees <= {degree}, rings with |R| <= {_MCCOY_RING_MAX}")
 
 
 def _def_2_11(U: Universe, rep: StatementReport):
@@ -542,9 +549,8 @@ def _def_2_11(U: Universe, rep: StatementReport):
         rep.checked += 1
         verdict = is_mccoy_algebra(alg).holds
         direct = is_ohm_rush(alg).holds and all(
-            any(r != R.zero and all(R.mul(a, r) == R.zero for a in
-                                    content_of_element(alg.as_module(), f).elements)
-                for r in R.elements)
+            kills_nonzero(content_of_element(alg.as_module(), f).elements,
+                          R.elements, R.zero, R.mul)
             for f in B.elements for g in B.elements
             if g != B.zero and B.mul(f, g) == B.zero)
         if verdict != direct:
@@ -843,8 +849,7 @@ def _eval_atoms(atoms, vocab, *args) -> bool | None:
     return True
 
 
-def search_counterexample(hyp: str, concl: str, U: Universe,
-                          include_adapter: bool = True) -> list[dict]:
+def search_counterexample(hyp: str, concl: str, U: Universe) -> list[dict]:
     """All members satisfying hyp and failing concl, with witnesses."""
     hyp_atoms = parse_predicate_expression(hyp)
     concl_atoms = parse_predicate_expression(concl)
@@ -865,10 +870,9 @@ def search_counterexample(hyp: str, concl: str, U: Universe,
     for R, alg in U.all_algebras():
         if refuted(_ALGEBRA_VOCABULARY, U, alg):
             results.append({"kind": "algebra", "member": alg.descriptor})
-    if include_adapter:
-        for facts, members in _adapter_members():
-            if refuted({name: (lambda v=v: v) for name, v in facts.items()}):
-                results.extend({"kind": "adapter", "member": m} for m in members)
+    for facts, members in _adapter_members():
+        if refuted({name: (lambda v=v: v) for name, v in facts.items()}):
+            results.extend({"kind": "adapter", "member": m} for m in members)
     return results
 
 
@@ -884,8 +888,9 @@ def z_adapter_check(case_id: str) -> dict:
         n = int(case_id[2:])
     except ValueError:
         raise ValueError(f"unknown adapter case {case_id!r}") from None
-    if not 1 <= n <= 30:
-        raise ValueError(f"adapter case {case_id!r} outside the registered range 1..30")
+    if not 1 <= n <= Z_ADAPTER_MAX:
+        raise ValueError(
+            f"adapter case {case_id!r} outside the registered range 1..{Z_ADAPTER_MAX}")
     case = ZAdapterCase(n)
     if case.degenerate:
         return {"case": case.case_id, "degenerate": True, "excluded": True}
@@ -969,7 +974,7 @@ def _annihilating_cofactors(R, cf):
     return walk(0)
 
 
-def mccoy_witness_sweep(U: Universe, max_ring: int = 8, degree: int = 2) -> dict:
+def mccoy_witness_sweep(U: Universe, max_ring: int = _MCCOY_RING_MAX, degree: int = 2) -> dict:
     """Exhaustive annihilating pairs (f, g) of bounded degree over regular
     modules; every pair must yield a valid constructive witness."""
     out = {"pairs_checked": 0, "failures": [], "per_ring": {}}

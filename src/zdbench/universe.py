@@ -13,15 +13,17 @@ arithmetic, never by enumerating an infinite carrier.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
 from .errors import BoundExceeded
-from .extensions import (FiniteAlgebra, diagonal_algebra, extension_algebra,
+from .extensions import (DEFAULT_BRUTE_BUDGET, DEFAULT_SERIES_PRECISION,
+                         FiniteAlgebra, diagonal_algebra, extension_algebra,
                          self_algebra)
-from .modules import (DEFAULT_HOM_BUDGET, FiniteModule, Verdict, cyclic_module,
-                      direct_sum, free_module, hom_module, regular_module,
-                      verify_module_axioms)
+from .modules import (DEFAULT_HOM_BUDGET, DEFAULT_PRESENTATION_BUDGET, FiniteModule,
+                      Verdict, cyclic_module, direct_sum, free_module, hom_module,
+                      regular_module, verify_module_axioms)
 from .rings import (FiniteRing, Zmod, poly_quotient, product_ring,
                     verify_ring_axioms)
 
@@ -35,10 +37,10 @@ class UniverseLimits:
     max_algebra: int = 64
     max_sum_pairs: int = 6
     hom_budget: int = DEFAULT_HOM_BUDGET
-    presentation_budget: int = 30000
-    brute_budget: int = 300_000
+    presentation_budget: int = DEFAULT_PRESENTATION_BUDGET
+    brute_budget: int = DEFAULT_BRUTE_BUDGET
     degree_bound: int = 2
-    series_precision: int = 8
+    series_precision: int = DEFAULT_SERIES_PRECISION
     axiom_check_max: int = 64
 
     def __post_init__(self):
@@ -92,69 +94,43 @@ class Universe:
 
 def generate_universe(limits: UniverseLimits = DEFAULT_LIMITS) -> Universe:
     U = Universe(limits=limits)
-    counts = {"rings_zmod": 0, "rings_product": 0, "rings_polyquot": 0,
-              "modules_reg": 0, "modules_free": 0, "modules_cyclic": 0,
-              "modules_sum": 0, "modules_hom": 0, "algebras": 0}
-
-    rings: list[FiniteRing] = []
-    for n in range(2, limits.zmod_max + 1):
-        rings.append(Zmod(n))
-        counts["rings_zmod"] += 1
-    if limits.product_component_max >= 2:
-        for a in range(2, limits.product_component_max + 1):
-            for b in range(a, limits.product_component_max + 1):
-                R = product_ring(Zmod(a), Zmod(b))
-                if R.size <= limits.max_ring:
-                    rings.append(R)
-                    counts["rings_product"] += 1
+    rings = [Zmod(n) for n in range(2, limits.zmod_max + 1)]
+    for a in range(2, limits.product_component_max + 1):
+        for b in range(a, limits.product_component_max + 1):
+            R = product_ring(Zmod(a), Zmod(b))
+            if R.size <= limits.max_ring:
+                rings.append(R)
     for p in (2, 3):
         for rel in ((0, 0, 1), (0, 0, 0, 1)):
             R = poly_quotient(Zmod(p), rel)
             if R.size <= limits.max_ring:
                 rings.append(R)
-                counts["rings_polyquot"] += 1
     for rel in ((0, 0, 1), _GALOIS_RELATION_DEG2):
         R = poly_quotient(Zmod(4), rel)
         if R.size <= limits.max_ring:
             rings.append(R)
-            counts["rings_polyquot"] += 1
 
     for R in rings:
         verify_ring_axioms(R, bound=limits.axiom_check_max)
     U.rings = rings
 
     for R in rings:
-        mods: list[FiniteModule] = []
-        reg = regular_module(R)
-        mods.append(reg)
-        counts["modules_reg"] += 1
+        mods: list[FiniteModule] = [regular_module(R)]
         if R.size ** 2 <= limits.max_module:
             mods.append(free_module(R, 2))
-            counts["modules_free"] += 1
         cyclics = []
         for I in R.ideals():
             if I.is_whole_ring:
                 continue  # the zero module is constructible but not a universe member
-            C = cyclic_module(R, I)
-            cyclics.append(C)
-            counts["modules_cyclic"] += 1
+            cyclics.append(cyclic_module(R, I))
         mods.extend(cyclics)
-        sums = 0
-        for i in range(len(cyclics)):
-            if sums >= limits.max_sum_pairs:
-                break
-            for j in range(i, len(cyclics)):
-                if sums >= limits.max_sum_pairs:
-                    break
-                A, B = cyclics[i], cyclics[j]
-                if A.size * B.size <= limits.max_module:
-                    mods.append(direct_sum(A, B))
-                    counts["modules_sum"] += 1
-                    sums += 1
+        # the first max_sum_pairs pairs i <= j of cyclics whose sum fits
+        fitting = ((A, B) for A, B in itertools.combinations_with_replacement(cyclics, 2)
+                   if A.size * B.size <= limits.max_module)
+        mods.extend(itertools.starmap(direct_sum, itertools.islice(fitting, limits.max_sum_pairs)))
         for C in cyclics:
             try:
                 mods.append(hom_module(C, budget=limits.hom_budget))
-                counts["modules_hom"] += 1
             except BoundExceeded:
                 pass
         for M in mods:
@@ -174,15 +150,24 @@ def generate_universe(limits: UniverseLimits = DEFAULT_LIMITS) -> Universe:
                 B = poly_quotient(R, rel)
                 if B.size <= limits.max_algebra:
                     algs.append(extension_algebra(B, R))
-        counts["algebras"] += len(algs)
         U.algebras[R.descriptor] = algs
 
-    U.counts = counts
+    # per ring kind and per module head, in report order
+    counts = dict.fromkeys(["rings_zmod", "rings_product", "rings_polyquot", "modules_reg",
+                            "modules_free", "modules_cyclic", "modules_sum", "modules_hom"], 0)
+    for R in rings:
+        counts["rings_" + R.kind] += 1
+    for R, M in U.pairs():
+        counts["modules_" + M.tag.split("(")[0].lower()] += 1
+    U.counts = {**counts, "algebras": sum(map(len, U.algebras.values()))}
     return U
 
 
 # ---------------------------------------------------------------------------
 # the integer-ring adapter
+
+
+Z_ADAPTER_MAX = 30  # the registered cases are Z/n, 1 <= n <= this; Z/1 is degenerate
 
 
 @dataclass(frozen=True)
@@ -224,5 +209,5 @@ class ZAdapterCase:
         return Verdict(False, witness={"kind": "torsion_free", "element": witness})
 
 
-def z_adapter_cases(n_max: int = 30) -> list[ZAdapterCase]:
-    return [ZAdapterCase(n) for n in range(2, n_max + 1)]
+def z_adapter_cases() -> list[ZAdapterCase]:
+    return [ZAdapterCase(n) for n in range(2, Z_ADAPTER_MAX + 1)]

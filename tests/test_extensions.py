@@ -12,7 +12,7 @@ from zdbench.extensions import (FiniteAlgebra, brute_force_zd,
                                 mccoy_witness, module_poly, module_series,
                                 ring_poly, ring_series, self_algebra)
 from zdbench.modules import regular_module, zero_divisors_module
-from zdbench.rings import Zmod, poly_quotient, product_ring
+from zdbench.rings import Zmod, ideal_generated, poly_quotient, product_ring
 
 
 def test_ext_mul_collapses_to_zero():
@@ -148,6 +148,18 @@ def test_mccoy_witness_examples():
     fp = ring_poly(P, {(0,): (1, 0)})
     gp = module_poly(RegP, {(0,): (0, 1), (1,): (0, 1)})
     assert mccoy_witness(fp, gp) == (0, 1)
+
+
+def test_mccoy_witness_steps_the_content_chain():
+    # over Z9[x]/(x^2): (3 + xX)(3 + 2xX) = 9 + 9xX + 2x^2 X^2 = 0, but
+    # c(f)c(g) = (3x) != 0, so the chain needs c(f)^2 c(g) = 0 and returns
+    # the least nonzero element of c(f)c(g)
+    R = poly_quotient(Zmod(9), (0, 0, 1))
+    f = ring_poly(R, {(0,): (3, 0), (1,): (0, 1)})
+    g = module_poly(regular_module(R), {(0,): (3, 0), (1,): (0, 2)})
+    cf, cg = ideal_generated(R, [(3, 0), (0, 1)]), ideal_generated(R, [(3, 0), (0, 2)])
+    assert (cf * cg).elements == {(0, 0), (0, 3), (0, 6)}
+    assert mccoy_witness(f, g) == (0, 3)
 
 
 def test_mccoy_witness_accepts_ring_cofactor():

@@ -10,6 +10,7 @@ from zdbench.modules import (all_submodules, ann, content_of_element,
                              regular_module, submodule_generated,
                              verify_module_axioms, zero_divisors_module,
                              zero_module)
+from zdbench.modules import _ideal_tensor_kernel
 from zdbench.rings import (Zmod, ideal_generated, poly_quotient, product_ring)
 
 
@@ -146,6 +147,17 @@ def test_flat_examples(prod22):
     assert v.witness["ideal"] == (2,)
     assert v.witness["tensor_size"] == 2  # |I (x) M| = 2 while I*M = 0
     assert is_faithfully_flat(regular_module(prod22)).holds
+
+
+def test_two_generator_ideal_tensor_kernel():
+    # I = (2, x) over Z4[x]/(x^2) on M = R/(x): I (x) M has 4 elements while
+    # I*M = (2) has 2, and the relation-free ((0,0),(1,0)) maps to 2*0 + x*1 = 0
+    R = poly_quotient(Zmod(4), (0, 0, 1))
+    M = cyclic_module(R, ideal_generated(R, [(0, 1)]))
+    I = ideal_generated(R, [(2, 0), (0, 1)])
+    assert _ideal_tensor_kernel(I, M, budget=30000) == (False, {
+        "kind": "flat", "ideal": ((2, 0), (0, 1)), "kernel_element": ((0, 0), (1, 0)),
+        "tensor_size": 4})
 
 
 def test_flat_agreement_between_routes():

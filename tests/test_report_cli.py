@@ -59,6 +59,16 @@ def test_revalidate_witness_kinds():
                  "value": [[0, 1]], "variant": "monoid", "display": "c(f) = ((0,1))"}
     assert revalidate_witness(ext_ideal)
     assert not revalidate_witness(dict(ext_ideal, value=[[1, 1]]))
+    # (0,x) lies outside c((0,x)) M: the witness analyze_report emits
+    content = analyze_report("PolyQuot(Z4, x^2)", "Sum(Cyclic(0),Cyclic(2))")["witnesses"][0]
+    assert content["kind"] == "content" and content["display"] == "(0,x)"
+    assert revalidate_witness(content)
+    assert not revalidate_witness(dict(content, value=[[1, 0], [0, 0]]))
+    # (1,0)(0,1) = 0 in Z2 x Z2 with c((1,0)) = Z2 killing nothing; (1,0)^2 != 0
+    mccoy = {"kind": "mccoy", "algebra": "Algebra(Prod(Z2,Z2), Z2)",
+             "value": [[1, 0], [0, 1]], "display": "f=(1,0), g=(0,1)"}
+    assert revalidate_witness(mccoy)
+    assert not revalidate_witness(dict(mccoy, value=[[1, 0], [1, 0]]))
     with pytest.raises(ValueError):
         revalidate_witness({"kind": "nonsense", "ring": "Z4", "value": 0})
 
@@ -118,10 +128,20 @@ def test_witness_report():
 
 
 def test_render_text_derived_from_report():
-    rep = analyze_report("Z6", "Reg")
-    text = render_text(rep)
-    assert "Z(R) = {0, 2, 3, 4}" in text
-    assert "auslander = True" in text
+    cases = [
+        (analyze_report("Z6", "Reg"), ["  Z(R) = {0, 2, 3, 4}", "  auslander = True"]),
+        (theorems_report("rem-3.3-*", limits=SMALL),
+         ["  [PASS] rem-3.3-1: applicable=",
+          "  [PASS] rem-3.3-3: applicable=1 checked=1 failures=0", "overall: PASS"]),
+        (search_report("torsion_free", "auslander", limits=SMALL),
+         ["search hyp='torsion_free' concl='auslander': 4 witnesses",
+          "  pair: Prod(Z2,Z2) :: Cyclic((1,0))"]),
+        (witness_report("2*X+2", "2", "Z4"), ["witness m = 2 over Z4"]),
+    ]
+    for rep, lines in cases:
+        text = render_text(rep).splitlines()
+        for line in lines:
+            assert any(t.startswith(line) for t in text), (rep["command"], line)
 
 
 def test_cli_analyze_json(capsys):
@@ -205,12 +225,38 @@ def test_cli_out_of_range_limit_is_a_usage_error(capsys, option, value, field):
 
 
 def test_cli_theorems_small(capsys):
-    code = main(["theorems", "--suite", "rem-3.3-3", "--zmod-max", "4",
-                 "--max-module", "20"])
-    assert code == 0
+    for revalidate in ([], ["--revalidate"]):
+        code = main(["theorems", "--suite", "rem-3.3-3", "--zmod-max", "4",
+                     "--max-module", "20", *revalidate])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["passed"] is True
+        assert rep["bounds"]["zmod_max"] == 4
+        # rem-3.3-3 reproduces one Auslander witness, (1,0)
+        assert rep.get("revalidation") == ({"total": 1, "failed": 0} if revalidate else None)
+
+
+def test_cli_theorems_failed_revalidation_exits_one(capsys, monkeypatch):
+    from zdbench import report
+    monkeypatch.setattr(report, "revalidate_witness", lambda entry: False)
+    code = main(["theorems", "--suite", "rem-3.3-3", "--zmod-max", "4", "--revalidate"])
+    assert code == 1
     rep = json.loads(capsys.readouterr().out)
-    assert rep["passed"] is True
-    assert rep["bounds"]["zmod_max"] == 4
+    assert rep["passed"] is False and rep["revalidation"] == {"total": 1, "failed": 1}
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["search", "--hyp", "reg_module", "--concl", "auslander", "--zmod-max", "4"],
+     lambda: search_report("reg_module", "auslander",
+                           limits=UniverseLimits(zmod_max=4))),
+    (["witness", "--f", "2*X+2", "--g", "2", "--ring", "Z4"],
+     lambda: witness_report("2*X+2", "2", "Z4")),
+    (["theorems", "--suite", "rem-3.3-*", "--zmod-max", "4"],
+     lambda: theorems_report("rem-3.3-*", limits=UniverseLimits(zmod_max=4))),
+], ids=["search", "witness", "theorems"])
+def test_cli_text_format_renders_the_report(capsys, argv, build):
+    assert main([*argv, "--format", "text"]) == 0
+    assert capsys.readouterr().out == render_text(build())
 
 
 def test_cli_theorems_failing_suite_exits_one(capsys, monkeypatch):
