@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -445,8 +446,7 @@ def resolve_element(node, R: FiniteRing):
         if R.kind == "zmod":
             return node.value % R.size
         if R.kind == "polyquot":
-            d = len(R.zero)
-            return tuple([node.value % _char_bound(R)] + [0] * (d - 1))
+            return tuple([node.value % R.parts[0].size] + [0] * (len(R.zero) - 1))
         raise DslError(f"integer element not valid in {R.descriptor}", node.span)
     if isinstance(node, TupleElem):
         if R.kind != "product":
@@ -473,68 +473,60 @@ def resolve_element(node, R: FiniteRing):
     raise DslError(f"cannot resolve element {node!r}", getattr(node, "span", (0, 0)))
 
 
-def _char_bound(R: FiniteRing) -> int:
-    # additive order of 1 bounds the characteristic
-    one, out, k = R.one, R.one, 1
-    while out != R.zero:
-        out = R.add(out, one)
-        k += 1
-    return k
+@contextmanager
+def _errors_at(node):
+    """Pass a constructor's ValueError on as a DslError at `node`'s span, as
+    the constructors check their own input; an inner DslError keeps its span."""
+    try:
+        yield
+    except DslError:
+        raise
+    except ValueError as exc:
+        raise DslError(str(exc), node.span) from None
 
 
 def build_ring(spec) -> FiniteRing:
     """make_ring: build a FiniteRing from DSL text or a parsed ring node."""
     node = parse_ring(spec) if isinstance(spec, str) else spec
-    if isinstance(node, ZmodNode):
-        if node.n < 2:
-            raise DslError(f"Z{node.n}: modulus must be >= 2", node.span)
-        return Zmod(node.n)
-    if isinstance(node, ProdNode):
-        return product_ring(build_ring(node.left), build_ring(node.right))
-    if isinstance(node, PolyQuotNode):
-        base = build_ring(node.base)
-        if base.kind != "zmod":
-            raise DslError("PolyQuot base must be a Zmod ring", node.span)
-        rel = tuple(c % base.size for c in node.relation)
-        if len(rel) < 2:
-            raise DslError("relation must have degree >= 1", node.span)
-        if rel[-1] != 1:
-            raise DslError(f"relation {poly_str(node.relation)} is not monic", node.span)
-        return poly_quotient(base, rel)
-    if isinstance(node, LocalizeNode):
-        R = build_ring(node.ring)
-        seed = [resolve_element(e, R) for e in node.elements]
-        S, enlarged = closed_multiplicative_set(R, seed)
-        if enlarged:
-            log.warning("multiplicative set %s was closed under multiplication",
-                        print_node(node))
-        return localize(R, S).structure
-    if isinstance(node, TotalQuotientNode):
-        return total_quotient(build_ring(node.ring)).structure
+    with _errors_at(node):
+        if isinstance(node, ZmodNode):
+            return Zmod(node.n)
+        if isinstance(node, ProdNode):
+            return product_ring(build_ring(node.left), build_ring(node.right))
+        if isinstance(node, PolyQuotNode):
+            return poly_quotient(build_ring(node.base), node.relation)
+        if isinstance(node, LocalizeNode):
+            R = build_ring(node.ring)
+            seed = [resolve_element(e, R) for e in node.elements]
+            S, enlarged = closed_multiplicative_set(R, seed)
+            if enlarged:
+                log.warning("multiplicative set %s was closed under multiplication",
+                            print_node(node))
+            return localize(R, S).structure
+        if isinstance(node, TotalQuotientNode):
+            return total_quotient(build_ring(node.ring)).structure
     raise DslError(f"not a ring node: {node!r}", getattr(node, "span", (0, 0)))
 
 
 def build_module(R: FiniteRing, spec) -> FiniteModule:
     """build_module: construct a FiniteModule over R from DSL text or a node."""
     node = parse_module(spec) if isinstance(spec, str) else spec
-    if isinstance(node, RegNode):
-        return regular_module(R)
-    if isinstance(node, FreeNode):
-        return free_module(R, node.rank)
-    if isinstance(node, CyclicNode):
-        gens = [resolve_element(e, R) for e in node.generators]
-        return cyclic_module(R, ideal_generated(R, gens))
-    if isinstance(node, SumNode):
-        return direct_sum(build_module(R, node.left), build_module(R, node.right))
-    if isinstance(node, HomNode):
-        return hom_module(build_module(R, node.inner))
-    if isinstance(node, TensorNode):
-        alg = build_algebra(node.algebra)
-        if not alg.base.same_ring(R):
-            raise DslError(
-                f"algebra base {alg.base.descriptor} differs from ring {R.descriptor}",
-                node.span)
-        return tensor_with_algebra(build_module(R, node.module), alg)
+    with _errors_at(node):
+        if isinstance(node, RegNode):
+            return regular_module(R)
+        if isinstance(node, FreeNode):
+            return free_module(R, node.rank)
+        if isinstance(node, CyclicNode):
+            gens = [resolve_element(e, R) for e in node.generators]
+            return cyclic_module(R, ideal_generated(R, gens))
+        if isinstance(node, SumNode):
+            return direct_sum(build_module(R, node.left), build_module(R, node.right))
+        if isinstance(node, HomNode):
+            return hom_module(build_module(R, node.inner))
+        if isinstance(node, TensorNode):
+            # the algebra first, so its errors come before the module's
+            alg = build_algebra(node.algebra)
+            return tensor_with_algebra(build_module(R, node.module), alg)
     raise DslError(f"not a module node: {node!r}", getattr(node, "span", (0, 0)))
 
 
@@ -545,14 +537,10 @@ def build_algebra(spec) -> FiniteAlgebra:
     R = build_ring(node.base)
     if B.same_ring(R):
         return self_algebra(R)
-    if B.kind == "product" and isinstance(node.over, ProdNode):
-        left, right = B.parts
-        if left.same_ring(R) and right.same_ring(R):
-            return diagonal_algebra(R, B)
-    if B.kind == "polyquot" and isinstance(node.over, PolyQuotNode):
-        base = build_ring(node.over.base)
-        if base.same_ring(R):
-            return extension_algebra(B, R)
+    if B.kind == "product" and all(A.same_ring(R) for A in B.parts):
+        return diagonal_algebra(R, B)
+    if B.kind == "polyquot" and B.parts[0].same_ring(R):
+        return extension_algebra(B, R)
     raise DslError(
         f"no canonical structure map from {R.descriptor} to {B.descriptor}",
         node.span)

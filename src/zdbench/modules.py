@@ -21,6 +21,7 @@ from .rings import (Carrier, FiniteRing, Ideal, Table, annihilator_of,
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kernels
+SUBMODULE_LATTICE_MAX = 512        # members; past it all_submodules raises BoundExceeded
 
 
 class FiniteModule(Carrier):
@@ -33,11 +34,10 @@ class FiniteModule(Carrier):
         super().__init__(elements, add, neg, zero, element_str, f"module {tag}", ring, act, tables)
         self.ring = ring
         self.tag = tag
-        # write-once caches; the budgeted ones are keyed by budget, since a
-        # smaller budget must raise where a larger one succeeded
+        # write-once caches; is_flat's is keyed by budget, since a smaller
+        # budget must raise where a larger one succeeded
         self._zd = None
         self._generators = None
-        self._presentation: dict = {}
         self._flat: dict = {}
         self._content_cache: dict = {}
         self._ideal_action_cache: dict = {}
@@ -68,17 +68,11 @@ class Submodule:
     def is_zero(self):
         return self.elements == frozenset({self.module.zero})
 
-    def as_module(self, tag: str | None = None) -> FiniteModule:
+    def as_module(self) -> FiniteModule:
         M = self.module
         sub = sorted(map(M.index, self.elements))
-        return FiniteModule(
-            ring=M.ring,
-            elements=[M.elements[i] for i in sub],
-            zero=M.zero,
-            tables=represented_tables(M, {x: i for i, x in enumerate(sub)}, sub),
-            tag=tag or f"Sub[{len(self.elements)}] of {M.tag}",
-            element_str=M.element_str,
-        )
+        return module_on_representatives(M, M.ring, {x: i for i, x in enumerate(sub)}, sub,
+                                         f"Sub[{len(self.elements)}] of {M.tag}")
 
 
 @dataclass
@@ -135,7 +129,8 @@ def module_on_representatives(M: FiniteModule, ring: FiniteRing, cls: list,
                               reps: list, tag: str) -> FiniteModule:
     """M's tables carried to coset representatives by `represented_tables`,
     over `ring`: M.ring for a quotient, or a localization R_S, whose class
-    representatives are elements of R and act as such."""
+    representatives are elements of R and act as such.  For a submodule,
+    `reps` are its indices in M and `cls` a dict from each to its position."""
     return FiniteModule(
         ring=ring,
         elements=[M.elements[x] for x in reps],
@@ -146,15 +141,13 @@ def module_on_representatives(M: FiniteModule, ring: FiniteRing, cls: list,
     )
 
 
-def cyclic_module(R: FiniteRing, I: Ideal, tag: str | None = None) -> FiniteModule:
+def cyclic_module(R: FiniteRing, I: Ideal) -> FiniteModule:
     if not R.same_ring(I.ring):
         raise ValueError("cyclic module: ideal belongs to a different ring")
-    if tag is None:
-        tag = "Cyclic" + R.tuple_str(I.generators)
-    return quotient_module(regular_module(R), I.elements, tag)
+    return quotient_module(regular_module(R), I.elements, "Cyclic" + R.tuple_str(I.generators))
 
 
-def direct_sum(M1: FiniteModule, M2: FiniteModule, tag: str | None = None) -> FiniteModule:
+def direct_sum(M1: FiniteModule, M2: FiniteModule) -> FiniteModule:
     if not M1.ring.same_ring(M2.ring):
         raise ValueError("direct sum: modules over different rings")
     # (a, b) has index a + |M1| b, and r(a, b) = (ra, rb)
@@ -163,7 +156,7 @@ def direct_sum(M1: FiniteModule, M2: FiniteModule, tag: str | None = None) -> Fi
         elements=[(a, b) for b in M2.elements for a in M1.elements],
         zero=(M1.zero, M2.zero),
         tables=sum_tables((M1, M2), lambda: zip(M1.rows, M2.rows)),
-        tag=tag or f"Sum({M1.tag},{M2.tag})",
+        tag=f"Sum({M1.tag},{M2.tag})",
         element_str=lambda u: f"({M1.element_str(u[0])},{M2.element_str(u[1])})",
     )
 
@@ -204,10 +197,11 @@ def generating_set(M: FiniteModule) -> tuple:
     return M._generators
 
 
-def all_submodules(M: FiniteModule, max_count: int = 512) -> list[Submodule]:
+def all_submodules(M: FiniteModule) -> list[Submodule]:
     """Every submodule exactly once, ordered by size, then by element indices."""
     return subgroup_lattice(M, M.plus, cyclic_subgroups(M),
-                            lambda gens, elements: Submodule(M, gens, elements), max_count)
+                            lambda gens, elements: Submodule(M, gens, elements),
+                            SUBMODULE_LATTICE_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +435,13 @@ def _inclusion(M: FiniteModule, kind: str, inner: frozenset, outer: frozenset) -
 
 def presentation(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET):
     """(generators, relation tuples N) with M = R^k / N, k = len(generators)."""
-    if budget not in M._presentation:
-        R, gens = M.ring, generating_set(M)  # () for the zero module
-        k = len(gens)
-        if R.size ** k > budget:
-            raise PresentationUnavailable(
-                f"presentation of {M.tag}: |R|^{k} = {R.size ** k} exceeds budget {budget}")
-        relations = _relations(M, [M.index(g) for g in gens]) if gens else []
-        M._presentation[budget] = (gens, frozenset(tuple(map(R.elements.__getitem__, rel))
-                                                   for rel in relations))
-    return M._presentation[budget]
+    R, gens = M.ring, generating_set(M)  # () for the zero module
+    k = len(gens)
+    if R.size ** k > budget:
+        raise PresentationUnavailable(
+            f"presentation of {M.tag}: |R|^{k} = {R.size ** k} exceeds budget {budget}")
+    relations = _relations(M, [M.index(g) for g in gens]) if gens else []
+    return gens, frozenset(tuple(map(R.elements.__getitem__, rel)) for rel in relations)
 
 
 def _relations(X: Carrier, gens: list) -> list:
@@ -485,7 +476,7 @@ def quotient_free(R: FiniteRing, k: int, relation_tuples: Iterable, tag: str,
     return quotient_module(F, K, tag)
 
 
-def tensor_with_algebra(M: FiniteModule, algebra, tag: str | None = None,
+def tensor_with_algebra(M: FiniteModule, algebra,
                         budget: int = DEFAULT_PRESENTATION_BUDGET) -> FiniteModule:
     """M tensor B as a B-module, by base change of a presentation of M.
 
@@ -495,12 +486,11 @@ def tensor_with_algebra(M: FiniteModule, algebra, tag: str | None = None,
     B = algebra.ring
     R = algebra.base
     if not M.ring.same_ring(R):
-        raise ValueError("tensor: module ring differs from algebra base")
+        raise ValueError(f"algebra base {R.descriptor} differs from ring {M.ring.descriptor}")
     gens, relations = presentation(M, budget=budget)
     k = len(gens)
     mapped = {tuple(algebra.embed[r] for r in rel) for rel in relations}
-    return quotient_free(B, k, mapped,
-                         tag or f"Tensor({M.tag}, {algebra.descriptor})",
+    return quotient_free(B, k, mapped, f"Tensor({M.tag}, {algebra.descriptor})",
                          budget=budget)
 
 

@@ -116,8 +116,8 @@ class FiniteRing(Carrier):
         self.descriptor = descriptor
         if not allow_trivial and zero == one:
             raise ValueError(f"{descriptor}: zero identity (0 = 1) not allowed")
-        # what element literals resolve through: (A, B) for a product A x B,
-        # (source ring, element -> class map) for a localization
+        # what element literals resolve through: (A, B) for a product A x B, (Z/n,)
+        # for Z/n[x]/(f), (source ring, element -> class map) for a localization
         self.parts = ()
         # lazily computed, write-once caches
         self._units = None
@@ -224,7 +224,7 @@ def ring_predicates(R: FiniteRing) -> RingPredicates:
 
 def Zmod(n: int) -> FiniteRing:
     if n < 2:
-        raise ValueError(f"Zmod({n}): modulus must be >= 2")
+        raise ValueError(f"Z{n}: modulus must be >= 2")
     return FiniteRing(
         kind="zmod",
         elements=range(n),
@@ -290,13 +290,13 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
     of length deg(f).
     """
     if base.kind != "zmod":
-        raise ValueError("polynomial quotients are supported over Zmod bases only")
+        raise ValueError("PolyQuot base must be a Zmod ring")
     n = base.size
     rel = tuple(c % n for c in relation)
     if len(rel) < 2:
         raise ValueError("relation must have degree >= 1")
     if rel[-1] != 1:
-        raise ValueError(f"relation {rel} is not monic")
+        raise ValueError(f"relation {poly_str(relation)} is not monic")
     d = len(rel) - 1
     # x^d = -(rel[0] + rel[1] x + ... + rel[d-1] x^(d-1))
     top = tuple((-rel[i]) % n for i in range(d))
@@ -310,7 +310,7 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
                         for a, t, b in zip((0,) + out[:-1], top, v))
         return out
 
-    return FiniteRing(
+    R = FiniteRing(
         kind="polyquot",
         # little-endian on coefficients, so Z2[x]/(x^2) lists 0, 1, x, 1+x
         elements=[c[::-1] for c in itertools.product(range(n), repeat=d)],
@@ -322,6 +322,8 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
         descriptor=f"PolyQuot({base.descriptor}, {poly_str(rel)})",
         element_str=poly_display,
     )
+    R.parts = (base,)
+    return R
 
 
 def poly_terms(coeffs) -> list[str]:

@@ -54,17 +54,36 @@ def test_syntax_errors_carry_spans():
         parse_module("Cyclic((0,1)")
 
 
-def test_semantic_errors():
-    with pytest.raises(DslError):
-        build_ring("PolyQuot(Z4, 2*x^2 + 1)")   # not monic
-    with pytest.raises(DslError):
-        build_ring("PolyQuot(Z4, 3)")           # degree 0
-    with pytest.raises(DslError):
-        build_ring("Z1")
-    with pytest.raises(DslError):
-        build_ring("PolyQuot(Prod(Z2,Z2), x^2)")
-    with pytest.raises(DslError):
-        build_module(Zmod(6), "Cyclic((0,1))")  # tuple element in Zmod
+def test_semantic_errors(caplog):
+    # (ring, module or None, message, span): each error names its input and
+    # sits at the offending node, nested ones included
+    cases = [
+        ("PolyQuot(Z4, 2*x^2 + 1)", None, "relation 2*x^2 + 1 is not monic", (0, 23)),
+        ("PolyQuot(Z4, 3)", None, "relation must have degree >= 1", (0, 15)),
+        ("Z1", None, "Z1: modulus must be >= 2", (0, 2)),
+        ("PolyQuot(Prod(Z2,Z2), x^2)", None, "PolyQuot base must be a Zmod ring", (0, 26)),
+        ("Prod(Z2,PolyQuot(Prod(Z2,Z2), x^2))", None,
+         "PolyQuot base must be a Zmod ring", (8, 34)),
+        ("Prod(Z3,Z1)", None, "Z1: modulus must be >= 2", (8, 10)),
+        ("Z6", "Cyclic((0,1))", "tuple element not valid in Z6", (7, 12)),
+        ("Z2", "Tensor(Reg, Algebra(Z4, Z4))", "algebra base Z4 differs from ring Z2", (0, 28)),
+        # the algebra is built before the module, so its error comes first
+        ("Z2", "Tensor(Cyclic((1,0)), Algebra(Z1, Z4))", "Z1: modulus must be >= 2", (30, 32)),
+        ("Prod(Z2,Z2)", "Cyclic(1)", "integer element not valid in Prod(Z2,Z2)", (7, 8)),
+        ("Prod(Z2,Z2)", "Cyclic((1,0,1))", "product elements are pairs", (7, 14)),
+        ("PolyQuot(Z2, x + 1)", "Cyclic(x)", "ring has no generator x", (7, 8)),
+    ]
+    for ring, module, message, span in cases:
+        with pytest.raises(DslError) as err:
+            R = build_ring(ring)
+            if module is not None:
+                build_module(R, module)
+        assert (err.value.message, err.value.span) == (message, span), (ring, module)
+    with caplog.at_level("WARNING", logger="zdbench.dsl"):
+        R = build_ring("Localize(Z12, {3})")
+    assert R.descriptor == "Localize(Z12, {1,3,9})"
+    assert caplog.messages == [
+        "multiplicative set Localize(Z12, {3}) was closed under multiplication"]
 
 
 def test_monic_relation_accepted():

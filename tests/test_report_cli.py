@@ -21,6 +21,11 @@ def test_analyze_report_shape():
     assert rep["module"]["torsion_free"]["holds"] is True
     assert rep["module"]["flat"]["holds"] is True
     assert rep["module"]["natural_map_kernel_trivial"] is True
+    # past the presentation budget flatness is left open, with the reason
+    rep = analyze_report("Z4", "Cyclic(2)", UniverseLimits(presentation_budget=1))
+    note = "flatness check for Cyclic(2): |M|^1 exceeds budget 1"
+    assert rep["module"]["flat"] == rep["module"]["faithfully_flat"] == {
+        "holds": None, "note": note}
 
 
 def test_analyze_witnesses_revalidate():
@@ -69,6 +74,13 @@ def test_revalidate_witness_kinds():
              "value": [[1, 0], [0, 1]], "display": "f=(1,0), g=(0,1)"}
     assert revalidate_witness(mccoy)
     assert not revalidate_witness(dict(mccoy, value=[[1, 0], [1, 0]]))
+    # no genuine torsion_free or property_a witness exists over a finite
+    # ring: property (A) always holds, and every regular element is a unit
+    assert not revalidate_witness(
+        {"kind": "torsion_free", "ring": "Z4", "module": "Cyclic(2)", "value": 2})
+    for module in ("Cyclic(2)", "Reg"):
+        assert not revalidate_witness(
+            {"kind": "property_a", "ring": "Z4", "module": module, "value": [2]})
     with pytest.raises(ValueError):
         revalidate_witness({"kind": "nonsense", "ring": "Z4", "value": 0})
 

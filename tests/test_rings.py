@@ -98,6 +98,12 @@ def test_ideal_arithmetic():
         ideal_power(I2, -1)
     with pytest.raises(ValueError):
         ideal_combine(I2, I3, "quotient")
+    R12 = Zmod(12)
+    I, J = ideal_generated(R12, [2]), ideal_generated(R12, [3])
+    assert ideal_combine(I, J, "product").elements == frozenset({0, 6})
+    assert ideal_combine(I, J, "intersect").elements == frozenset({0, 6})
+    assert (I ** 2).elements == ideal_power(I, 2).elements == frozenset({0, 4, 8})
+    assert I.annihilator().elements == frozenset({0, 6})
 
 
 def test_annihilator_examples():
