@@ -86,34 +86,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        limits = _limits_from_args(args)
         if args.command == "analyze":
-            report = analyze_report(args.ring, args.module,
-                                    limits=_limits_from_args(args))
-            _emit(report, args, started)
-            return 0
-        if args.command == "theorems":
-            report = theorems_report(args.suite, limits=_limits_from_args(args))
+            report = analyze_report(args.ring, args.module, limits=limits)
+        elif args.command == "theorems":
+            report = theorems_report(args.suite, limits=limits)
             if args.revalidate:
                 reval = revalidate_report(report)
                 report["revalidation"] = {"total": reval["total"],
                                           "failed": len(reval["failed"])}
                 if reval["failed"]:
                     report["passed"] = False
-            _emit(report, args, started)
-            return 0 if report["passed"] else 1
-        if args.command == "search":
-            report = search_report(args.hyp, args.concl,
-                                   limits=_limits_from_args(args))
-            _emit(report, args, started)
-            return 0
-        if args.command == "witness":
+        elif args.command == "search":
+            report = search_report(args.hyp, args.concl, limits=limits)
+        else:
             report = witness_report(args.f, args.g, args.ring)
-            _emit(report, args, started)
-            return 0
+        _emit(report, args, started)
     except (DslError, ValueError, BoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command")
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

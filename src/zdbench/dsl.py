@@ -459,16 +459,9 @@ def resolve_element(node, R: FiniteRing):
     if isinstance(node, XPolyElem):
         if R.kind != "polyquot":
             raise DslError(f"polynomial element not valid in {R.descriptor}", node.span)
-        x = tuple([0, 1] + [0] * (len(R.zero) - 2)) if len(R.zero) >= 2 else None
-        if x is None:
-            raise DslError("ring has no generator x", node.span)
         out = R.zero
-        power = R.one
-        for k, c in enumerate(node.coeffs):
-            if c:
-                const = resolve_element(IntElem(c, span=node.span), R)
-                out = R.add(out, R.mul(const, power))
-            power = R.mul(power, x)
+        for c in reversed(node.coeffs):  # Horner, at the class of x
+            out = R.add(R.mul(out, R.parts[1]), resolve_element(IntElem(c, span=node.span), R))
         return out
     raise DslError(f"cannot resolve element {node!r}", getattr(node, "span", (0, 0)))
 

@@ -144,8 +144,10 @@ def module_series(M: FiniteModule, support, precision: int = DEFAULT_SERIES_PREC
 
 
 def _check_compatible(a: ExtElement, b: ExtElement):
-    if a.variant != b.variant or a.arity != b.arity or a.precision != b.precision:
-        raise ValueError("extension elements have mismatched variants")
+    for name in ("variant", "arity", "precision"):
+        if getattr(a, name) != getattr(b, name):
+            raise ValueError(f"extension elements have mismatched {name}: "
+                             f"{getattr(a, name)} and {getattr(b, name)}")
     if not a.ring.same_ring(b.ring):
         raise ValueError("extension elements over different rings")
 

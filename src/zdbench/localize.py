@@ -3,13 +3,10 @@
 For a finite structure the localization collapses to a quotient: every
 s in S acts invertibly on M/K where K = {m : s*m = 0 for some s in S}, and
 M -> M_S is onto, so M_S is M/K with fractions resolved by inverting the
-action of the denominator.  At build time one structural check, shared by
-rings and modules, checks that every element of K is killed by a
-denominator, that every element is sent to a class representative in its
-coset of K, and that every denominator acts injectively on the classes;
-`_finish` proves that these give class(x/s) = class(y/t) iff (x,s) ~ (y,t)
-under the standard pair relation u*(t*x - s*y) = 0 for some u in S, for
-every pair, without comparing pairs.
+action of the denominator.  Rings and modules take one path, `_localized`:
+K from the denominators' rows, its cosets, the class map and the structure
+on class representatives, then `_finish`, whose checks prove the classes
+match the standard pair relation for every pair, without comparing pairs.
 """
 
 from __future__ import annotations
@@ -55,16 +52,11 @@ class Localization:
         return any(act(u, diff) == src.zero for u in self.mult_set.elements)
 
 
-def _classes(source, denominators) -> tuple[frozenset, dict, list, list]:
-    """(kernel, class map, cls, reps) of source -> source_S: the kernel is
-    {x : u*x = 0 for some denominator u}, read from the denominators' rows,
-    the classes its cosets by `coset_quotient`, mapped to representatives."""
+def _kernel(source, denominators) -> frozenset:
+    """{x : u*x = 0 for some denominator u}, read from the denominators' rows."""
     zero, rows, E = source.index(source.zero), source.rows, source.elements
-    K = {x for u in denominators
-         for x, ux in enumerate(rows[source.scalars.index(u)]) if ux == zero}
-    cls, reps = coset_quotient(source, K)
-    to_class = {x: E[reps[c]] for x, c in zip(E, cls)}
-    return frozenset(map(E.__getitem__, K)), to_class, cls, reps
+    return frozenset(E[x] for u in denominators
+                     for x, ux in enumerate(rows[source.scalars.index(u)]) if ux == zero)
 
 
 def _finish(loc: Localization) -> Localization:
@@ -104,44 +96,46 @@ def _finish(loc: Localization) -> Localization:
     return loc
 
 
+def _localized(kind: str, source, S: MultiplicativeSet, act, structure) -> Localization:
+    """R_S or M_S: `structure(cls, reps, to_class)` on the kernel's cosets."""
+    if not source.scalars.same_ring(S.ring):
+        raise ValueError("multiplicative set belongs to a different ring")
+    E = source.elements
+    K = _kernel(source, S.elements)
+    cls, reps = coset_quotient(source, map(source.index, K))
+    to_class = {x: E[reps[c]] for x, c in zip(E, cls)}
+    return _finish(Localization(
+        source=source, kind=kind, mult_set=S, act=act, kernel=K,
+        structure=structure(cls, reps, to_class), to_class=to_class))
+
+
 def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
     """R_S presented as a FiniteRing so every ring predicate applies unchanged."""
-    if not R.same_ring(S.ring):
-        raise ValueError("multiplicative set belongs to a different ring")
-    K, to_class, cls, reps = _classes(R, S.elements)
-    ring_structure = FiniteRing(
-        kind="localized",
-        elements=[R.elements[x] for x in reps],
-        add=None, mul=None, neg=None,
-        tables=represented_tables(R, cls, reps),
-        zero=to_class[R.zero],
-        one=to_class[R.one],
-        descriptor=f"Localize({R.descriptor}, {S.display()})",
-        element_str=R.element_str,
-        allow_trivial=True,
-    )
-    ring_structure.parts = (R, to_class)
-    return _finish(Localization(
-        source=R, kind="ring", mult_set=S, act=R.mul, kernel=K,
-        structure=ring_structure, to_class=to_class))
+    def ring_structure(cls, reps, to_class):
+        RS = FiniteRing(
+            kind="localized",
+            elements=[R.elements[x] for x in reps],
+            add=None, mul=None, neg=None,
+            tables=represented_tables(R, cls, reps),
+            zero=to_class[R.zero],
+            one=to_class[R.one],
+            descriptor=f"Localize({R.descriptor}, {S.display()})",
+            element_str=R.element_str,
+            allow_trivial=True,
+        )
+        RS.parts = (R, to_class)
+        return RS
+    return _localized("ring", R, S, R.mul, ring_structure)
 
 
 def localize_module(M: FiniteModule, S: MultiplicativeSet,
                     ring_localization: Localization | None = None) -> Localization:
     """M_S as a FiniteModule over R_S, so every module predicate applies."""
-    R = M.ring
-    if not R.same_ring(S.ring):
-        raise ValueError("multiplicative set belongs to a different ring")
     if ring_localization is None:
-        ring_localization = localize(R, S)
-    K, to_class, cls, reps = _classes(M, S.elements)
+        ring_localization = localize(M.ring, S)
     # the action on M/K is independent of the R_S representative chosen
-    structure = module_on_representatives(
-        M, ring_localization.structure, cls, reps,
-        f"Localize({M.tag}, {S.display()})")
-    return _finish(Localization(
-        source=M, kind="module", mult_set=S, act=M.act, kernel=K,
-        structure=structure, to_class=to_class))
+    return _localized("module", M, S, M.act, lambda cls, reps, _: module_on_representatives(
+        M, ring_localization.structure, cls, reps, f"Localize({M.tag}, {S.display()})"))
 
 
 def localized_ring_as_base_module(loc: Localization) -> FiniteModule:
@@ -162,7 +156,7 @@ def total_quotient(R: FiniteRing) -> Localization:
 
 def natural_map_kernel(M: FiniteModule) -> Submodule:
     """Kernel of M -> M (x) Q: elements killed by some regular ring element."""
-    K = _classes(M, M.ring.regular_elements())[0]
+    K = _kernel(M, M.ring.regular_elements())
     return Submodule(M, tuple(M.sorted_elements(K)), K)
 
 

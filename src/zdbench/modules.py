@@ -466,8 +466,6 @@ def _relations(X: Carrier, gens: list) -> list:
 def quotient_free(R: FiniteRing, k: int, relation_tuples: Iterable, tag: str,
                   budget: int = DEFAULT_PRESENTATION_BUDGET) -> FiniteModule:
     """R^k modulo the submodule generated by the given coefficient tuples."""
-    if k == 0:
-        return zero_module(R, tag)
     if R.size ** k > budget:
         raise BoundExceeded(f"quotient_free: |R|^{k} exceeds budget {budget}")
     F = free_module(R, k)

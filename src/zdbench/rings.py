@@ -116,8 +116,8 @@ class FiniteRing(Carrier):
         self.descriptor = descriptor
         if not allow_trivial and zero == one:
             raise ValueError(f"{descriptor}: zero identity (0 = 1) not allowed")
-        # what element literals resolve through: (A, B) for a product A x B, (Z/n,)
-        # for Z/n[x]/(f), (source ring, element -> class map) for a localization
+        # what element literals resolve through: (A, B) for A x B, (Z/n, the class
+        # of x) for Z/n[x]/(f), (source ring, element -> class map) for a localization
         self.parts = ()
         # lazily computed, write-once caches
         self._units = None
@@ -322,7 +322,7 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
         descriptor=f"PolyQuot({base.descriptor}, {poly_str(rel)})",
         element_str=poly_display,
     )
-    R.parts = (base,)
+    R.parts = (base, top if d == 1 else (0, 1) + (0,) * (d - 2))  # x = -f(0) if d = 1
     return R
 
 

@@ -16,11 +16,12 @@ surfaces as a warning instead of a silent pass.
 Hypotheses and conclusions are named by one predicate vocabulary, which the
 counterexample `search` reads too.
 
-Extension-ring statements quantify over the ideal lattice: a polynomial or
-series element is a zero-divisor on M[G] exactly when its content ideal kills
-a nonzero element of M, so content depends only on the ideal generated by the
-coefficients and one representative element per lattice ideal covers every
-finitely supported element.
+Extension-ring statements quantify over the ideal lattice and name the
+properties they compare.  A polynomial or series element is a zero-divisor on
+M[G] exactly when its content ideal kills a nonzero element of M, so one
+element per lattice ideal, with the ideal's generators as coefficients, covers
+every finitely supported element; a series ideal with more generators than
+the precision holds terms is a noted skip.
 """
 
 from __future__ import annotations
@@ -240,60 +241,50 @@ def _implication(U: Universe, rep: StatementReport, hyp, concl, hom=False,
                     rep.visit(member, None if holds else {})
 
 
-def _ext_profile(U: Universe, R, M, variant: str):
-    """(auslander_ext, tf_ext, witnesses) for M[G] / M[[X]] over R[G] / R[[X]]."""
-    reg = U.regular(R)
-    ausl, tf = True, True
-    ausl_wit = tf_wit = None
+def _ext_profile(U: Universe, R, M, variant: str) -> dict:
+    """{property: generators of the first lattice ideal whose f shows M[G] / M[[X]]
+    lacks it}: f is a zero-divisor on R's extension alone (auslander) or M's (torsion_free)."""
+    reg, precision = U.regular(R), U.limits.series_precision
+    lacking = {}
     for I in R.ideals():
         gens = I.small_generators()
         support = {(i,): g for i, g in enumerate(gens)}
         if variant == "monoid":
             f = ring_poly(R, support)
+        elif len(gens) > precision:
+            raise BoundExceeded(f"content ideal {R.tuple_str(gens)} needs "
+                                f"{len(gens)} terms, past series precision {precision}")
         else:
-            f = ring_series(R, support, U.limits.series_precision)
+            f = ring_series(R, support, precision)
         zd_ring = is_zd_on_extension(f, reg).holds
-        zd_mod = is_zd_on_extension(f, M).holds
-        if zd_ring != zd_mod and (ausl if zd_ring else tf):
-            wit = witness_entry("ext_ideal", ring=R, module=M,
-                                value=gens, variant=variant,
-                                display="c(f) = " + R.tuple_str(gens))
-            if zd_ring:
-                ausl, ausl_wit = False, wit
-            else:
-                tf, tf_wit = False, wit
-    return ausl, tf, ausl_wit, tf_wit
+        if zd_ring != is_zd_on_extension(f, M).holds:
+            lacking.setdefault("auslander" if zd_ring else "torsion_free", gens)
+    return lacking
 
 
 def _extension_iff(U: Universe, rep: StatementReport, variant: str,
-                   side: str, ring_property_a: bool = False):
-    """The polynomial/series transfer: M[G] (or M[[X]]) has the property iff M does.
-
-    side: "auslander", "torsion_free", or "both" (the conjunction)."""
+                   side, ring_property_a: bool = False):
+    """The polynomial/series transfer: M[G] (or M[[X]]) has the properties
+    named in `side` iff M does; the witness is the first found, in `side` order."""
     for R, M in _nonzero_pairs(U):
         if ring_property_a and not has_property_A(U.regular(R)).holds:
             continue
-        if side in ("auslander", "both") and not has_property_A(M).holds:
+        if "auslander" in side and not has_property_A(M).holds:
             continue
-        ausl_ext, tf_ext, ausl_wit, tf_wit = _memo(
-            U, ("extp", R.descriptor, M.tag, variant),
-            lambda: _ext_profile(U, R, M, variant))
-        base_ausl = is_auslander(M).holds
-        base_tf = is_torsion_free(M).holds
-        if side == "auslander":
-            agree = ausl_ext == base_ausl
-            wit = ausl_wit
-        elif side == "torsion_free":
-            agree = tf_ext == base_tf
-            wit = tf_wit
-        else:
-            agree = (ausl_ext and tf_ext) == (base_ausl and base_tf)
-            wit = ausl_wit or tf_wit
+        try:
+            lacking = _memo(U, ("extp", R.descriptor, M.tag, variant),
+                            lambda: _ext_profile(U, R, M, variant))
+        except BoundExceeded as exc:
+            rep.notes.append(f"skipped {_member(R, M)}: {exc}")
+            continue
+        ext = {p: p not in lacking for p in _AUSL_TF}
+        base = {p: _PAIR_VOCABULARY[p](U, R, M).holds for p in _AUSL_TF}
+        agree = all(ext[p] for p in side) == all(base[p] for p in side)
+        gens = next((lacking[p] for p in side if p in lacking), None)
         rep.visit(_member(R, M), None if agree else {
-            "extension": {"auslander": ausl_ext, "torsion_free": tf_ext},
-            "base": {"auslander": base_ausl, "torsion_free": base_tf},
-            "witness": wit,
-        })
+            "extension": ext, "base": base, "witness": None if gens is None else witness_entry(
+                "ext_ideal", ring=R, module=M, value=gens, variant=variant,
+                display="c(f) = " + R.tuple_str(gens))})
 
 
 def _mccoy_algebras_of(U: Universe, R):
@@ -604,17 +595,14 @@ def _rem_3_3_3(U: Universe, rep: StatementReport):
     expected_zm = frozenset({(0, 0), (0, 1)})
     ok = (zr == expected_zr and zm == expected_zm and tf.holds
           and not ausl.holds and ausl.witness["element"] == (1, 0))
-    rep.visit(_member(R, M), None if ok else {
-        "Z_R": to_jsonable(R.sorted_elements(zr)),
-        "Z_M": to_jsonable(R.sorted_elements(zm)),
-        "torsion_free": tf.holds, "auslander": ausl.holds})
+    found = {"Z_R": to_jsonable(R.sorted_elements(zr)),
+             "Z_M": to_jsonable(R.sorted_elements(zm)),
+             "torsion_free": tf.holds, "auslander": ausl.holds}
+    rep.visit(_member(R, M), None if ok else found)
     rep.extra["reproduction"] = {
         "ring": R.descriptor,
         "module": M.tag,
-        "Z_R": to_jsonable(R.sorted_elements(zr)),
-        "Z_M": to_jsonable(R.sorted_elements(zm)),
-        "torsion_free": tf.holds,
-        "auslander": ausl.holds,
+        **found,
         "auslander_witness": witness_entry(
             "auslander", ring=R, module=M,
             value=ausl.witness["element"], display=R.element_str((1, 0))),
@@ -628,6 +616,7 @@ def _rem_3_3_3(U: Universe, rep: StatementReport):
 # the notes follow any the sweep writes and may name `{limits.<field>}`.
 
 _AUSL = ("auslander",)
+_AUSL_TF = ("auslander", "torsion_free")
 _TF_AUSL = ("torsion_free", "auslander")
 _FLAT_CONTENT = ("flat", "content_module", "content_surjective")
 _FINITE_INDEX = "finite-index instantiation (2-3 summands/factors)"
@@ -684,7 +673,7 @@ STATEMENTS = (
     ("thm-2.4",
      "for modules with property (A): M[G] is Auslander over R[G] iff M is "
      "Auslander (G = N^1, content-annihilator criterion)",
-     _extension_iff, dict(variant="monoid", side="auslander"),
+     _extension_iff, dict(variant="monoid", side=_AUSL),
      ("property (A) holds for every finite module, so the hypothesis "
       "filter never excludes a member at this scale",)),
     ("lem-2.7",
@@ -695,12 +684,12 @@ STATEMENTS = (
      "for modules with property (A) over a Noetherian (finite) ring: "
      "M[[X]] is Auslander over R[[X]] iff M is Auslander "
      "(truncated-series instantiation)",
-     _extension_iff, dict(variant="series", side="auslander"), (_PRECISION,)),
+     _extension_iff, dict(variant="series", side=_AUSL), (_PRECISION,)),
     ("cor-2.9",
      "finitely generated modules over Noetherian rings: the series "
      "Auslander transfer holds with no extra hypothesis (every finite "
      "module is finitely generated)",
-     _extension_iff, dict(variant="series", side="auslander"), ()),
+     _extension_iff, dict(variant="series", side=_AUSL), ()),
     ("rem-2.10",
      "every universe algebra is free as a module (hence projective), so "
      "each must satisfy the element-content identity f in c(f)B",
@@ -726,7 +715,7 @@ STATEMENTS = (
     ("thm-3.2",
      "over a ring with property (A): M[G] is torsion-free over R[G] iff "
      "M is torsion-free",
-     _extension_iff, dict(variant="monoid", side="torsion_free", ring_property_a=True),
+     _extension_iff, dict(variant="monoid", side=("torsion_free",), ring_property_a=True),
      ("every finite ring has property (A); the filter is recorded, not vacuous",)),
     ("rem-3.3-1",
      "for S avoiding Z(R), the localization R_S viewed as an R-module "
@@ -745,7 +734,7 @@ STATEMENTS = (
     ("thm-3.4",
      "Noetherian ring, finitely generated module: M[[X]] is torsion-free "
      "over R[[X]] iff M is torsion-free (truncated-series instantiation)",
-     _extension_iff, dict(variant="series", side="torsion_free"), (_PRECISION,)),
+     _extension_iff, dict(variant="series", side=("torsion_free",)), (_PRECISION,)),
     ("prop-3.5-1", "over a domain, flat modules are torsion-free Auslander",
      _implication, dict(hyp=("domain", "flat"), concl=_TF_AUSL,
                         adapter="Z (flat)"), ()),
@@ -772,19 +761,19 @@ STATEMENTS = (
     ("prop-3.6",
      "when both R and M have property (A): M[G] is torsion-free Auslander "
      "over R[G] iff M is torsion-free Auslander",
-     _extension_iff, dict(variant="monoid", side="both", ring_property_a=True), ()),
+     _extension_iff, dict(variant="monoid", side=_AUSL_TF, ring_property_a=True), ()),
     ("cor-3.7",
      "Noetherian ring, finitely generated module: the monoid-extension "
      "torsion-free Auslander transfer holds with no extra hypothesis",
-     _extension_iff, dict(variant="monoid", side="both"), ()),
+     _extension_iff, dict(variant="monoid", side=_AUSL_TF), ()),
     ("thm-3.8",
      "tensoring a flat Auslander module with property (A) by a faithfully "
      "flat McCoy algebra yields a torsion-free Auslander module over it",
-     _mccoy_tensor, dict(flat=True, concl=("auslander", "torsion_free")), ()),
+     _mccoy_tensor, dict(flat=True, concl=_AUSL_TF), ()),
     ("thm-3.9",
      "Noetherian ring, finitely generated module: M[[X]] is torsion-free "
      "Auslander over R[[X]] iff M is torsion-free Auslander",
-     _extension_iff, dict(variant="series", side="both"), ()),
+     _extension_iff, dict(variant="series", side=_AUSL_TF), ()),
 )
 
 

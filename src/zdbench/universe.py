@@ -63,6 +63,9 @@ DEFAULT_LIMITS = UniverseLimits()
 # coefficient tuples from the constant term up
 _GALOIS_RELATION_DEG2 = (1, 1, 1)    # x^2 + x + 1
 _GALOIS_RELATION_DEG3 = (1, 1, 0, 1)  # x^3 + x + 1
+# the polynomial-quotient rings Z/n[x]/(f), as (n, f)
+_POLYQUOT_RINGS = ((2, (0, 0, 1)), (2, (0, 0, 0, 1)), (3, (0, 0, 1)), (3, (0, 0, 0, 1)),
+                   (4, (0, 0, 1)), (4, _GALOIS_RELATION_DEG2))
 
 
 @dataclass
@@ -94,21 +97,13 @@ class Universe:
 
 def generate_universe(limits: UniverseLimits = DEFAULT_LIMITS) -> Universe:
     U = Universe(limits=limits)
-    rings = [Zmod(n) for n in range(2, limits.zmod_max + 1)]
-    for a in range(2, limits.product_component_max + 1):
-        for b in range(a, limits.product_component_max + 1):
-            R = product_ring(Zmod(a), Zmod(b))
-            if R.size <= limits.max_ring:
-                rings.append(R)
-    for p in (2, 3):
-        for rel in ((0, 0, 1), (0, 0, 0, 1)):
-            R = poly_quotient(Zmod(p), rel)
-            if R.size <= limits.max_ring:
-                rings.append(R)
-    for rel in ((0, 0, 1), _GALOIS_RELATION_DEG2):
-        R = poly_quotient(Zmod(4), rel)
-        if R.size <= limits.max_ring:
-            rings.append(R)
+    # every Z/n, then the products Z/a x Z/b (a <= b) and PolyQuot rings within max_ring
+    components = range(2, limits.product_component_max + 1)
+    candidates = ([product_ring(Zmod(a), Zmod(b))
+                   for a, b in itertools.combinations_with_replacement(components, 2)]
+                  + [poly_quotient(Zmod(n), rel) for n, rel in _POLYQUOT_RINGS])
+    rings = ([Zmod(n) for n in range(2, limits.zmod_max + 1)]
+             + [R for R in candidates if R.size <= limits.max_ring])
 
     for R in rings:
         verify_ring_axioms(R, bound=limits.axiom_check_max)

@@ -71,7 +71,6 @@ def test_semantic_errors(caplog):
         ("Z2", "Tensor(Cyclic((1,0)), Algebra(Z1, Z4))", "Z1: modulus must be >= 2", (30, 32)),
         ("Prod(Z2,Z2)", "Cyclic(1)", "integer element not valid in Prod(Z2,Z2)", (7, 8)),
         ("Prod(Z2,Z2)", "Cyclic((1,0,1))", "product elements are pairs", (7, 14)),
-        ("PolyQuot(Z2, x + 1)", "Cyclic(x)", "ring has no generator x", (7, 8)),
     ]
     for ring, module, message, span in cases:
         with pytest.raises(DslError) as err:
@@ -84,6 +83,17 @@ def test_semantic_errors(caplog):
     assert R.descriptor == "Localize(Z12, {1,3,9})"
     assert caplog.messages == [
         "multiplicative set Localize(Z12, {3}) was closed under multiplication"]
+
+
+def test_x_in_a_degree_one_quotient():
+    """Over Z/n[x]/(x + c) the variable x is the class -c, reduced by the
+    relation like any other x-literal."""
+    M = build_module(build_ring("PolyQuot(Z4, x + 2)"), "Cyclic(x)")
+    assert (M.tag, M.size) == ("Cyclic(2)", 2)
+    R = build_ring("PolyQuot(Z3, x + 1)")
+    x, x2_plus_x = parse_module("Cyclic(x, x^2 + x)").generators
+    assert dsl.resolve_element(x, R) == (2,)
+    assert dsl.resolve_element(x2_plus_x, R) == (0,)
 
 
 def test_monic_relation_accepted():

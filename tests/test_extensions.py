@@ -41,9 +41,15 @@ def test_variant_mismatch_rejected():
     R = Zmod(4)
     f = ring_poly(R, {(0,): 1})
     s = ring_series(R, {(0,): 1}, precision=8)
-    with pytest.raises(ValueError):
+    # each message names the field that differs and both values
+    with pytest.raises(ValueError, match="^extension elements have mismatched "
+                       "variant: monoid and series$"):
         ext_mul(f, s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^extension elements have mismatched "
+                       "arity: 2 and 1$"):
+        ext_mul(ring_poly(R, {(1, 1): 1}, arity=2), f)
+    with pytest.raises(ValueError, match="^extension elements have mismatched "
+                       "precision: 8 and 4$"):
         ext_mul(s, ring_series(R, {(0,): 1}, precision=4))
 
 

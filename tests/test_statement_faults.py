@@ -8,6 +8,7 @@ tests/test_own_sweep_faults.py; together the two files name every row.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
 
@@ -66,6 +67,43 @@ def test_wrong_verdict_fails_statement(small_universe, monkeypatch,
     assert flipped, f"{sid} never called {predicate} on an object it checks"
     assert rep.failures, f"{sid} missed a wrong verdict on {flipped[0]}"
     assert rep.passed is False
+
+
+# statement id -> (variant, display, value) of the witness in its failure
+_FLIPPED_WITNESS = {
+    # the Auslander side: the zero ideal is a zero-divisor on R[G] alone
+    "thm-2.4": ("monoid", "c(f) = (0)", 0),
+    # the torsion-free side, on series: the unit ideal is one on M[[X]] alone
+    "thm-3.4": ("series", "c(f) = (1)", 1),
+    # both sides fail, and the Auslander witness comes first
+    "prop-3.6": ("monoid", "c(f) = (0)", 0),
+}
+
+
+@pytest.mark.parametrize("sid", _FLIPPED_WITNESS)
+def test_extension_failure_entry(small_universe, monkeypatch, sid):
+    """A criterion that flips every module-side verdict on Z4 :: Cyclic(2),
+    which is Auslander and torsion-free, makes its extension neither: the
+    transfers fail there, with the whole entry as pinned."""
+    real = statements.is_zd_on_extension
+    target = next(M for M in small_universe.modules["Z4"] if M.tag == "Cyclic(2)")
+
+    def flipped(f, X):
+        verdict = real(f, X)
+        return Verdict(not verdict.holds) if X is target else verdict
+
+    monkeypatch.setattr(statements, "is_zd_on_extension", flipped)
+    # fresh caches, so no profile computed before the patch is reused
+    U = dataclasses.replace(small_universe, caches={})
+    rep = statements.run_statement(sid, U)
+    variant, display, value = _FLIPPED_WITNESS[sid]
+    assert statements.to_jsonable(rep.failures) == [{
+        "member": "Z4 :: Cyclic(2)",
+        "extension": {"auslander": False, "torsion_free": False},
+        "base": {"auslander": True, "torsion_free": True},
+        "witness": {"kind": "ext_ideal", "display": display, "value": [value],
+                    "ring": "Z4", "module": "Cyclic(2)", "variant": variant},
+    }]
 
 
 def test_wrong_adapter_fact_fails_adapter_rows(small_universe, monkeypatch):

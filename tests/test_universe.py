@@ -188,3 +188,24 @@ def test_statements_honour_presentation_budget():
     skips = [n for n in rep.notes if n.startswith("skipped ") and "flatness check" in n]
     assert len(rep.applicable) < 41
     assert skips
+
+
+def test_series_statements_skip_ideals_past_the_precision():
+    """A series of precision 1 has one term, so no series has the content
+    ideal (2,x) of PolyQuot(Z4, x^2): the series transfers skip that ring's
+    19 nonzero members, each with a note, and pass.  At precision 2 none is
+    skipped."""
+    ring = "PolyQuot(Z4, x^2)"
+    note = "content ideal (2,x) needs 2 terms, past series precision 1"
+    for precision in (1, 2):
+        U = generate_universe(UniverseLimits(zmod_max=2, product_component_max=0,
+                                             series_precision=precision))
+        members = [f"{ring} :: {M.tag}" for M in U.modules[ring] if not M.is_zero]
+        assert len(members) == 19
+        skipped = members if precision == 1 else []
+        for sid in ("thm-2.8", "cor-2.9", "thm-3.4", "thm-3.9"):
+            rep = run_statement(sid, U)
+            assert rep.passed, sid
+            assert [n for n in rep.notes if n.startswith("skipped ")] == [
+                f"skipped {m}: {note}" for m in skipped], sid
+            assert set(members) - set(rep.applicable) == set(skipped), sid
