@@ -1,13 +1,14 @@
 """Finite modules over finite commutative rings and their zero-divisor predicates.
 
 Covers the module-level vocabulary: Z-sets, annihilators, content ideals,
-property (A), the Auslander and torsion-free inclusions, and flatness decided
-two independent ways (ideal-injectivity from presentations, cross-checked by
-local freeness over the ring's local factors).
+property (A), the Auslander and torsion-free inclusions, flatness decided two
+independent ways (ideal-injectivity from relations, cross-checked by local
+freeness), and tensor products M (x) B by base change along a basis of B.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -386,10 +387,7 @@ def content_surjective(M: FiniteModule) -> bool:
     """
     R = M.ring
     contents = {content_of_element(M, m).elements for m in M.elements}
-    for s in R.elements:
-        if ideal_generated(R, [s]).elements not in contents:
-            return False
-    return True
+    return all(ideal_generated(R, [s]).elements in contents for s in R.elements)
 
 
 def has_property_A(M: FiniteModule) -> Verdict:
@@ -463,33 +461,56 @@ def _relations(X: Carrier, gens: list) -> list:
             for r in last.get(X.minus[total], ()) for p in prefixes]
 
 
-def quotient_free(R: FiniteRing, k: int, relation_tuples: Iterable, tag: str,
-                  budget: int = DEFAULT_PRESENTATION_BUDGET) -> FiniteModule:
-    """R^k modulo the submodule generated by the given coefficient tuples."""
-    if R.size ** k > budget:
-        raise BoundExceeded(f"quotient_free: |R|^{k} exceeds budget {budget}")
-    F = free_module(R, k)
-    rels = [tuple(v) for v in relation_tuples]
-    K = submodule_generated(F, rels).elements
-    return quotient_module(F, K, tag)
+def tensor_with_algebra(M: FiniteModule, algebra) -> FiniteModule:
+    """M tensor B over R = algebra.base, by base change along an R-basis of B.
 
-
-def tensor_with_algebra(M: FiniteModule, algebra,
-                        budget: int = DEFAULT_PRESENTATION_BUDGET) -> FiniteModule:
-    """M tensor B as a B-module, by base change of a presentation of M.
-
-    `algebra` provides .ring (B), .base (R), and .embed (the structure map
-    as a dict); base change maps each relation coefficientwise through it.
+    With b_1..b_d the basis of `_free_basis` and b b_j = sum_l c_jl(b) b_l,
+    M (x) B = M (x) R^d = M^d, carrying B's multiplication: b sends (m_j) to
+    the tuple whose l-th coordinate is sum_j c_jl(b) m_j.  The carrier, plus
+    and minus are M^d's.  Raises ValueError when B is not free over R.
     """
-    B = algebra.ring
-    R = algebra.base
+    B, R, n = algebra.ring, algebra.base, M.size
     if not M.ring.same_ring(R):
         raise ValueError(f"algebra base {R.descriptor} differs from ring {M.ring.descriptor}")
-    gens, relations = presentation(M, budget=budget)
-    k = len(gens)
-    mapped = {tuple(algebra.embed[r] for r in rel) for rel in relations}
-    return quotient_free(B, k, mapped, f"Tensor({M.tag}, {algebra.descriptor})",
-                         budget=budget)
+    basis, coords = _free_basis(algebra.as_module())
+    P = power_module(M, len(basis))
+
+    def row(row_b):  # coordinate by coordinate; (y_l) has index sum_l y_l |M|^l
+        ys = [_combination(M, c_l) for c_l in zip(*(coords[row_b[b]] for b in basis))]
+        return functools.reduce(lambda high, y: [n * h + v for h, v in zip(high, y)], ys[::-1])
+
+    return FiniteModule(ring=B, elements=P.elements, zero=P.zero, element_str=P.element_str,
+                        tables=(lambda T: list(map(row, B.rows)), lambda T: P.plus,
+                                lambda T: P.minus), tag=f"Tensor({M.tag}, {algebra.descriptor})")
+
+
+def _free_basis(BR: FiniteModule):
+    """(basis, coords): the first d-subset of BR's indices, in carrier order,
+    whose R-combinations sum r_j b_j are pairwise distinct, |R|^d = |BR|;
+    coords[x] is the tuple of R-indices (r_j) of x.  ValueError if none."""
+    R = BR.ring
+    d = next(d for d in itertools.count(1) if R.size ** d >= BR.size)
+    for basis in itertools.combinations(range(BR.size), d):
+        coords = {BR.index(BR.zero): ()}
+        for b in basis:
+            size = len(coords) * R.size
+            coords = {BR.plus[x][row[b]]: c + (r,)
+                      for x, c in coords.items() for r, row in enumerate(BR.rows)}
+            if len(coords) < size:
+                break
+        else:  # |R|^d distinct combinations in BR, and |R|^d >= |BR|
+            return basis, coords
+    raise ValueError(f"{BR.tag} is not free over {R.descriptor}")
+
+
+def _combination(M: FiniteModule, scalars) -> list:
+    """The index of sum_i r_i m_i at each index of (m_1..m_t) in M^t, the
+    first coordinate fastest, for R-indices `scalars` = (r_1..r_t)."""
+    out = M.rows[scalars[-1]]
+    for r in scalars[-2::-1]:
+        shifts = [M.plus[v] for v in M.rows[r]]
+        out = [shift[total] for total in out for shift in shifts]
+    return out
 
 
 def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
@@ -507,7 +528,7 @@ def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
     # on indices: (x_i) in P = M^t has index sum x_i |M|^i
     gen_idx = [R.index(a) for a in gens]
     P = power_module(M, t)
-    n, rows, plus = M.size, M.rows, M.plus
+    n, rows, zero_m = M.size, M.rows, M.index(M.zero)
     # r (n_i m)_i = (n_i (r m))_i: the seed is R-stable, so K is its additive span
     seed = {sum(rows[c][m] * n ** i for i, c in enumerate(rel))
             for rel in _relations(R, gen_idx) for m in range(n)}
@@ -516,13 +537,7 @@ def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
     # map is injective iff |K| |I*M| = |P|
     if len(K) * len(ideal_action(I, M)) == P.size:
         return True, None
-    # image[x] = sum a_i x_i, built coordinate by coordinate, the first fastest
-    zero_m = M.index(M.zero)
-    image = rows[gen_idx[-1]]
-    for g in reversed(gen_idx[:-1]):
-        shifts = [plus[v] for v in rows[g]]
-        image = [shift[total] for total in image for shift in shifts]
-    for x, total in enumerate(image):
+    for x, total in enumerate(_combination(M, gen_idx)):
         if total == zero_m and x not in K:
             return False, {"kind": "flat", "ideal": gens, "kernel_element": P.elements[x],
                            "tensor_size": P.size // len(K)}

@@ -36,7 +36,7 @@ from .errors import BoundExceeded
 from .extensions import (brute_force_zd, diagonal_algebra,
                          is_mccoy_algebra, is_ohm_rush,
                          is_zd_on_extension, mccoy_witness, module_poly,
-                         ring_poly, ring_series)
+                         ring_poly)
 from .localize import (localize, localize_module, localized_ring_as_base_module,
                        natural_map_kernel)
 from .modules import (all_submodules, ann, content_of_element,
@@ -241,21 +241,15 @@ def _implication(U: Universe, rep: StatementReport, hyp, concl, hom=False,
                     rep.visit(member, None if holds else {})
 
 
-def _ext_profile(U: Universe, R, M, variant: str) -> dict:
+def _ext_profile(U: Universe, R, M) -> dict:
     """{property: generators of the first lattice ideal whose f shows M[G] / M[[X]]
-    lacks it}: f is a zero-divisor on R's extension alone (auslander) or M's (torsion_free)."""
-    reg, precision = U.regular(R), U.limits.series_precision
-    lacking = {}
+    lacks it}: f is a zero-divisor on R's extension alone (auslander) or M's
+    (torsion_free).  The criterion reads only f's coefficients, so one
+    polynomial per ideal decides the monoid and the series rows alike."""
+    reg, lacking = U.regular(R), {}
     for I in R.ideals():
         gens = I.small_generators()
-        support = {(i,): g for i, g in enumerate(gens)}
-        if variant == "monoid":
-            f = ring_poly(R, support)
-        elif len(gens) > precision:
-            raise BoundExceeded(f"content ideal {R.tuple_str(gens)} needs "
-                                f"{len(gens)} terms, past series precision {precision}")
-        else:
-            f = ring_series(R, support, precision)
+        f = ring_poly(R, {(i,): g for i, g in enumerate(gens)})
         zd_ring = is_zd_on_extension(f, reg).holds
         if zd_ring != is_zd_on_extension(f, M).holds:
             lacking.setdefault("auslander" if zd_ring else "torsion_free", gens)
@@ -266,17 +260,20 @@ def _extension_iff(U: Universe, rep: StatementReport, variant: str,
                    side, ring_property_a: bool = False):
     """The polynomial/series transfer: M[G] (or M[[X]]) has the properties
     named in `side` iff M does; the witness is the first found, in `side` order."""
+    precision = U.limits.series_precision
     for R, M in _nonzero_pairs(U):
         if ring_property_a and not has_property_A(U.regular(R)).holds:
             continue
         if "auslander" in side and not has_property_A(M).holds:
             continue
-        try:
-            lacking = _memo(U, ("extp", R.descriptor, M.tag, variant),
-                            lambda: _ext_profile(U, R, M, variant))
-        except BoundExceeded as exc:
-            rep.notes.append(f"skipped {_member(R, M)}: {exc}")
+        # a series row skips R on its first ideal with more generators than terms
+        wide = variant == "series" and _memo(U, ("series-gap", R.descriptor), lambda: next(
+            (g for g in (I.small_generators() for I in R.ideals()) if len(g) > precision), None))
+        if wide:
+            rep.notes.append(f"skipped {_member(R, M)}: content ideal {R.tuple_str(wide)} "
+                             f"needs {len(wide)} terms, past series precision {precision}")
             continue
+        lacking = _memo(U, ("extp", R.descriptor, M.tag), lambda: _ext_profile(U, R, M))
         ext = {p: p not in lacking for p in _AUSL_TF}
         base = {p: _PAIR_VOCABULARY[p](U, R, M).holds for p in _AUSL_TF}
         agree = all(ext[p] for p in side) == all(base[p] for p in side)
@@ -310,19 +307,11 @@ def _mccoy_tensor(U: Universe, rep: StatementReport, flat: bool, concl):
                 if not _meets(rep, U, R, M, hyp):
                     continue
                 member = f"{_member(R, M)} (x) {alg.descriptor}"
-                try:
-                    T = _memo(U, ("tensor", R.descriptor, M.tag, alg.descriptor),
-                              lambda: tensor_with_algebra(
-                                  M, alg, budget=U.limits.presentation_budget))
-                except BoundExceeded as exc:
-                    rep.notes.append(f"skipped {member}: {exc}")
-                    continue
+                T = _memo(U, ("tensor", R.descriptor, M.tag, alg.descriptor),
+                          lambda: tensor_with_algebra(M, alg))
                 if not alg.is_trivial_extension:
                     nontrivial.append(member)
-                if T.is_zero:
-                    rep.visit(member, {"reason": "tensor collapsed to zero"})
-                else:
-                    _check(rep, member, concl, U, alg.ring, T)
+                _check(rep, member, concl, U, alg.ring, T)
     rep.extra["nontrivial_applicable"] = nontrivial
 
 
@@ -1021,8 +1010,4 @@ def embedding_invariance(U: Universe, max_ring: int = 6, max_module: int = 8) ->
 
 def faithfully_flat_mccoy_algebras(U: Universe) -> list[str]:
     """Raw material log: universe algebras that are faithfully flat and McCoy."""
-    found = []
-    for R in U.rings:
-        for alg in _mccoy_algebras_of(U, R):
-            found.append(alg.descriptor)
-    return found
+    return [alg.descriptor for R in U.rings for alg in _mccoy_algebras_of(U, R)]

@@ -142,7 +142,7 @@ def test_criterion_10_determinism_and_witness_integrity():
     # the digest of the default report as separate interpreter runs print it,
     # so one run checks determinism across processes and hash seeds
     digest = hashlib.sha256(canonical_json(first).encode()).hexdigest()
-    assert digest == "a0c9ea5cacd70810a9f08ed4905dd0dbf0d2548a1cb8202c5d3e369ded2abea6"
+    assert digest == "8a130b2f48cd8361f516a1f3c23807518a9270ce99ed7c1367de46d969aa2372"
     assert first["passed"] is True
     reval = revalidate_report(first)
     assert not reval["failed"], reval["failed"][:3]

@@ -15,10 +15,11 @@ import re
 import pytest
 
 from zdbench import modules
+from zdbench.extensions import extension_algebra
 from zdbench.localize import localize, localize_module
 from zdbench.modules import (all_submodules, cyclic_module, direct_sum,
-                             free_module, hom_module, power_module,
-                             regular_module, verify_module_axioms,
+                             free_module, hom_module, is_auslander,
+                             power_module, regular_module, verify_module_axioms,
                              zero_divisors_module)
 from zdbench.rings import (Zmod, all_mult_closed_subsets, ideal_generated,
                            poly_quotient)
@@ -406,9 +407,9 @@ def test_fault_in_a_composed_hom_add_table_fails_axioms():
 
 
 def test_large_carriers_compose_few_add_rows(monkeypatch):
-    """P = M^t of the flatness check and quotient_free's F, past 10,000
-    elements, compose only the rows their spans and coset walks read: at
-    most log2 |X| per closure, never all |X| rows of an |X|^2 table."""
+    """P = M^t of the flatness check and a tensor product M (x) B, past
+    10,000 elements, compose only the rows their spans read: at most
+    log2 |X| per closure, never all |X| rows of an |X|^2 table."""
     built = []
 
     def recorded(*args, **kwargs):
@@ -424,9 +425,8 @@ def test_large_carriers_compose_few_add_rows(monkeypatch):
     for P in built:
         assert len(P.plus) <= P.size.bit_length(), P
     built.clear()
-    rels = [(1, 2, 0, 0, 0, 1), (0, 0, 3, 1, 0, 0)]
-    Q = modules.quotient_free(Zmod(5), 6, rels, "Q")
-    F, = built
-    assert F.size == 15625 and Q.size == 625
-    # one span to build K, one to find its generators for the coset walk
-    assert len(F.plus) <= 2 * F.size.bit_length()
+    B = extension_algebra(poly_quotient(Zmod(3), (0, 0, 0, 1)), Zmod(3))
+    T = modules.tensor_with_algebra(free_module(Zmod(3), 3), B)
+    assert T.size == 19683 and is_auslander(T).holds
+    # T's action rows are composed from M's rows and plus, not from T's plus
+    assert len(T.plus) <= T.size.bit_length()

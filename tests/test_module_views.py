@@ -10,10 +10,9 @@ import pytest
 
 from zdbench import statements
 from zdbench.errors import BoundExceeded, PresentationUnavailable
-from zdbench.extensions import self_algebra
 from zdbench.localize import localize
 from zdbench.modules import (free_module, ideal_action, is_faithfully_flat,
-                             is_flat, presentation, tensor_with_algebra)
+                             is_flat, presentation)
 from zdbench.rings import Zmod, ideal_generated, multiplicative_closure
 from zdbench.universe import UniverseLimits, generate_universe
 
@@ -75,5 +74,3 @@ def test_presentation_memos_respect_budget():
         presentation(M, budget=16)
     with pytest.raises(BoundExceeded):
         is_faithfully_flat(M, budget=16)
-    with pytest.raises(PresentationUnavailable):
-        tensor_with_algebra(free_module(R, 2), self_algebra(R), budget=16)

@@ -1,17 +1,20 @@
 import pytest
 
 from zdbench.errors import BoundExceeded
+from zdbench.extensions import FiniteAlgebra, extension_algebra, self_algebra
+from zdbench.localize import localize
 from zdbench.modules import (all_submodules, ann, content_of_element,
                              content_surjective, cyclic_module, direct_sum,
                              free_module, generating_set, has_property_A,
                              hom_module, ideal_action, is_auslander,
                              is_content_module, is_faithfully_flat, is_flat,
-                             is_torsion_free, presentation, quotient_free,
+                             is_torsion_free, presentation, quotient_module,
                              regular_module, submodule_generated,
-                             verify_module_axioms, zero_divisors_module,
-                             zero_module)
-from zdbench.modules import _ideal_tensor_kernel
-from zdbench.rings import (Zmod, ideal_generated, poly_quotient, product_ring)
+                             tensor_with_algebra, verify_module_axioms,
+                             zero_divisors_module, zero_module)
+from zdbench.modules import DEFAULT_PRESENTATION_BUDGET, _ideal_tensor_kernel
+from zdbench.rings import (Zmod, ideal_generated, multiplicative_closure,
+                           poly_quotient, product_ring)
 
 
 @pytest.fixture
@@ -195,7 +198,8 @@ def test_presentation_and_quotient_free():
     gens, relations = presentation(C)
     assert len(gens) == 1
     assert {r[0] for r in relations} == {0, 2, 4}
-    rebuilt = quotient_free(R, 1, relations, tag="rebuilt")
+    F1 = free_module(R, 1)
+    rebuilt = quotient_module(F1, submodule_generated(F1, relations).elements, "rebuilt")
     assert rebuilt.size == C.size
     F = free_module(R, 2)
     gens2, rel2 = presentation(F)
@@ -208,8 +212,6 @@ def test_generating_set_regular_is_one():
 
 
 def test_tensor_with_algebra_examples(prod22, killed_factor):
-    from zdbench.extensions import extension_algebra, self_algebra
-    from zdbench.modules import tensor_with_algebra
     # base case: tensoring with the ring itself changes nothing
     T = tensor_with_algebra(killed_factor, self_algebra(prod22))
     assert T.size == killed_factor.size == 2
@@ -223,6 +225,59 @@ def test_tensor_with_algebra_examples(prod22, killed_factor):
     B4 = extension_algebra(poly_quotient(R4, (0, 0, 1)), R4)
     M = cyclic_module(R4, ideal_generated(R4, [2]))
     assert tensor_with_algebra(M, B4).size == 4
+
+
+def _tensor_by_presentation(M, alg):
+    """M (x) B as B^k modulo the relations of a presentation of M, mapped
+    coefficientwise into B: an independent construction of the same module.
+    None past the presentation budget."""
+    try:
+        gens, relations = presentation(M)
+    except BoundExceeded:
+        return None
+    B, k = alg.ring, len(gens)
+    if B.size ** k > DEFAULT_PRESENTATION_BUDGET:
+        return None
+    F = free_module(B, k)
+    mapped = {tuple(alg.embed[r] for r in rel) for rel in relations}
+    return quotient_module(F, submodule_generated(F, mapped).elements, "oracle")
+
+
+def test_tensor_matches_presentation_oracle(small_universe):
+    compared = 0
+    for R, alg in small_universe.all_algebras():
+        for M in small_universe.modules[R.descriptor]:
+            oracle = _tensor_by_presentation(M, alg)
+            if oracle is None:
+                continue
+            T = tensor_with_algebra(M, alg)
+            where = (M.tag, alg.descriptor)
+            assert T.size == oracle.size, where
+            assert zero_divisors_module(T) == zero_divisors_module(oracle), where
+            for verdict in (is_auslander, is_torsion_free, is_flat, is_faithfully_flat):
+                assert _holds(verdict, T) == _holds(verdict, oracle), (verdict.__name__,) + where
+            compared += 1
+    assert compared > 200
+
+
+def _holds(verdict, M):
+    """The verdict on M, or "bound" when its budget gate stops it."""
+    try:
+        return verdict(M).holds
+    except BoundExceeded:
+        return "bound"
+
+
+def test_tensor_basis_and_non_free_algebra(prod22):
+    # Prod(Z2,Z2) is free of rank 1 over itself, though it needs two generators
+    T = tensor_with_algebra(regular_module(prod22), self_algebra(prod22))
+    assert len(T.zero) == 1 and T.size == 4
+    # Z6 -> Z6_S = Z2 for S = {1,3}: |Z6|^d is never 2
+    Z6 = Zmod(6)
+    loc = localize(Z6, multiplicative_closure(Z6, [3]))
+    with pytest.raises(ValueError, match="not free"):
+        tensor_with_algebra(regular_module(Z6),
+                            FiniteAlgebra(loc.structure, loc.source, loc.to_class))
 
 
 def test_submodule_generated_closure():

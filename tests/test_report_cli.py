@@ -200,7 +200,7 @@ def test_cli_analyze_tensor_over_nontrivial_algebra(capsys):
 
 @pytest.mark.parametrize("ring, module, display", [
     ("PolyQuot(Z4, x^2)", "Sum(Cyclic(0),Cyclic(2))", "(0,x)"),
-    ("Z4", "Tensor(Cyclic(2), Algebra(PolyQuot(Z4, x^2), Z4))", "(x)"),
+    ("Z4", "Tensor(Cyclic(2), Algebra(PolyQuot(Z4, x^2), Z4))", "(0,1)"),
 ])
 def test_content_witness_displayed_as_module_element(ring, module, display):
     witness = analyze_report(ring, module)["module"]["content_module"]["witness"]
