@@ -8,7 +8,6 @@ freeness), and tensor products M (x) B by base change along a basis of B.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from .rings import (Carrier, FiniteRing, Ideal, Table, annihilator_of,
                     sum_tables, zero_divisor_scan)
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
-DEFAULT_PRESENTATION_BUDGET = 30000  # |R|^k tuples enumerated for relation kernels
+DEFAULT_PRESENTATION_BUDGET = 30000  # tuples enumerated for relation kernels and tensors
 SUBMODULE_LATTICE_MAX = 512        # members; past it all_submodules raises BoundExceeded
 
 
@@ -387,7 +386,10 @@ def content_surjective(M: FiniteModule) -> bool:
     """
     R = M.ring
     contents = {content_of_element(M, m).elements for m in M.elements}
-    return all(ideal_generated(R, [s]).elements in contents for s in R.elements)
+    for s in R.elements:
+        if ideal_generated(R, [s]).elements not in contents:
+            return False
+    return True
 
 
 def has_property_A(M: FiniteModule) -> Verdict:
@@ -467,29 +469,36 @@ def tensor_with_algebra(M: FiniteModule, algebra) -> FiniteModule:
     With b_1..b_d the basis of `_free_basis` and b b_j = sum_l c_jl(b) b_l,
     M (x) B = M (x) R^d = M^d, carrying B's multiplication: b sends (m_j) to
     the tuple whose l-th coordinate is sum_j c_jl(b) m_j.  The carrier, plus
-    and minus are M^d's.  Raises ValueError when B is not free over R.
+    and minus are M^d's.  Raises ValueError when B is not free over R, and
+    BoundExceeded when |M|^d exceeds DEFAULT_PRESENTATION_BUDGET.
     """
     B, R, n = algebra.ring, algebra.base, M.size
     if not M.ring.same_ring(R):
         raise ValueError(f"algebra base {R.descriptor} differs from ring {M.ring.descriptor}")
-    basis, coords = _free_basis(algebra.as_module())
-    P = power_module(M, len(basis))
+    d = next(d for d in itertools.count(1) if R.size ** d >= B.size)
+    if n ** d > DEFAULT_PRESENTATION_BUDGET:
+        raise BoundExceeded(f"tensor: |{M.tag}|^{d} = {n ** d} exceeds budget "
+                            f"{DEFAULT_PRESENTATION_BUDGET}")
+    basis, coords = _free_basis(algebra.as_module(), d)
+    P = power_module(M, d)
 
     def row(row_b):  # coordinate by coordinate; (y_l) has index sum_l y_l |M|^l
-        ys = [_combination(M, c_l) for c_l in zip(*(coords[row_b[b]] for b in basis))]
-        return functools.reduce(lambda high, y: [n * h + v for h, v in zip(high, y)], ys[::-1])
+        out = [0] * P.size
+        for c_l in reversed(list(zip(*(coords[row_b[b]] for b in basis)))):
+            out = [n * high + y for high, y in zip(out, _combination(M, c_l))]
+        return out
 
     return FiniteModule(ring=B, elements=P.elements, zero=P.zero, element_str=P.element_str,
-                        tables=(lambda T: list(map(row, B.rows)), lambda T: P.plus,
-                                lambda T: P.minus), tag=f"Tensor({M.tag}, {algebra.descriptor})")
+                        tables=(lambda T: [row(r) for r in B.rows],
+                                lambda T: P.plus, lambda T: P.minus),
+                        tag=f"Tensor({M.tag}, {algebra.descriptor})")
 
 
-def _free_basis(BR: FiniteModule):
+def _free_basis(BR: FiniteModule, d: int):
     """(basis, coords): the first d-subset of BR's indices, in carrier order,
     whose R-combinations sum r_j b_j are pairwise distinct, |R|^d = |BR|;
     coords[x] is the tuple of R-indices (r_j) of x.  ValueError if none."""
     R = BR.ring
-    d = next(d for d in itertools.count(1) if R.size ** d >= BR.size)
     for basis in itertools.combinations(range(BR.size), d):
         coords = {BR.index(BR.zero): ()}
         for b in basis:

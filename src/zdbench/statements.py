@@ -307,8 +307,12 @@ def _mccoy_tensor(U: Universe, rep: StatementReport, flat: bool, concl):
                 if not _meets(rep, U, R, M, hyp):
                     continue
                 member = f"{_member(R, M)} (x) {alg.descriptor}"
-                T = _memo(U, ("tensor", R.descriptor, M.tag, alg.descriptor),
-                          lambda: tensor_with_algebra(M, alg))
+                try:
+                    T = _memo(U, ("tensor", R.descriptor, M.tag, alg.descriptor),
+                              lambda: tensor_with_algebra(M, alg))
+                except BoundExceeded as exc:
+                    rep.notes.append(f"skipped {member}: {exc}")
+                    continue
                 if not alg.is_trivial_extension:
                     nontrivial.append(member)
                 _check(rep, member, concl, U, alg.ring, T)
@@ -1010,4 +1014,8 @@ def embedding_invariance(U: Universe, max_ring: int = 6, max_module: int = 8) ->
 
 def faithfully_flat_mccoy_algebras(U: Universe) -> list[str]:
     """Raw material log: universe algebras that are faithfully flat and McCoy."""
-    return [alg.descriptor for R in U.rings for alg in _mccoy_algebras_of(U, R)]
+    found = []
+    for R in U.rings:
+        for alg in _mccoy_algebras_of(U, R):
+            found.append(alg.descriptor)
+    return found

@@ -8,7 +8,7 @@ class of s*c is the same whether R or R_S multiplies.
 
 import pytest
 
-from zdbench import statements
+from zdbench import modules, statements
 from zdbench.errors import BoundExceeded, PresentationUnavailable
 from zdbench.localize import localize
 from zdbench.modules import (free_module, ideal_action, is_faithfully_flat,
@@ -74,3 +74,16 @@ def test_presentation_memos_respect_budget():
         presentation(M, budget=16)
     with pytest.raises(BoundExceeded):
         is_faithfully_flat(M, budget=16)
+
+
+def test_tensor_bound_skips_mccoy_members(monkeypatch):
+    """Past the tensor bound on |M|^d, thm-2.13 notes the member as skipped."""
+    limits = UniverseLimits(zmod_max=4, product_component_max=2, max_ring=4, max_module=16)
+    full = statements.run_statement("thm-2.13", generate_universe(limits))
+    assert (len(full.applicable), _skip_count(full)) == (55, 0)
+    monkeypatch.setattr(modules, "DEFAULT_PRESENTATION_BUDGET", 16)
+    bounded = statements.run_statement("thm-2.13", generate_universe(limits))
+    assert (len(bounded.applicable), _skip_count(bounded)) == (50, 5)
+    assert bounded.notes[0] == (
+        "skipped Z2 :: Free(2) (x) Algebra(PolyQuot(Z2, x^3 + x + 1), Z2): "
+        "tensor: |Free(2)|^3 = 64 exceeds budget 16")

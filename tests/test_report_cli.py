@@ -223,6 +223,12 @@ def test_cli_dsl_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_tensor_past_budget_is_refused(capsys):
+    module = "Tensor(Free(8), Algebra(PolyQuot(Z2, x^4), Z2))"
+    assert main(["analyze", "--ring", "Z2", "--module", module]) == 2
+    assert "exceeds budget 30000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option, value, field", [
     ("--degree-bound", "-1", "degree_bound"),
     ("--series-precision", "0", "series_precision"),
