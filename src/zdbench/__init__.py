@@ -8,9 +8,8 @@ enumerated universe, with constructive witnesses throughout.
 
 from .dsl import build_algebra, build_module, build_ring, parse_dsl, print_node
 from .extensions import (ExtElement, FiniteAlgebra, brute_force_zd,
-                         content_ideal, ext_arith, is_mccoy_algebra,
-                         is_ohm_rush, is_zd_on_extension, mccoy_witness,
-                         module_poly, module_series, ring_poly, ring_series)
+                         is_mccoy_algebra, is_ohm_rush, is_zd_on_extension,
+                         mccoy_witness, module_poly, ring_poly)
 from .localize import (Localization, localize, localize_module,
                        natural_map_kernel, total_quotient)
 from .modules import (FiniteModule, Submodule, Verdict, ann, content_of_element,
@@ -19,10 +18,9 @@ from .modules import (FiniteModule, Submodule, Verdict, ann, content_of_element,
                       is_auslander, is_content_module, is_faithfully_flat,
                       is_flat, is_torsion_free, regular_module,
                       tensor_with_algebra, zero_divisors_module)
-from .rings import (FiniteRing, Ideal, MultiplicativeSet, Zmod, all_ideals,
-                    annihilator, ideal_combine, ideal_generated, ideal_power,
-                    poly_quotient, product_ring, ring_predicates,
-                    zero_divisors_ring)
+from .rings import (FiniteRing, Ideal, MultiplicativeSet, Zmod,
+                    ideal_generated, poly_quotient, product_ring,
+                    ring_predicates)
 from .statements import (REGISTRY, run_statement, run_suite,
                          search_counterexample, z_adapter_check)
 from .universe import UniverseLimits, generate_universe
@@ -34,18 +32,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtElement", "FiniteAlgebra", "FiniteModule", "FiniteRing", "Ideal",
     "Localization", "MultiplicativeSet", "REGISTRY", "Submodule",
-    "UniverseLimits", "Verdict", "Zmod", "all_ideals", "ann", "annihilator",
-    "brute_force_zd", "build_algebra", "build_module", "build_ring",
-    "content_ideal", "content_of_element", "content_surjective",
-    "cyclic_module", "direct_sum", "ext_arith", "free_module",
+    "UniverseLimits", "Verdict", "Zmod", "ann", "brute_force_zd",
+    "build_algebra", "build_module", "build_ring", "content_of_element",
+    "content_surjective", "cyclic_module", "direct_sum", "free_module",
     "generate_universe", "has_property_A", "hom_module", "ideal_action",
-    "ideal_combine", "ideal_generated", "ideal_power", "is_auslander",
-    "is_content_module", "is_faithfully_flat", "is_flat", "is_mccoy_algebra",
-    "is_ohm_rush", "is_torsion_free", "is_zd_on_extension", "localize",
-    "localize_module", "make_ring", "mccoy_witness", "module_poly",
-    "module_series", "natural_map_kernel", "parse_dsl", "poly_quotient",
-    "print_node", "product_ring", "regular_module", "ring_poly",
-    "ring_predicates", "ring_series", "run_statement", "run_suite",
-    "search_counterexample", "tensor_with_algebra", "total_quotient",
-    "z_adapter_check", "zero_divisors_module", "zero_divisors_ring",
+    "ideal_generated", "is_auslander", "is_content_module",
+    "is_faithfully_flat", "is_flat", "is_mccoy_algebra", "is_ohm_rush",
+    "is_torsion_free", "is_zd_on_extension", "localize", "localize_module",
+    "make_ring", "mccoy_witness", "module_poly", "natural_map_kernel",
+    "parse_dsl", "poly_quotient", "print_node", "product_ring",
+    "regular_module", "ring_poly", "ring_predicates", "run_statement",
+    "run_suite", "search_counterexample", "tensor_with_algebra",
+    "total_quotient", "z_adapter_check", "zero_divisors_module",
 ]

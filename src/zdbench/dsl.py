@@ -20,18 +20,20 @@ and every descriptor and tag the constructions write prints back to itself.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .errors import DslError
+from .errors import BoundExceeded, DslError
 from .extensions import (ExtElement, FiniteAlgebra, diagonal_algebra,
                          extension_algebra, make_ext, self_algebra)
 from .localize import closed_multiplicative_set, localize, total_quotient
-from .modules import (FiniteModule, cyclic_module, direct_sum, free_module,
-                      hom_module, regular_module, tensor_with_algebra)
+from .modules import (DEFAULT_PRESENTATION_BUDGET, FiniteModule, cyclic_module,
+                      direct_sum, free_module, hom_module, regular_module,
+                      tensor_with_algebra)
 from .rings import (FiniteRing, Zmod, ideal_generated, poly_quotient,
                     poly_display, poly_str, product_ring)
 
@@ -508,12 +510,15 @@ def build_module(R: FiniteRing, spec) -> FiniteModule:
         if isinstance(node, RegNode):
             return regular_module(R)
         if isinstance(node, FreeNode):
+            _check_size(f"Free({node.rank}): |R|^{node.rank}", itertools.repeat(R.size, node.rank))
             return free_module(R, node.rank)
         if isinstance(node, CyclicNode):
             gens = [resolve_element(e, R) for e in node.generators]
             return cyclic_module(R, ideal_generated(R, gens))
         if isinstance(node, SumNode):
-            return direct_sum(build_module(R, node.left), build_module(R, node.right))
+            A, B = build_module(R, node.left), build_module(R, node.right)
+            _check_size(f"Sum({A.tag},{B.tag}): |A|*|B|", (A.size, B.size))
+            return direct_sum(A, B)
         if isinstance(node, HomNode):
             return hom_module(build_module(R, node.inner))
         if isinstance(node, TensorNode):
@@ -521,6 +526,17 @@ def build_module(R: FiniteRing, spec) -> FiniteModule:
             alg = build_algebra(node.algebra)
             return tensor_with_algebra(build_module(R, node.module), alg)
     raise DslError(f"not a module node: {node!r}", getattr(node, "span", (0, 0)))
+
+
+def _check_size(what: str, factors) -> None:
+    """Refuse, before building it, a module whose carrier has the product of
+    `factors` elements when that passes DEFAULT_PRESENTATION_BUDGET; the
+    product stops growing at the first factor that passes it."""
+    size = 1
+    for n in factors:
+        size *= n
+        if size > DEFAULT_PRESENTATION_BUDGET:
+            raise BoundExceeded(f"{what} exceeds budget {DEFAULT_PRESENTATION_BUDGET}")
 
 
 def build_algebra(spec) -> FiniteAlgebra:
@@ -543,9 +559,10 @@ def build_algebra(spec) -> FiniteAlgebra:
 # extension-element literals (uppercase X variables)
 
 
-def parse_ext(text: str, R: FiniteRing, M: FiniteModule | None = None) -> ExtElement:
+def parse_ext(text: str, R: FiniteRing, M: FiniteModule | None = None,
+              arity: int = 1) -> ExtElement:
     """Parse '2*X^2 + (1,0)*X + 3' or 'series(N; ...)' over R (or over M when
-    given, for module-valued cofactors)."""
+    given, for module-valued cofactors), in at least `arity` variables."""
     p = _Parser(text)
     precision = None
     variant = "monoid"
@@ -560,13 +577,12 @@ def parse_ext(text: str, R: FiniteRing, M: FiniteModule | None = None) -> ExtEle
         p.expect(")")
     p.done()
     base = R if M is None else M
-    arity = max(len(exp) for _, exp in terms)
+    arity = max(arity, *(len(exp) for _, exp in terms))
     support: dict = {}
     for coeff, exp in terms:
         exp += (0,) * (arity - len(exp))
         support[exp] = base.add(support.get(exp, base.zero), coeff)
-    return make_ext("ring" if M is None else "module", base, support, variant,
-                    arity, precision)
+    return make_ext(base, support, variant, arity, precision)
 
 
 def _parse_ext_term(p: _Parser, R: FiniteRing):

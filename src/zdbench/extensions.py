@@ -11,13 +11,13 @@ witnesses via a descending content-power chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import BoundExceeded
 from .modules import (FiniteModule, Verdict, content_of_element,
-                      is_content_module, regular_module, submodule_generated)
-from .rings import FiniteRing, ideal_generated, least_killed, span
+                      is_content_module, regular_module)
+from .rings import FiniteRing, least_killed, span
 
 DEFAULT_SERIES_PRECISION = 8
 DEFAULT_BRUTE_BUDGET = 300_000
@@ -27,18 +27,16 @@ DEFAULT_BRUTE_BUDGET = 300_000
 class ExtElement:
     """Finitely supported element of R[N^d], M[N^d], or a truncated series.
 
-    `support` maps exponent tuples to nonzero coefficients.  Series keep
-    arity 1, exponents below `precision`, and raise `truncated` once
-    arithmetic has discarded a nonzero coefficient at or past the precision.
+    `support` maps exponent tuples to nonzero coefficients of `base`, a ring
+    or a module over one.  Series keep arity 1 and exponents below
+    `precision`.
     """
 
-    base_kind: str                      # "ring" | "module"
     base: object = field(compare=False)  # FiniteRing | FiniteModule
     variant: str                        # "monoid" | "series"
     arity: int
     support: tuple                      # sorted ((exponent, coeff), ...)
     precision: Optional[int] = None
-    truncated: bool = False
 
     def __post_init__(self):
         if self.variant not in ("monoid", "series"):
@@ -51,7 +49,7 @@ class ExtElement:
 
     @property
     def ring(self) -> FiniteRing:
-        return self.base if self.base_kind == "ring" else self.base.ring
+        return self.base.scalars
 
     @property
     def is_zero(self) -> bool:
@@ -95,7 +93,7 @@ def monomial_str(exp: tuple) -> str:
     return "*".join(parts)
 
 
-def make_ext(base_kind: str, base, support: dict | Iterable, variant: str = "monoid",
+def make_ext(base, support: dict | Iterable, variant: str = "monoid",
              arity: int = 1, precision: int | None = None) -> ExtElement:
     """Normalize a support mapping into an ExtElement, dropping zero coefficients."""
     if isinstance(support, dict):
@@ -119,28 +117,20 @@ def make_ext(base_kind: str, base, support: dict | Iterable, variant: str = "mon
         if exp in cleaned:
             raise ValueError(f"duplicate exponent {exp}")
         cleaned[exp] = coeff
-    return ExtElement(base_kind=base_kind, base=base, variant=variant, arity=arity,
+    return ExtElement(base=base, variant=variant, arity=arity,
                       support=tuple(sorted(cleaned.items())), precision=precision)
 
 
 def ring_poly(R: FiniteRing, support, arity: int = 1) -> ExtElement:
-    return make_ext("ring", R, support, "monoid", arity)
+    return make_ext(R, support, "monoid", arity)
 
 
 def module_poly(M: FiniteModule, support, arity: int = 1) -> ExtElement:
-    return make_ext("module", M, support, "monoid", arity)
-
-
-def ring_series(R: FiniteRing, support, precision: int = DEFAULT_SERIES_PRECISION) -> ExtElement:
-    return make_ext("ring", R, support, "series", 1, precision)
-
-
-def module_series(M: FiniteModule, support, precision: int = DEFAULT_SERIES_PRECISION) -> ExtElement:
-    return make_ext("module", M, support, "series", 1, precision)
+    return make_ext(M, support, "monoid", arity)
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
+# the exact product
 
 
 def _check_compatible(a: ExtElement, b: ExtElement):
@@ -152,104 +142,21 @@ def _check_compatible(a: ExtElement, b: ExtElement):
         raise ValueError("extension elements over different rings")
 
 
-def ext_add(a: ExtElement, b: ExtElement) -> ExtElement:
-    _check_compatible(a, b)
-    if a.base_kind != b.base_kind:
-        raise ValueError("cannot add ring- and module-valued elements")
-    base = a.base
-    add = base.add
-    zero = base.zero
-    out = dict(a.support)
-    for exp, c in b.support:
-        s = add(out.get(exp, zero), c)
-        if s == zero:
-            out.pop(exp, None)
-        else:
-            out[exp] = s
-    return replace(a, support=tuple(sorted(out.items())),
-                   truncated=a.truncated or b.truncated)
-
-
-def _convolve_exact(a: ExtElement, b: ExtElement) -> dict:
-    """Exact product support, ignoring series precision (inputs have finite support)."""
-    if a.base_kind == "ring" and b.base_kind == "ring":
-        combine = a.base.mul
-        out_base = a.base
-    elif a.base_kind == "ring" and b.base_kind == "module":
-        combine = b.base.act
-        out_base = b.base
-    elif a.base_kind == "module" and b.base_kind == "ring":
-        return _convolve_exact(b, a)
-    else:
-        raise ValueError("cannot multiply two module-valued elements")
-    add = out_base.add
-    zero = out_base.zero
+def exact_product(f: ExtElement, g: ExtElement) -> dict:
+    """The support of f*g for f over R and g over an R-module M, with no
+    series truncation: both supports are finite, so the product is exact."""
+    act, add, zero = g.base.act, g.base.add, g.base.zero
     out: dict = {}
-    for ea, ca in a.support:
-        for eb, cb in b.support:
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            prod = combine(ca, cb)
-            cur = out.get(exp)
-            s = prod if cur is None else add(cur, prod)
+    for ef, cf in f.support:
+        for eg, cg in g.support:
+            exp = tuple(x + y for x, y in zip(ef, eg))
+            prod = act(cf, cg)
+            s = add(out[exp], prod) if exp in out else prod
             if s == zero:
                 out.pop(exp, None)
             else:
                 out[exp] = s
     return out
-
-
-def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
-    """Convolution product; series results are truncated with a loss flag."""
-    _check_compatible(a, b)
-    out = _convolve_exact(a, b)
-    out_kind = "module" if "module" in (a.base_kind, b.base_kind) else "ring"
-    out_base = a.base if a.base_kind == out_kind else b.base
-    truncated = a.truncated or b.truncated
-    if a.variant == "series":
-        kept = {}
-        for exp, c in out.items():
-            if exp[0] >= a.precision:
-                truncated = True
-            else:
-                kept[exp] = c
-        out = kept
-    return ExtElement(base_kind=out_kind, base=out_base, variant=a.variant,
-                      arity=a.arity, support=tuple(sorted(out.items())),
-                      precision=a.precision, truncated=truncated)
-
-
-def ext_arith(a: ExtElement, b: ExtElement, op: str) -> ExtElement:
-    if op == "add":
-        return ext_add(a, b)
-    if op == "mul":
-        return ext_mul(a, b)
-    if op == "scalar-action":
-        if {"ring", "module"} != {a.base_kind, b.base_kind}:
-            raise ValueError("scalar-action pairs a ring element with a module element")
-        return ext_mul(a, b)
-    raise ValueError(f"unknown extension operation {op!r}")
-
-
-def ext_product_is_exactly_zero(a: ExtElement, b: ExtElement) -> bool:
-    _check_compatible(a, b)
-    if a.truncated or b.truncated:
-        raise ValueError("refusing zero test on truncation-lossy inputs")
-    return not _convolve_exact(a, b)
-
-
-# ---------------------------------------------------------------------------
-# content
-
-
-def content_ideal(f: ExtElement):
-    """Ideal (ring coefficients) or submodule (module coefficients) generated
-    by the support coefficients.  Finite rings are Noetherian, so the series
-    coefficient ideal and the polynomial content coincide and one operation
-    serves both variants."""
-    coeffs = f.coefficients()
-    if f.base_kind == "ring":
-        return ideal_generated(f.base, coeffs)
-    return submodule_generated(f.base, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +170,7 @@ def is_zd_on_extension(f: ExtElement, M: FiniteModule) -> Verdict:
     element iff some nonzero m in M has c(f)*m = 0, and such a constant
     witness always exists at finite scale.  Witness: the least such m.
     """
-    if f.base_kind != "ring":
+    if not isinstance(f.base, FiniteRing):
         raise ValueError("f must have ring coefficients")
     R = f.ring
     if not R.same_ring(M.ring):
@@ -280,12 +187,10 @@ def brute_force_zd(f: ExtElement, M: FiniteModule, degree_bound: int,
                    budget: int = DEFAULT_BRUTE_BUDGET) -> Verdict:
     """Independent oracle: search for nonzero g over M with exponents <= d
     componentwise and f*g = 0 (exact product).  Exhaustive within budget."""
-    if f.base_kind != "ring":
+    if not isinstance(f.base, FiniteRing):
         raise ValueError("f must have ring coefficients")
     if not f.ring.same_ring(M.ring):
         raise ValueError("module is over a different ring")
-    if f.truncated:
-        raise ValueError("refusing brute-force search on truncation-lossy f")
     cells = sorted(itertools.product(range(degree_bound + 1), repeat=f.arity))
     n_candidates = M.size ** len(cells)
     if n_candidates > budget:
@@ -321,7 +226,7 @@ def brute_force_zd(f: ExtElement, M: FiniteModule, degree_bound: int,
                 ok = False
                 break
         if ok:
-            witness = make_ext("module", M, {e: c for e, c in g.items() if c != zero_m},
+            witness = make_ext(M, {e: c for e, c in g.items() if c != zero_m},
                                f.variant, f.arity, f.precision)
             return Verdict(True, witness={"kind": "ext_zd_brute", "cofactor": witness})
     return Verdict(False)
@@ -338,17 +243,14 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
     nonzero value indicates an engine bug and raises.  The postcondition
     f*m = 0, m != 0 is re-verified before returning.
     """
-    if f.base_kind != "ring":
+    if not isinstance(f.base, FiniteRing):
         raise ValueError("f must have ring coefficients")
-    if g.base_kind == "ring":
-        g = make_ext("module", regular_module(g.base), dict(g.support),
-                     g.variant, g.arity, g.precision)
+    if isinstance(g.base, FiniteRing):
+        g = make_ext(regular_module(g.base), dict(g.support), g.variant, g.arity, g.precision)
     _check_compatible(f, g)
-    if f.truncated or g.truncated:
-        raise ValueError("refusing witness extraction on truncation-lossy inputs")
     if g.is_zero:
         raise ValueError("g must be nonzero")
-    if not ext_product_is_exactly_zero(f, g):
+    if exact_product(f, g):
         raise ValueError("f*g != 0: no annihilation witness exists")
     # on indices of M: each link of the chain is a span along rows of M.plus
     M = g.base

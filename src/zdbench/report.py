@@ -161,8 +161,9 @@ def search_report(hyp: str, concl: str,
 def witness_report(f_text: str, g_text: str, ring_text: str) -> dict:
     R = dsl.build_ring(ring_text)
     M = regular_module(R)
-    f = dsl.parse_ext(f_text, R)
-    g = dsl.parse_ext(g_text, R, M)
+    # both literals live in as many variables as either names
+    g = dsl.parse_ext(g_text, R, M, dsl.parse_ext(f_text, R).arity)
+    f = dsl.parse_ext(f_text, R, arity=g.arity)
     m = mccoy_witness(f, g)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -148,15 +148,15 @@ class FiniteRing(Carrier):
     def regular_elements(self) -> frozenset:
         return frozenset(self.elements) - self.zero_divisors()
 
-    def ideals(self, bound: int = DEFAULT_LATTICE_BOUND) -> tuple["Ideal", ...]:
+    def ideals(self) -> tuple["Ideal", ...]:
         """Every ideal exactly once: the submodule lattice of the regular module.
 
-        Raises BoundExceeded past `bound` so callers shrink the universe
-        rather than wait on an infeasible enumeration.
+        Raises BoundExceeded past DEFAULT_LATTICE_BOUND elements so callers
+        shrink the universe rather than wait on an infeasible enumeration.
         """
-        if self.size > bound:
-            raise BoundExceeded(
-                f"ideal lattice of {self.descriptor} (size {self.size}) exceeds bound {bound}")
+        if self.size > DEFAULT_LATTICE_BOUND:
+            raise BoundExceeded(f"ideal lattice of {self.descriptor} (size {self.size}) "
+                                f"exceeds bound {DEFAULT_LATTICE_BOUND}")
         if self._ideals is None:
             self._ideals = tuple(subgroup_lattice(
                 self, self.plus, cyclic_subgroups(self),
@@ -552,27 +552,6 @@ class Ideal:
     def is_whole_ring(self) -> bool:
         return len(self.elements) == self.ring.size
 
-    def __add__(self, other: "Ideal") -> "Ideal":
-        _check_same_ring(self, other)
-        return ideal_generated(self.ring, list(self.generators) + list(other.generators))
-
-    def __mul__(self, other: "Ideal") -> "Ideal":
-        _check_same_ring(self, other)
-        R = self.ring
-        prods = [R.mul(a, b) for a in self.generators for b in other.generators]
-        return ideal_generated(R, prods)
-
-    def __pow__(self, k: int) -> "Ideal":
-        return ideal_power(self, k)
-
-    def intersect(self, other: "Ideal") -> "Ideal":
-        _check_same_ring(self, other)
-        common = self.elements & other.elements
-        return Ideal(self.ring, tuple(self.ring.sorted_elements(common)), frozenset(common))
-
-    def annihilator(self) -> "Ideal":
-        return annihilator(self.ring, self)
-
     def small_generators(self) -> tuple:
         """A short generating list: single generator when principal, else
         greedy: each member, in carrier order, joins when it lies outside the
@@ -592,53 +571,11 @@ class Ideal:
         return tuple(gens) or (R.zero,)
 
 
-def _check_same_ring(I: Ideal, J: Ideal):
-    if not I.ring.same_ring(J.ring):
-        raise ValueError(f"ideal rings differ: {I.ring.descriptor} vs {J.ring.descriptor}")
-
-
 def ideal_generated(R: FiniteRing, gens: Iterable) -> Ideal:
     """Smallest ideal containing `gens` (empty list gives the zero ideal)."""
     gens = list(gens)
     elements = generated(R, gens)
     return Ideal(R, tuple(R.sorted_elements(dict.fromkeys(gens))), elements)
-
-
-def unit_ideal(R: FiniteRing) -> Ideal:
-    return ideal_generated(R, [R.one])
-
-
-def ideal_combine(I: Ideal, J: Ideal, op: str) -> Ideal:
-    if op == "sum":
-        return I + J
-    if op == "product":
-        return I * J
-    if op == "intersect":
-        return I.intersect(J)
-    raise ValueError(f"unknown ideal operation {op!r}")
-
-
-def ideal_power(I: Ideal, k: int) -> Ideal:
-    if k < 0:
-        raise ValueError("ideal powers need k >= 0")
-    result = unit_ideal(I.ring)
-    for _ in range(k):
-        result = result * I
-    return result
-
-
-def annihilator(R: FiniteRing, I: Ideal) -> Ideal:
-    if not R.same_ring(I.ring):
-        raise ValueError("annihilator: ideal belongs to a different ring")
-    return annihilator_of(R, I.generators)
-
-
-def zero_divisors_ring(R: FiniteRing) -> frozenset:
-    return R.zero_divisors()
-
-
-def all_ideals(R: FiniteRing, bound: int = DEFAULT_LATTICE_BOUND) -> tuple[Ideal, ...]:
-    return R.ideals(bound=bound)
 
 
 # ---------------------------------------------------------------------------

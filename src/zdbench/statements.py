@@ -992,26 +992,6 @@ def mccoy_witness_sweep(U: Universe, max_ring: int = _MCCOY_RING_MAX, degree: in
     return out
 
 
-def embedding_invariance(U: Universe, max_ring: int = 6, max_module: int = 8) -> dict:
-    """Verdicts for f(X) agree with f(X1) under the embedding N -> N^2."""
-    report = {"checked": 0, "mismatches": []}
-    for R, M in _nonzero_pairs(U):
-        if R.size > max_ring or M.size > max_module:
-            continue
-        for coeffs in itertools.product(R.elements, repeat=3):
-            support1 = {(i,): c for i, c in enumerate(coeffs) if c != R.zero}
-            if not support1:
-                continue
-            support2 = {(i, 0): c for (i,), c in support1.items()}
-            f1 = ring_poly(R, support1, arity=1)
-            f2 = ring_poly(R, support2, arity=2)
-            report["checked"] += 1
-            if is_zd_on_extension(f1, M).holds != is_zd_on_extension(f2, M).holds:
-                report["mismatches"].append({
-                    "ring": R.descriptor, "module": M.tag, "f": str(f1)})
-    return report
-
-
 def faithfully_flat_mccoy_algebras(U: Universe) -> list[str]:
     """Raw material log: universe algebras that are faithfully flat and McCoy."""
     found = []

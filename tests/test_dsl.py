@@ -157,8 +157,11 @@ def test_parse_ext_literals():
     assert dict(fp.support) == {(0,): (1, 0), (1,): (1, 0)}
     multi = parse_ext("X1*X2^2 + 2", R)
     assert dict(multi.support) == {(1, 2): 1, (0, 0): 2}
-    m = parse_ext("3", R, regular_module(R))
-    assert m.base_kind == "module"
+    Reg = regular_module(R)
+    m = parse_ext("3", R, Reg)
+    assert m.base is Reg and m.ring is R
+    # `arity` pads a literal that names fewer variables
+    assert dict(parse_ext("2*X + 3", R, arity=3).support) == {(1, 0, 0): 2, (0, 0, 0): 3}
     coalesced = parse_ext("2 + 2", R)
     assert coalesced.is_zero
     with pytest.raises(DslError):

@@ -4,89 +4,61 @@ import pytest
 
 from zdbench.errors import BoundExceeded
 from zdbench.extensions import (FiniteAlgebra, brute_force_zd,
-                                content_ideal, diagonal_algebra, ext_add,
-                                ext_arith, ext_mul,
-                                ext_product_is_exactly_zero,
+                                diagonal_algebra, exact_product,
                                 extension_algebra, is_mccoy_algebra,
                                 is_ohm_rush, is_zd_on_extension, make_ext,
-                                mccoy_witness, module_poly, module_series,
-                                ring_poly, ring_series, self_algebra)
+                                mccoy_witness, module_poly, ring_poly,
+                                self_algebra)
 from zdbench.modules import regular_module, zero_divisors_module
 from zdbench.rings import Zmod, ideal_generated, poly_quotient, product_ring
 
 
-def test_ext_mul_collapses_to_zero():
-    R = Zmod(4)
-    f = ring_poly(R, {(1,): 2, (0,): 2})
-    two = ring_poly(R, {(0,): 2})
-    assert ext_mul(f, two).is_zero  # 4X + 4 = 0 mod 4
+def series(R, support, precision=8):
+    return make_ext(R, support, "series", 1, precision)
 
 
-def test_ext_mul_identity_and_add():
-    R = Zmod(6)
-    f = ring_poly(R, {(2,): 3, (0,): 2})
-    one = ring_poly(R, {(0,): 1})
-    assert ext_mul(f, one) == f
-    assert ext_add(f, ring_poly(R, {(0,): 4})).support == (((2,), 3),)
+def test_exact_product_examples():
+    R4 = Zmod(4)
+    f = ring_poly(R4, {(1,): 2, (0,): 2})
+    assert exact_product(f, module_poly(regular_module(R4), {(0,): 2})) == {}  # 4X + 4 = 0
+    R6 = Zmod(6)
+    g = module_poly(regular_module(R6), {(2,): 3, (0,): 2})
+    assert exact_product(ring_poly(R6, {(0,): 1}), g) == dict(g.support)
 
 
 def test_bivariate_frobenius():
     R = Zmod(2)
     f = ring_poly(R, {(1, 0): 1, (0, 1): 1}, arity=2)
-    sq = ext_mul(f, f)
-    assert dict(sq.support) == {(2, 0): 1, (0, 2): 1}  # cross term 2*X1*X2 = 0
+    g = module_poly(regular_module(R), dict(f.support), arity=2)
+    assert exact_product(f, g) == {(2, 0): 1, (0, 2): 1}  # cross term 2*X1*X2 = 0
 
 
 def test_variant_mismatch_rejected():
     R = Zmod(4)
     f = ring_poly(R, {(0,): 1})
-    s = ring_series(R, {(0,): 1}, precision=8)
+    s = series(R, {(0,): 1})
     # each message names the field that differs and both values
     with pytest.raises(ValueError, match="^extension elements have mismatched "
                        "variant: monoid and series$"):
-        ext_mul(f, s)
+        mccoy_witness(f, s)
     with pytest.raises(ValueError, match="^extension elements have mismatched "
                        "arity: 2 and 1$"):
-        ext_mul(ring_poly(R, {(1, 1): 1}, arity=2), f)
+        mccoy_witness(ring_poly(R, {(1, 1): 1}, arity=2), f)
     with pytest.raises(ValueError, match="^extension elements have mismatched "
                        "precision: 8 and 4$"):
-        ext_mul(s, ring_series(R, {(0,): 1}, precision=4))
+        mccoy_witness(s, series(R, {(0,): 1}, precision=4))
 
 
 def test_scalar_action_requires_mixed_kinds():
-    R = Zmod(4)
-    f = ring_poly(R, {(0,): 1})
-    with pytest.raises(ValueError):
-        ext_arith(f, f, "scalar-action")
-    g = module_poly(regular_module(R), {(0,): 2})
-    assert ext_arith(f, g, "scalar-action").base_kind == "module"
-
-
-def test_series_truncation_flag():
-    R = Zmod(4)
-    a = ring_series(R, {(5,): 1}, precision=8)
-    b = ring_series(R, {(4,): 1}, precision=8)
-    prod = ext_mul(a, b)  # X^9 discarded
-    assert prod.is_zero and prod.truncated
-    ok = ext_mul(ring_series(R, {(1,): 1}, precision=8),
-                 ring_series(R, {(2,): 1}, precision=8))
-    assert not ok.truncated and dict(ok.support) == {(3,): 1}
+    # f acts on the cofactor g, so f takes ring coefficients
+    g = module_poly(regular_module(Zmod(4)), {(0,): 2})
+    with pytest.raises(ValueError, match="^f must have ring coefficients$"):
+        mccoy_witness(g, g)
 
 
 def test_series_exponent_past_precision_rejected():
     with pytest.raises(ValueError):
-        ring_series(Zmod(4), {(9,): 1}, precision=8)
-
-
-def test_content_ideal_examples():
-    R4 = Zmod(4)
-    assert content_ideal(ring_poly(R4, {(1,): 2, (0,): 2})).elements == frozenset({0, 2})
-    assert content_ideal(ring_poly(R4, {})).elements == frozenset({0})
-    R6 = Zmod(6)
-    assert content_ideal(ring_poly(R6, {(2,): 3, (0,): 2})).is_whole_ring
-    M = regular_module(R4)
-    sub = content_ideal(module_poly(M, {(1,): 2}))
-    assert sub.elements == frozenset({0, 2})
+        series(Zmod(4), {(9,): 1})
 
 
 def test_is_zd_on_extension_examples():
@@ -163,8 +135,9 @@ def test_mccoy_witness_steps_the_content_chain():
     R = poly_quotient(Zmod(9), (0, 0, 1))
     f = ring_poly(R, {(0,): (3, 0), (1,): (0, 1)})
     g = module_poly(regular_module(R), {(0,): (3, 0), (1,): (0, 2)})
-    cf, cg = ideal_generated(R, [(3, 0), (0, 1)]), ideal_generated(R, [(3, 0), (0, 2)])
-    assert (cf * cg).elements == {(0, 0), (0, 3), (0, 6)}
+    cfcg = ideal_generated(R, [R.mul(a, b) for a in f.coefficients()
+                               for b in g.coefficients()])
+    assert cfcg.elements == {(0, 0), (0, 3), (0, 6)}
     assert mccoy_witness(f, g) == (0, 3)
 
 
@@ -178,14 +151,10 @@ def test_mccoy_witness_rejects_bad_inputs():
     R4 = Zmod(4)
     Reg4 = regular_module(R4)
     f = ring_poly(R4, {(1,): 2, (0,): 2})
-    with pytest.raises(ValueError):
-        mccoy_witness(f, module_poly(Reg4, {}))        # g = 0
-    with pytest.raises(ValueError):
-        mccoy_witness(f, module_poly(Reg4, {(0,): 1}))  # f*g != 0
-    lossy = ext_mul(ring_series(R4, {(5,): 1}, precision=8),
-                    ring_series(R4, {(4,): 1}, precision=8))
-    with pytest.raises(ValueError):
-        mccoy_witness(lossy, module_series(Reg4, {(0,): 2}, precision=8))
+    with pytest.raises(ValueError, match="^g must be nonzero$"):
+        mccoy_witness(f, module_poly(Reg4, {}))
+    with pytest.raises(ValueError, match=r"^f\*g != 0"):
+        mccoy_witness(f, module_poly(Reg4, {(0,): 1}))
 
 
 def test_series_decider_agrees_with_polynomial():
@@ -197,46 +166,34 @@ def test_series_decider_agrees_with_polynomial():
             if not support:
                 continue
             poly_verdict = is_zd_on_extension(ring_poly(R, support), M).holds
-            series_verdict = is_zd_on_extension(
-                ring_series(R, support, precision=8), M).holds
+            series_verdict = is_zd_on_extension(series(R, support), M).holds
             assert poly_verdict == series_verdict
 
 
-def test_content_submultiplicative():
-    R = Zmod(6)
-    elems = R.elements
-    for cf in itertools.product(elems, repeat=2):
-        for cg in itertools.product(elems, repeat=2):
-            f = ring_poly(R, {(i,): c for i, c in enumerate(cf) if c})
-            g = ring_poly(R, {(i,): c for i, c in enumerate(cg) if c})
-            lhs = content_ideal(ext_mul(f, g))
-            rhs = content_ideal(f) * content_ideal(g)
-            assert lhs.elements <= rhs.elements
-
-
-def test_embedding_into_two_variables_preserves_verdicts(small_universe):
-    from zdbench.statements import embedding_invariance
-    report = embedding_invariance(small_universe, max_ring=6, max_module=8)
-    assert report["checked"] > 100
-    assert report["mismatches"] == []
-
-
-def test_exact_zero_test_refuses_truncated():
-    R = Zmod(4)
-    lossy = ext_mul(ring_series(R, {(5,): 1}, precision=8),
-                    ring_series(R, {(4,): 1}, precision=8))
-    with pytest.raises(ValueError):
-        ext_product_is_exactly_zero(lossy, ring_series(R, {(0,): 1}, precision=8))
+def test_criterion_matches_brute_force_in_two_variables(small_universe):
+    # f over the support {1, X1, X2} against the oracle's cofactors of
+    # degree <= 1 in each variable, on every pair with |R| <= 6, |M| <= 4
+    pairs = [(R, M) for R, M in small_universe.pairs() if R.size <= 6 and M.size <= 4]
+    checked = 0
+    for R, M in pairs:
+        for c in itertools.product(R.elements, repeat=3):
+            f = ring_poly(R, dict(zip([(0, 0), (1, 0), (0, 1)], c)), arity=2)
+            if f.is_zero:
+                continue
+            assert is_zd_on_extension(f, M).holds == brute_force_zd(f, M, 1).holds, (
+                R.descriptor, M.tag, str(f))
+            checked += 1
+    assert checked > 2000
 
 
 def test_make_ext_validation():
     R = Zmod(4)
     with pytest.raises(ValueError):
-        make_ext("ring", R, {(0,): 7})        # coefficient outside carrier
+        make_ext(R, {(0,): 7})        # coefficient outside carrier
     with pytest.raises(ValueError):
-        make_ext("ring", R, {(-1,): 1})       # negative exponent
+        make_ext(R, {(-1,): 1})       # negative exponent
     with pytest.raises(ValueError):
-        make_ext("ring", R, {(0, 0): 1}, arity=1)
+        make_ext(R, {(0, 0): 1}, arity=1)
 
 
 def test_algebra_structure_map_validated():
@@ -304,7 +261,7 @@ def test_ext_display_strings():
     R = Zmod(4)
     f = ring_poly(R, {(1,): 2, (0,): 2})
     assert str(f) == "2*X + 2"
-    s = ring_series(R, {(1,): 2, (0,): 2}, precision=8)
+    s = series(R, {(1,): 2, (0,): 2})
     assert str(s) == "series(8; 2*X + 2)"
     P = product_ring(Zmod(2), Zmod(2))
     fp = ring_poly(P, {(2, 1): (1, 0)}, arity=2)

@@ -213,6 +213,14 @@ def test_cli_witness(capsys):
     assert rep["witness"]["display"] == "2"
 
 
+def test_cli_witness_reads_both_literals_in_the_same_variables(capsys):
+    # g = 2 lies in Z4[X1,X2] too, and (2*X2)*2 = 0
+    assert main(["witness", "--f", "2*X2", "--g", "2", "--ring", "Z4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["witness"]["value"] == 2
+    assert rep["witness"]["f_support"] == [[[0, 1], 2]]
+
+
 def test_cli_witness_bad_pair(capsys):
     assert main(["witness", "--f", "2*X+2", "--g", "3", "--ring", "Z4"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -225,6 +233,12 @@ def test_cli_dsl_error(capsys):
 
 def test_cli_tensor_past_budget_is_refused(capsys):
     module = "Tensor(Free(8), Algebra(PolyQuot(Z2, x^4), Z2))"
+    assert main(["analyze", "--ring", "Z2", "--module", module]) == 2
+    assert "exceeds budget 30000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["Free(40)", "Sum(Free(14),Free(14))"])
+def test_cli_module_past_budget_is_refused_before_it_is_built(capsys, module):
     assert main(["analyze", "--ring", "Z2", "--module", module]) == 2
     assert "exceeds budget 30000" in capsys.readouterr().err
 
