@@ -17,13 +17,21 @@ def series(R, support, precision=8):
     return make_ext(R, support, "series", 1, precision)
 
 
-def test_exact_product_examples():
-    R4 = Zmod(4)
-    f = ring_poly(R4, {(1,): 2, (0,): 2})
-    assert exact_product(f, module_poly(regular_module(R4), {(0,): 2})) == {}  # 4X + 4 = 0
-    R6 = Zmod(6)
-    g = module_poly(regular_module(R6), {(2,): 3, (0,): 2})
-    assert exact_product(ring_poly(R6, {(0,): 1}), g) == dict(g.support)
+def test_ext_mul_collapses_to_zero():
+    R = Zmod(4)
+    f = ring_poly(R, {(1,): 2, (0,): 2})
+    two = module_poly(regular_module(R), {(0,): 2})
+    assert exact_product(f, two) == {}  # 4X + 4 = 0 mod 4
+
+
+def test_ext_mul_identity_and_add():
+    R = Zmod(6)
+    M = regular_module(R)
+    g = module_poly(M, {(2,): 3, (0,): 2})
+    assert exact_product(ring_poly(R, {(0,): 1}), g) == dict(g.support)
+    # colliding terms add: (1 + X)(2 + 4X) = 2 + (4 + 2)X + 4X^2 = 2 + 4X^2
+    f = ring_poly(R, {(0,): 1, (1,): 1})
+    assert exact_product(f, module_poly(M, {(0,): 2, (1,): 4})) == {(0,): 2, (2,): 4}
 
 
 def test_bivariate_frobenius():
