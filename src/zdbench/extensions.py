@@ -240,8 +240,10 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
     c(f)^k c(g) = 0 (k = 1 covers c(f)c(g) = 0, including f = 0) and return
     the least nonzero element of c(f)^(k-1) c(g).  Finiteness guarantees the
     chain reaches zero for genuinely annihilating pairs; stabilizing at a
-    nonzero value indicates an engine bug and raises.  The postcondition
-    f*m = 0, m != 0 is re-verified before returning.
+    nonzero value indicates an engine bug and raises.  The chain is
+    `content_chain_witness`, the kernel lem-2.7 calls on every pair; this
+    wrapper adds the refusals and the exact product before it and re-verifies
+    the postcondition f*m = 0, m != 0 after it.
     """
     if not isinstance(f.base, FiniteRing):
         raise ValueError("f must have ring coefficients")
@@ -252,11 +254,25 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
         raise ValueError("g must be nonzero")
     if exact_product(f, g):
         raise ValueError("f*g != 0: no annihilation witness exists")
-    # on indices of M: each link of the chain is a span along rows of M.plus
     M = g.base
     zero = M.index(M.zero)
     f_rows = [M.rows[M.ring.index(c)] for c in f.coefficients()]
-    g_cols = [M.index(c) for c in g.coefficients()]
+    m = content_chain_witness(M, f_rows, [M.index(c) for c in g.coefficients()])
+    if m == zero or any(row[m] != zero for row in f_rows):
+        raise RuntimeError("extracted witness fails f*m = 0 re-check")
+    return M.elements[m]
+
+
+def content_chain_witness(M: FiniteModule, f_rows, g_cols) -> int:
+    """The index of the least nonzero element of the last nonzero
+    c(f)^(k-1) c(g), for f given by the action rows of its coefficients and
+    g by the indices of its coefficients in M.
+
+    Each link of the chain is a span along M.plus.  A chain that starts at
+    zero or stabilizes at a nonzero submodule raises RuntimeError: for an
+    annihilating pair with g nonzero, neither can happen.
+    """
+    zero = M.index(M.zero)
     chain = span(M.plus, zero, {row[c] for row in M.rows for c in g_cols})
     while True:
         if len(chain) == 1:
@@ -264,10 +280,7 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
         # r(c t) = c(r t): the chain is a submodule, so the seed is R-stable
         nxt = span(M.plus, zero, {row[t] for row in f_rows for t in chain})
         if len(nxt) == 1:
-            m = min(chain - {zero})
-            if any(row[m] != zero for row in f_rows):
-                raise RuntimeError("extracted witness fails f*m = 0 re-check")
-            return M.elements[m]
+            return min(chain - {zero})
         if nxt == chain:
             raise RuntimeError(
                 "content power chain stabilized nonzero; annihilating pair invariant violated")

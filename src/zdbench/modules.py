@@ -213,13 +213,18 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
 
     Raises BoundExceeded when |M|^k > `budget`, the one hom budget gate.  A
     linear f has ann(g) in ann(f(g)), as rg = 0 forces r f(g) = 0, so each
-    generator g takes candidate images only from (0 :_M ann g).  Each tuple
-    of them, in lexicographic order, is extended by `_extend_linear`, which
-    returns linear maps only; it reads the action rows of an additive
-    generating set S of R, which `span` finds, so its walk and checks cost
-    |M| k |S| steps rather than |M| k |R|.  Both run on carrier indices over
-    `_tables(M)`; maps are ordered by their index tuples and turned back
-    into elements.
+    generator g takes candidate images only from (0 :_M ann g).  The maps
+    form a group under pointwise +, and a map's tuple of generator images is
+    additive in the map.  So the candidate tuples are walked in
+    lexicographic order, and only a tuple that is not yet the image tuple of
+    a map found so far is extended by `_extend_linear`, which returns linear
+    maps only; it reads the action rows of an additive generating set S of
+    R, which `span` finds, so its walk and checks cost |M| k |S| steps
+    rather than |M| k |R|.  Each new map joins the group found so far by
+    coset extension along pointwise sums, as in `span`.  All of it runs on
+    carrier indices over `_tables(M)`; maps are ordered by their index
+    tuples and turned back into elements, and the tables of Hom key each
+    map by its generator images.
     """
     R, gens = M.ring, generating_set(M)  # () for the zero module
     k = len(gens)
@@ -236,19 +241,33 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
     S: list = []  # an additive generating set of R: {1} for Z/n
     span(R.plus, R.index(R.zero), range(R.size), S)
     act_s = [act_t[s] for s in S]
-    found = []
+
+    group = {(zero,) * k: (zero,) * M.size}  # generator images -> map
     for chosen in itertools.product(*images):
+        if chosen in group:
+            continue
         f = _extend_linear(add_t, act_s, zero, gen_idx, chosen)
-        if f is not None:
-            found.append(tuple(f))
-    found.sort()
-    maps = [tuple(M.elements[i] for i in f) for f in found]
-    # pointwise on f's index tuple: (r.f)(x) = r.f(x), (f+g)(x) = f(x)+g(x)
-    position = {f: i for i, f in enumerate(found)}
+        if f is None:
+            continue
+        # the layers H + f, H + 2f, ...: a sum's images first, its map if new
+        image_rows, rows = [add_t[v] for v in chosen], [add_t[a] for a in f]
+        layer = list(group.items())
+        while layer:
+            new = []
+            for images_h, h in layer:
+                images_s = tuple(map(list.__getitem__, image_rows, images_h))
+                if images_s not in group:
+                    group[images_s] = s = tuple(map(list.__getitem__, rows, h))
+                    new.append((images_s, s))
+            layer = new
+    keys, found = zip(*sorted(group.items(), key=lambda item: item[1]))
+    maps = [tuple(map(M.elements.__getitem__, f)) for f in found]
+    # pointwise on f's generator images: (r.f)(g) = r.f(g), (f+h)(g) = f(g)+h(g)
+    position = {f: i for i, f in enumerate(keys)}
 
     def plus_row(i):
-        rows = [add_t[a] for a in found[i]]
-        return [position[tuple(map(list.__getitem__, rows, g))] for g in found]
+        rows = [add_t[a] for a in keys[i]]
+        return [position[tuple(map(list.__getitem__, rows, h))] for h in keys]
 
     zero_map = tuple(M.zero for _ in M.elements)
 
@@ -259,10 +278,10 @@ def hom_module(M: FiniteModule, budget: int = DEFAULT_HOM_BUDGET) -> FiniteModul
 
     return FiniteModule(
         ring=R, elements=maps, zero=zero_map,
-        tables=(lambda H: [[position[tuple(map(act_r.__getitem__, f))] for f in found]
+        tables=(lambda H: [[position[tuple(map(act_r.__getitem__, f))] for f in keys]
                            for act_r in act_t],
                 lambda H: Table(plus_row),
-                lambda H: [position[tuple(map(M.minus.__getitem__, f))] for f in found]),
+                lambda H: [position[tuple(map(M.minus.__getitem__, f))] for f in keys]),
         tag=f"Hom({M.tag})", element_str=element_str)
 
 

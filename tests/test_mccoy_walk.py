@@ -3,13 +3,15 @@ McCoy witness of each pair against a chain of closed submodules.
 
 The reference enumerates every coefficient vector g with `itertools.product`
 and keeps the nonzero ones with f*g = 0, convolving all coefficients; it
-shares no code with the walk.
+shares no code with the walk.  The walk runs on carrier indices; `_walk`
+maps its input and output to elements, so both sides compare elements.
 """
 
 import itertools
 
-from zdbench.extensions import mccoy_witness, module_poly, ring_poly
-from zdbench.modules import submodule_generated
+from zdbench.extensions import (content_chain_witness, mccoy_witness, module_poly,
+                               ring_poly)
+from zdbench.modules import regular_module, submodule_generated
 from zdbench.rings import Zmod, poly_quotient
 from zdbench.statements import _annihilating_cofactors, mccoy_witness_sweep
 
@@ -34,6 +36,12 @@ def _annihilators(R, cf):
     return found
 
 
+def _walk(R, cf):
+    """The walk's cofactors of f, with f and the cofactors as elements."""
+    found = _annihilating_cofactors(R, tuple(map(R.index, cf)))
+    return [tuple(map(R.elements.__getitem__, cg)) for cg in found]
+
+
 def _small_rings(U):
     rings = [R for R in U.rings if R.size <= MAX_RING]
     assert len(rings) >= 5
@@ -47,7 +55,7 @@ def test_walk_yields_the_filtered_cofactors_in_order(small_universe):
         for R in rings:
             for degree in degrees:
                 for cf in itertools.product(R.elements, repeat=degree + 1):
-                    assert list(_annihilating_cofactors(R, cf)) == _annihilators(R, cf), \
+                    assert _walk(R, cf) == _annihilators(R, cf), \
                         (R.descriptor, cf)
 
 
@@ -61,7 +69,7 @@ def test_walk_solves_with_the_negated_rest():
     found = 0
     for c in sorted({R.mul(x, r) for r in R.elements}, key=R.index):
         expected = _annihilators(R, (three, c))
-        assert list(_annihilating_cofactors(R, (three, c))) == expected, c
+        assert _walk(R, (three, c)) == expected, c
         found += len(expected)
     assert found > 100
 
@@ -104,3 +112,24 @@ def test_witness_matches_closed_chain(small_universe):
                     assert mccoy_witness(f, g) == expected, (R.descriptor, cf, cg)
                     pairs += 1
     assert pairs > 1000
+
+
+def test_kernel_matches_closed_chain_past_the_first_step():
+    """lem-2.7's universe pairs all stop the chain at k = 1 (every f_i g_j
+    is 0).  Over Z9[x]/(x^2) the nine f = 3 + cX with c in xR have
+    cofactors with c(f)c(g) != 0, so the content chain steps to k >= 2;
+    there the kernel's witness must be the closed chain's."""
+    R = poly_quotient(Zmod(9), (0, 0, 1))
+    Reg = regular_module(R)
+    three, x = (3, 0), (0, 1)
+    pairs = deep = 0
+    for c in sorted({R.mul(x, r) for r in R.elements}, key=R.index):
+        cf = (three, c)
+        f_rows = [R.rows[R.index(a)] for a in cf]
+        for cg in _annihilators(R, cf):
+            m = content_chain_witness(Reg, f_rows, [R.index(b) for b in cg])
+            assert R.elements[m] == _chain_witness(Reg, cf, cg), (c, cg)
+            pairs += 1
+            deep += any(R.mul(a, b) != R.zero for a in cf for b in cg)
+    assert pairs > 100
+    assert deep > 100

@@ -10,10 +10,12 @@ import re
 
 import pytest
 
+from zdbench import modules
 from zdbench.modules import (FiniteModule, _extend_linear, _tables, ann,
-                             cyclic_module, direct_sum, generating_set,
-                             hom_module, regular_module, verify_module_axioms,
-                             zero_divisors_module)
+                             cyclic_module, direct_sum, free_module,
+                             generating_set, hom_module, quotient_module,
+                             regular_module, submodule_generated,
+                             verify_module_axioms, zero_divisors_module)
 from zdbench.rings import (Zmod, ideal_generated, poly_quotient, product_ring,
                            span)
 
@@ -225,3 +227,62 @@ def test_end_of_cyclic_matches_cyclic(small_universe):
         assert ann(M).elements == ann(C).elements, M.descriptor()
         checked += 1
     assert checked == small_universe.counts["modules_hom"]
+
+
+def _hom_by_every_candidate(M):
+    """The maps and the candidate count of the per-candidate walk: every
+    tuple of annihilator-matched generator images through `_extend_linear`,
+    maps sorted by index tuple and turned into elements."""
+    R, gens = M.ring, generating_set(M)
+    add, act = _tables(M)
+    zero, g_idx = M.index(M.zero), [M.index(g) for g in gens]
+    images = [[v for v in range(M.size) if all(row[v] == zero for row in act if row[g] == zero)]
+              for g in g_idx]
+    S: list = []
+    span(R.plus, R.index(R.zero), range(R.size), S)
+    act_s = [act[s] for s in S]
+    candidates = list(itertools.product(*images))
+    found = sorted(f for f in (_extend_linear(add, act_s, zero, g_idx, chosen)
+                               for chosen in candidates) if f is not None)
+    return [tuple(M.elements[i] for i in f) for f in found], len(candidates)
+
+
+def _z4_squared_mod_22():
+    F = free_module(Zmod(4), 2)
+    return quotient_module(F, submodule_generated(F, [(2, 2)]).elements, "Free(2)/<(2,2)>")
+
+
+def test_hom_group_closure_matches_every_candidate(small_universe):
+    """`hom_module` extends only the candidates that are not yet sums of
+    maps found so far; it returns exactly the maps the walk over every
+    candidate accepts.  On the universe every candidate is a map, so a
+    quotient of Z4^2 with refusals joins them."""
+    checked = 0
+    for _, M in small_universe.pairs():
+        if M.size ** len(generating_set(M)) > 4096:
+            continue
+        expected, _ = _hom_by_every_candidate(M)
+        assert list(hom_module(M, budget=4096).elements) == expected, M.descriptor()
+        checked += 1
+    assert checked >= 70
+    Q = _z4_squared_mod_22()
+    expected, candidates = _hom_by_every_candidate(Q)
+    assert (candidates, len(expected)) == (64, 32)
+    assert list(hom_module(Q).elements) == expected
+
+
+def test_hom_of_z4_squared_extends_few_candidates(monkeypatch):
+    """The 256 maps of Z4^2 come from four walks.  Each walked map f joins
+    with the whole cyclic group it generates, of order at most 4, so no
+    fewer walks reach 256 maps; a closure that added only H + f, not
+    H + 2f and H + 3f, would need eight."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return _extend_linear(*args)
+
+    monkeypatch.setattr(modules, "_extend_linear", counted)
+    H = hom_module(free_module(Zmod(4), 2))
+    assert H.size == 256
+    assert len(calls) == 4, calls

@@ -86,9 +86,9 @@ def test_wrong_localized_verdict_fails_prop_2_3(small_universe, monkeypatch):
     assert rep.passed is False
 
 
-def _zero_witness(U, state, witness, f, g):
-    """mccoy_witness answers the ring's zero, which no valid witness is."""
-    return f.ring.zero
+def _zero_witness(U, state, witness, M, f_rows, g_cols):
+    """The content chain answers the index of zero, which no valid witness is."""
+    return M.index(M.zero)
 
 
 def _zero_divisors_outside_ambient(U, state, zd, M):
@@ -120,7 +120,7 @@ def _wrong_content(U, state, c, M, m):
 
 # (statement id, function its sweep reads, wrong answer from the right one)
 WRONG_ONCE_ROWS = (
-    ("lem-2.7", "mccoy_witness", _zero_witness),
+    ("lem-2.7", "content_chain_witness", _zero_witness),
     ("prop-2.2-5", "zero_divisors_module", _zero_divisors_outside_ambient),
     ("content-def", "content_of_element", _wrong_content),
     ("def-2.1", "zero_divisors_module", _auslander_inclusion_flipped),
@@ -148,6 +148,29 @@ def test_wrong_answer_once_fails_own_sweep(small_universe, monkeypatch, sid, nam
     rep = statements.run_statement(sid, small_universe)
     assert changed, f"{sid} never got a wrong answer from {name}"
     assert rep.failures, f"{sid} missed a wrong {name} at {changed[0]}"
+    assert rep.passed is False
+
+
+def test_extra_cofactor_fails_lem_2_7(small_universe, monkeypatch):
+    """lem-2.7 recomputes f*g by a full convolution apart from the walk that
+    found g: one extra cofactor, the constant 1 for an f with f_0 = 1, is a
+    failure carrying the f*g != 0 error."""
+    real = statements._annihilating_cofactors
+    planted = []
+
+    def one_extra(R, cf):
+        found = real(R, cf)
+        one, zero = R.index(R.one), R.index(R.zero)
+        if planted or cf[0] != one:
+            return found
+        planted.append((R.descriptor, cf))
+        return [*found, (one,) + (zero,) * (len(cf) - 1)]
+
+    monkeypatch.setattr(statements, "_annihilating_cofactors", one_extra)
+    rep = statements.run_statement("lem-2.7", small_universe)
+    assert planted, "lem-2.7 never walked an f with f_0 = 1"
+    assert [f["ring"] for f in rep.failures] == [planted[0][0]]
+    assert rep.failures[0]["error"] == "f*g != 0: no annihilation witness exists"
     assert rep.passed is False
 
 
