@@ -18,9 +18,8 @@ from .modules import (FiniteModule, Submodule, Verdict, ann, content_of_element,
                       is_auslander, is_content_module, is_faithfully_flat,
                       is_flat, is_torsion_free, regular_module,
                       tensor_with_algebra, zero_divisors_module)
-from .rings import (FiniteRing, Ideal, MultiplicativeSet, Zmod,
-                    ideal_generated, poly_quotient, product_ring,
-                    ring_predicates)
+from .rings import (FiniteRing, MultiplicativeSet, Zmod, ideal_generated,
+                    poly_quotient, product_ring, ring_predicates)
 from .statements import (REGISTRY, run_statement, run_suite,
                          search_counterexample, z_adapter_check)
 from .universe import UniverseLimits, generate_universe
@@ -30,7 +29,7 @@ make_ring = build_ring
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtElement", "FiniteAlgebra", "FiniteModule", "FiniteRing", "Ideal",
+    "ExtElement", "FiniteAlgebra", "FiniteModule", "FiniteRing",
     "Localization", "MultiplicativeSet", "REGISTRY", "Submodule",
     "UniverseLimits", "Verdict", "Zmod", "ann", "brute_force_zd",
     "build_algebra", "build_module", "build_ring", "content_of_element",

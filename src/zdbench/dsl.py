@@ -485,11 +485,16 @@ def build_ring(spec) -> FiniteRing:
     node = parse_ring(spec) if isinstance(spec, str) else spec
     with _errors_at(node):
         if isinstance(node, ZmodNode):
+            _check_size(f"Z{node.n}", (node.n,))
             return Zmod(node.n)
         if isinstance(node, ProdNode):
-            return product_ring(build_ring(node.left), build_ring(node.right))
+            A, B = build_ring(node.left), build_ring(node.right)
+            _check_size(f"Prod({A.descriptor},{B.descriptor}): |A|*|B|", (A.size, B.size))
+            return product_ring(A, B)
         if isinstance(node, PolyQuotNode):
-            return poly_quotient(build_ring(node.base), node.relation)
+            base, d = build_ring(node.base), len(node.relation) - 1
+            _check_size(f"PolyQuot: |{base.descriptor}|^{d}", itertools.repeat(base.size, d))
+            return poly_quotient(base, node.relation)
         if isinstance(node, LocalizeNode):
             R = build_ring(node.ring)
             seed = [resolve_element(e, R) for e in node.elements]
@@ -529,9 +534,9 @@ def build_module(R: FiniteRing, spec) -> FiniteModule:
 
 
 def _check_size(what: str, factors) -> None:
-    """Refuse, before building it, a module whose carrier has the product of
-    `factors` elements when that passes DEFAULT_PRESENTATION_BUDGET; the
-    product stops growing at the first factor that passes it."""
+    """Refuse, before building it, a ring or module whose carrier has the
+    product of `factors` elements when that passes DEFAULT_PRESENTATION_BUDGET;
+    the product stops growing at the first factor that passes it."""
     size = 1
     for n in factors:
         size *= n

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .errors import BoundExceeded
 from .modules import (FiniteModule, Verdict, content_of_element,
-                      is_content_module, regular_module)
+                      is_content_module)
 from .rings import FiniteRing, least_killed, span
 
 DEFAULT_SERIES_PRECISION = 8
@@ -247,8 +247,6 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
     """
     if not isinstance(f.base, FiniteRing):
         raise ValueError("f must have ring coefficients")
-    if isinstance(g.base, FiniteRing):
-        g = make_ext(regular_module(g.base), dict(g.support), g.variant, g.arity, g.precision)
     _check_compatible(f, g)
     if g.is_zero:
         raise ValueError("g must be nonzero")
@@ -256,7 +254,7 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
         raise ValueError("f*g != 0: no annihilation witness exists")
     M = g.base
     zero = M.index(M.zero)
-    f_rows = [M.rows[M.ring.index(c)] for c in f.coefficients()]
+    f_rows = [M.rows[M.scalars.index(c)] for c in f.coefficients()]
     m = content_chain_witness(M, f_rows, [M.index(c) for c in g.coefficients()])
     if m == zero or any(row[m] != zero for row in f_rows):
         raise RuntimeError("extracted witness fails f*m = 0 re-check")

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import BoundExceeded, PresentationUnavailable
-from .rings import (Carrier, FiniteRing, Ideal, Table, annihilator_of,
-                    coset_quotient, cyclic_subgroups, generated, ideal_generated,
-                    least_killed, represented_tables, span, subgroup_lattice,
-                    sum_tables, zero_divisor_scan)
+from .rings import (Carrier, FiniteRing, Submodule, Table, annihilator_of,
+                    coset_quotient, cyclic_subgroups, greedy_generators,
+                    least_killed, represented_tables, span, submodule_generated,
+                    subgroup_lattice, sum_tables, zero_divisor_scan)
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # tuples enumerated for relation kernels and tensors
@@ -42,8 +42,6 @@ class FiniteModule(Carrier):
         self._content_cache: dict = {}
         self._ideal_action_cache: dict = {}
 
-    act = Carrier._scaled
-
     def __repr__(self):
         return f"FiniteModule({self.tag} over {self.ring.descriptor})"
 
@@ -53,26 +51,6 @@ class FiniteModule(Carrier):
 
     def descriptor(self) -> str:
         return f"{self.tag} over {self.ring.descriptor}"
-
-
-@dataclass(frozen=True)
-class Submodule:
-    module: FiniteModule = field(compare=False)
-    generators: tuple = field(compare=False)
-    elements: frozenset = field(compare=True)
-
-    def __len__(self):
-        return len(self.elements)
-
-    @property
-    def is_zero(self):
-        return self.elements == frozenset({self.module.zero})
-
-    def as_module(self) -> FiniteModule:
-        M = self.module
-        sub = sorted(map(M.index, self.elements))
-        return module_on_representatives(M, M.ring, {x: i for i, x in enumerate(sub)}, sub,
-                                         f"Sub[{len(self.elements)}] of {M.tag}")
 
 
 @dataclass
@@ -141,7 +119,7 @@ def module_on_representatives(M: FiniteModule, ring: FiniteRing, cls: list,
     )
 
 
-def cyclic_module(R: FiniteRing, I: Ideal) -> FiniteModule:
+def cyclic_module(R: FiniteRing, I: Submodule) -> FiniteModule:
     if not R.same_ring(I.ring):
         raise ValueError("cyclic module: ideal belongs to a different ring")
     return quotient_module(regular_module(R), I.elements, "Cyclic" + R.tuple_str(I.generators))
@@ -177,23 +155,10 @@ def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModul
     )
 
 
-def submodule_generated(M: FiniteModule, gens: Iterable) -> Submodule:
-    gens = list(gens)
-    elements = generated(M, gens)
-    return Submodule(M, tuple(M.sorted_elements(dict.fromkeys(gens))), elements)
-
-
 def generating_set(M: FiniteModule) -> tuple:
     """Greedy small generating set in carrier order."""
-    if M._generators is not None:
-        return M._generators
-    gens: list = []
-    closed = frozenset({M.zero})
-    for m in M.elements:
-        if m not in closed:
-            gens.append(m)
-            closed = submodule_generated(M, gens).elements
-    M._generators = tuple(gens)
+    if M._generators is None:
+        M._generators = tuple(map(M.elements.__getitem__, greedy_generators(M, range(M.size))))
     return M._generators
 
 
@@ -348,12 +313,12 @@ def zero_divisors_module(M: FiniteModule) -> frozenset:
     return M._zd
 
 
-def ann(M: FiniteModule, element=None) -> Ideal:
+def ann(M: FiniteModule, element=None) -> Submodule:
     """Annihilator ideal of the whole module, or of one element."""
     return annihilator_of(M, M.elements if element is None else (element,))
 
 
-def ideal_action(I: Ideal, M: FiniteModule) -> Submodule:
+def ideal_action(I: Submodule, M: FiniteModule) -> Submodule:
     """The submodule I*M."""
     if not I.ring.same_ring(M.ring):
         raise ValueError("ideal_action: ring mismatch")
@@ -371,7 +336,7 @@ def ideal_action(I: Ideal, M: FiniteModule) -> Submodule:
     return cached
 
 
-def content_of_element(M: FiniteModule, m) -> Ideal:
+def content_of_element(M: FiniteModule, m) -> Submodule:
     """c(m): intersection of all ideals I with m in I*M."""
     cached = M._content_cache.get(m)
     if cached is not None:
@@ -383,7 +348,7 @@ def content_of_element(M: FiniteModule, m) -> Ideal:
         if m in ideal_action(I, M).elements:
             common = I.elements if common is None else (common & I.elements)
     # the whole ring always qualifies, so common is never None
-    result = Ideal(R, tuple(R.sorted_elements(common)), frozenset(common))
+    result = Submodule(R, tuple(R.sorted_elements(common)), frozenset(common))
     M._content_cache[m] = result
     return result
 
@@ -406,7 +371,7 @@ def content_surjective(M: FiniteModule) -> bool:
     R = M.ring
     contents = {content_of_element(M, m).elements for m in M.elements}
     for s in R.elements:
-        if ideal_generated(R, [s]).elements not in contents:
+        if submodule_generated(R, [s]).elements not in contents:
             return False
     return True
 
@@ -541,7 +506,7 @@ def _combination(M: FiniteModule, scalars) -> list:
     return out
 
 
-def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
+def _ideal_tensor_kernel(I: Submodule, M: FiniteModule, budget: int):
     """Injectivity data for I (x) M -> M; returns (injective, witness)."""
     R = M.ring
     gens = I.small_generators()
@@ -563,7 +528,7 @@ def _ideal_tensor_kernel(I: Ideal, M: FiniteModule, budget: int):
     K = span(P.plus, P.index(P.zero), seed)
     # K lies in the kernel of x -> sum a_i x_i, whose image is I*M: so the
     # map is injective iff |K| |I*M| = |P|
-    if len(K) * len(ideal_action(I, M)) == P.size:
+    if len(K) * len(ideal_action(I, M).elements) == P.size:
         return True, None
     for x, total in enumerate(_combination(M, gen_idx)):
         if total == zero_m and x not in K:

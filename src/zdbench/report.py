@@ -22,7 +22,7 @@ from .modules import (ann, content_of_element, has_property_A, ideal_action,
                       zero_divisors_module)
 from .rings import FiniteRing, ideal_generated, ring_predicates
 from .statements import (faithfully_flat_mccoy_algebras, kills_nonzero,
-                         run_suite, search_counterexample)
+                         predicate_entry, run_suite, search_counterexample)
 from .universe import DEFAULT_LIMITS, UniverseLimits, generate_universe
 
 SCHEMA_VERSION = 1
@@ -42,29 +42,19 @@ def _zd_section(R: FiniteRing, values) -> dict:
             "display": [R.element_str(v) for v in ordered]}
 
 
-def _verdict_section(verdict, R, M, kind) -> dict:
+def _verdict_section(verdict, R, M) -> dict:
     out = {"holds": verdict.holds}
     if verdict.degenerate:
         out["degenerate"] = True
     if verdict.witness is not None:
-        value = verdict.witness.get("element", verdict.witness.get("ideal"))
-        display = ""
-        if "element" in verdict.witness:
-            # a content witness is an element of M, the others elements of R
-            owner = M if kind == "content" else R
-            display = owner.element_str(verdict.witness["element"])
-        elif "ideal" in verdict.witness:
-            display = R.tuple_str(verdict.witness["ideal"])
-        out["witness"] = {
-            "kind": kind, "ring": R.descriptor, "module": M.tag,
-            "value": to_jsonable(value), "display": display,
-        }
+        out["witness"] = predicate_entry(R, M, verdict.witness)
     return out
 
 
 def analyze_report(ring_text: str, module_text: str,
                    limits: UniverseLimits = DEFAULT_LIMITS) -> dict:
     R = dsl.build_ring(ring_text)
+    ideals = R.ideals()  # refuses a ring past its bound before any |R|^2 table
     M = dsl.build_module(R, module_text)
     preds = ring_predicates(R)
     report = {
@@ -80,7 +70,7 @@ def analyze_report(ring_text: str, module_text: str,
             "is_local": preds.is_local,
             "maximal_ideals": [R.tuple_str(I.small_generators())
                                for I in preds.maximal_ideals],
-            "ideal_count": len(R.ideals()),
+            "ideal_count": len(ideals),
             "zero_divisors": _zd_section(R, R.zero_divisors()),
             "units": _zd_section(R, R.units()),
         },
@@ -97,10 +87,10 @@ def analyze_report(ring_text: str, module_text: str,
         "is_zero": M.is_zero,
         "zero_divisors": _zd_section(S, zero_divisors_module(M)),
         "annihilator": S.tuple_str(ann(M).small_generators()),
-        "auslander": _verdict_section(ausl, S, M, "auslander"),
-        "torsion_free": _verdict_section(tf, S, M, "torsion_free"),
-        "property_a": _verdict_section(prop_a, S, M, "property_a"),
-        "content_module": _verdict_section(content, S, M, "content"),
+        "auslander": _verdict_section(ausl, S, M),
+        "torsion_free": _verdict_section(tf, S, M),
+        "property_a": _verdict_section(prop_a, S, M),
+        "content_module": _verdict_section(content, S, M),
         "natural_map_kernel_trivial": natural_map_kernel(M).is_zero,
     }
     try:
@@ -231,12 +221,11 @@ def revalidate_witness(entry: dict) -> bool:
         if kind == "property_a":
             I = ideal_generated(R, value)
             inside = (I.elements - {R.zero}) <= (zm - {R.zero})
-            return inside and not kills_nonzero(value, M.elements, M.zero, M.act)
+            return inside and not kills_nonzero(value, M)
         if kind == "ext_ideal":
             # f with content c(f) = (value) is a zero-divisor on R[X] or
             # R[[X]] (on M[X] or M[[X]]) iff c(f) kills a nonzero r (m)
-            return (kills_nonzero(value, R.elements, R.zero, R.mul)
-                    != kills_nonzero(value, M.elements, M.zero, M.act))
+            return kills_nonzero(value, R) != kills_nonzero(value, M)
         if kind == "content":
             c = content_of_element(M, value)
             return value not in ideal_action(c, M).elements
@@ -250,7 +239,7 @@ def revalidate_witness(entry: dict) -> bool:
         if g == B.zero or B.rows[B.index(f)][B.index(g)] != B.index(B.zero):
             return False
         gens = content_of_element(BR, f).generators
-        return not kills_nonzero(gens, Rb.elements, Rb.zero, Rb.mul)
+        return not kills_nonzero(gens, Rb)
     if kind == "mccoy_witness":
         R = dsl.build_ring(entry["ring"])
         m, zero = R.index(value), R.index(R.zero)

@@ -1,4 +1,5 @@
-"""Finite commutative rings, their ideals, and ring-level zero-divisor data.
+"""Finite commutative rings, the carrier and submodules they share with
+modules (an ideal is a submodule of R itself), and zero-divisor scans.
 
 Rings carry an explicit finite carrier of canonically encoded elements:
 integers mod n, pairs for binary products, and reduced coefficient vectors
@@ -68,7 +69,7 @@ class Carrier:
     def minus(self) -> list:
         return self._tables[2](self)
 
-    def _scaled(self, r, x):
+    def act(self, r, x):
         return self.elements[self.rows[self.scalars._index[r]][self._index[x]]]
 
     def add(self, a, b):
@@ -125,7 +126,7 @@ class FiniteRing(Carrier):
         self._ideals = None
         self._local_factors = None
 
-    mul = Carrier._scaled
+    mul = Carrier.act
 
     def __repr__(self):
         return f"FiniteRing({self.descriptor})"
@@ -148,7 +149,7 @@ class FiniteRing(Carrier):
     def regular_elements(self) -> frozenset:
         return frozenset(self.elements) - self.zero_divisors()
 
-    def ideals(self) -> tuple["Ideal", ...]:
+    def ideals(self) -> tuple["Submodule", ...]:
         """Every ideal exactly once: the submodule lattice of the regular module.
 
         Raises BoundExceeded past DEFAULT_LATTICE_BOUND elements so callers
@@ -160,11 +161,11 @@ class FiniteRing(Carrier):
         if self._ideals is None:
             self._ideals = tuple(subgroup_lattice(
                 self, self.plus, cyclic_subgroups(self),
-                lambda gens, elements: Ideal(self, gens, elements)))
+                lambda gens, elements: Submodule(self, gens, elements)))
         return self._ideals
 
-    def maximal_ideals(self) -> tuple["Ideal", ...]:
-        proper = [I for I in self.ideals() if len(I.elements) < self.size]
+    def maximal_ideals(self) -> tuple["Submodule", ...]:
+        proper = [I for I in self.ideals() if not I.is_whole]
         return tuple(I for I in proper if not any(I.elements < J.elements for J in proper))
 
     def local_factors(self) -> tuple[tuple, ...]:
@@ -486,11 +487,11 @@ def zero_divisor_scan(X: Carrier) -> frozenset:
                      if row.count(zero) > (row[zero] == zero))
 
 
-def annihilator_of(X: Carrier, targets) -> "Ideal":
+def annihilator_of(X: Carrier, targets) -> "Submodule":
     """The ideal {r in X.scalars : r*t = 0 for every t in targets}."""
     zero, cols = X.index(X.zero), [X.index(t) for t in targets]
     elems = [r for r, row in zip(X.scalars.elements, X.rows) if all(row[t] == zero for t in cols)]
-    return Ideal(X.scalars, tuple(elems), frozenset(elems))
+    return Submodule(X.scalars, tuple(elems), frozenset(elems))
 
 
 def least_killed(X: Carrier, scalars):
@@ -506,76 +507,74 @@ def least_killed(X: Carrier, scalars):
     return None
 
 
-def generated(X: Carrier, gens: list) -> frozenset:
-    """The closure of `gens` in X under + and the action of its scalars: the
-    additive span of every r*g, which is stable since s(rg) = (sr)g."""
-    cols = [X.index(g) for g in gens]  # raises on an element outside X
-    seed = {row[g] for row in X.rows for g in cols}
-    return frozenset(map(X.elements.__getitem__, span(X.plus, X.index(X.zero), seed)))
-
-
 # ---------------------------------------------------------------------------
-# ideals
+# submodules of a carrier X; the ideals are those of R itself
 
 
 @dataclass(frozen=True)
-class Ideal:
-    """An ideal carried with a generator list and its full element set.
+class Submodule:
+    """A submodule of `module`, a ring or a module, carried with a generator
+    list and its full element set; it compares by its element set alone."""
 
-    Two ideals over the same ring compare equal iff their element sets do,
-    regardless of how they were generated.
-    """
-
-    ring: FiniteRing = field(compare=False)
+    module: Carrier = field(compare=False)
     generators: tuple = field(compare=False)
-    elements: frozenset = field(compare=False)
+    elements: frozenset = field(compare=True)
 
-    def __eq__(self, other):
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.ring.same_ring(other.ring) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash((self.ring.descriptor, self.elements))
-
-    def __repr__(self):
-        return f"Ideal({self.ring.descriptor}: {self.ring.tuple_str(self.generators)})"
-
-    def __len__(self):
-        return len(self.elements)
+    @property
+    def ring(self) -> FiniteRing:
+        return self.module.scalars
 
     @property
     def is_zero(self) -> bool:
-        return self.elements == frozenset({self.ring.zero})
+        return self.elements == frozenset({self.module.zero})
 
     @property
-    def is_whole_ring(self) -> bool:
-        return len(self.elements) == self.ring.size
+    def is_whole(self) -> bool:
+        return len(self.elements) == self.module.size
 
     def small_generators(self) -> tuple:
-        """A short generating list: single generator when principal, else
-        greedy: each member, in carrier order, joins when it lies outside the
-        closure of the earlier ones, which grows in place by the additive
-        span of the new generator's column {r*e} of R.rows."""
-        R = self.ring
-        members = sorted(map(R.index, self.elements))
+        """A short generating list: one generator when cyclic, else
+        `greedy_generators` on the members in carrier order."""
+        X = self.module
+        members = sorted(map(X.index, self.elements))
         for e in members:
-            # eR, the set of row e, lies in the ideal
-            if R.elements[e] != R.zero and len(set(R.rows[e])) == len(self.elements):
-                return (R.elements[e],)
-        gens, closed = [], {R.index(R.zero)}
-        for e in members:
-            if e not in closed:
-                gens.append(R.elements[e])
-                _extend(R.plus, closed, {row[e] for row in R.rows})
-        return tuple(gens) or (R.zero,)
+            # Re, the column of e, lies in the submodule
+            if X.elements[e] != X.zero and len({row[e] for row in X.rows}) == len(self.elements):
+                return (X.elements[e],)
+        return tuple(map(X.elements.__getitem__, greedy_generators(X, members))) or (X.zero,)
+
+    def as_module(self):
+        from .modules import module_on_representatives  # modules imports this module
+        X = self.module
+        tag = getattr(X, "tag", "Reg")  # an ideal is a submodule of R as Reg
+        sub = sorted(map(X.index, self.elements))
+        return module_on_representatives(X, X.scalars, {x: i for i, x in enumerate(sub)}, sub,
+                                         f"Sub[{len(sub)}] of {tag}")
 
 
-def ideal_generated(R: FiniteRing, gens: Iterable) -> Ideal:
-    """Smallest ideal containing `gens` (empty list gives the zero ideal)."""
-    gens = list(gens)
-    elements = generated(R, gens)
-    return Ideal(R, tuple(R.sorted_elements(dict.fromkeys(gens))), elements)
+def submodule_generated(X: Carrier, gens: Iterable) -> Submodule:
+    """The least submodule of X holding `gens` (none gives the zero one), the
+    ideal they generate for X = R: the additive span of every r*g, which is
+    stable since s(rg) = (sr)g."""
+    cols = sorted({X.index(g) for g in gens})  # raises on an element outside X
+    closed = span(X.plus, X.index(X.zero), {row[g] for row in X.rows for g in cols})
+    E = X.elements
+    return Submodule(X, tuple(map(E.__getitem__, cols)), frozenset(map(E.__getitem__, closed)))
+
+
+ideal_generated = submodule_generated
+
+
+def greedy_generators(X: Carrier, members: Iterable) -> list:
+    """The indices among `members`, in their order, that lie outside the
+    submodule of X generated by the earlier ones, which grows in place by the
+    additive span of each new generator's column {r*e} of X.rows."""
+    gens, closed = [], {X.index(X.zero)}
+    for e in members:
+        if e not in closed:
+            gens.append(e)
+            _extend(X.plus, closed, {row[e] for row in X.rows})
+    return gens
 
 
 # ---------------------------------------------------------------------------

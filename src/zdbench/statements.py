@@ -99,6 +99,28 @@ def _member(R, M) -> str:
     return f"{R.descriptor} :: {M.tag}"
 
 
+def verdict_entry(kind, ring: str, module: str, value, display: str) -> dict:
+    """A failing verdict's re-checkable entry, keys in the order the pinned
+    reports hold: analyze's verdicts, the failures of `_check` and the
+    integer adapter's torsion witnesses."""
+    return {"kind": kind, "ring": ring, "module": module,
+            "value": to_jsonable(value), "display": display}
+
+
+def predicate_entry(R, M, witness: dict) -> dict:
+    """The entry of a predicate's `witness` on M over R: its value is an
+    element, of M for content and of R otherwise, or an ideal's generators;
+    a witness naming no kind gives an entry no revalidator accepts."""
+    kind = witness.get("kind")
+    if "element" in witness:
+        value = witness["element"]
+        display = (M if kind == "content" else R).element_str(value)
+    else:
+        value = witness.get("ideal")
+        display = "" if value is None else R.tuple_str(value)
+    return verdict_entry(kind, R.descriptor, M.tag, value, display)
+
+
 def witness_entry(kind, *, ring=None, module=None, algebra=None, value=None,
                   display="", variant=None) -> dict:
     entry = {"kind": kind, "display": display, "value": to_jsonable(value)}
@@ -205,7 +227,8 @@ def _check(rep: StatementReport, member: str, concl, U: Universe, R, X) -> bool:
     for name in concl:
         verdict = _PAIR_VOCABULARY[name](U, R, X)
         if not verdict:
-            return rep.visit(member, {"witness": verdict.witness})
+            return rep.visit(member, {
+                "witness": verdict.witness and predicate_entry(R, X, verdict.witness)})
     return rep.visit(member)
 
 
@@ -382,10 +405,11 @@ def _partwise(U: Universe, rep: StatementReport, parts, check):
 # independent re-derivations, the rows of `_recheck` and `_partwise`
 
 
-def kills_nonzero(gens, elements, zero, act) -> bool:
-    """Whether some nonzero x in `elements` has act(a, x) = zero for every a
-    in `gens`: an element scan, apart from `least_killed`'s index scan."""
-    return any(x != zero and all(act(a, x) == zero for a in gens) for x in elements)
+def kills_nonzero(gens, X) -> bool:
+    """Whether some nonzero x in X, a ring or a module, has a*x = 0 for every
+    a in `gens`: an element scan, apart from `least_killed`'s index scan."""
+    zero, act = X.zero, X.act
+    return any(x != zero and all(act(a, x) == zero for a in gens) for x in X.elements)
 
 
 def _auslander_inclusion(R, M):
@@ -436,7 +460,7 @@ def _property_a_direct(R, M):
     for I in R.ideals():
         if not (I.elements - {R.zero}) <= zm:
             continue
-        if not kills_nonzero(I.elements, M.elements, M.zero, M.act):
+        if not kills_nonzero(I.elements, M):
             direct = False
             offending = I.small_generators()
             break
@@ -532,8 +556,7 @@ def _def_2_11(U: Universe, rep: StatementReport):
         rep.checked += 1
         verdict = is_mccoy_algebra(alg).holds
         direct = is_ohm_rush(alg).holds and all(
-            kills_nonzero(content_of_element(alg.as_module(), f).elements,
-                          R.elements, R.zero, R.mul)
+            kills_nonzero(content_of_element(alg.as_module(), f).elements, R)
             for f in B.elements for g in B.elements
             if g != B.zero and B.mul(f, g) == B.zero)
         if verdict != direct:
@@ -557,10 +580,8 @@ def _rem_3_3_1(U: Universe, rep: StatementReport):
 
 
 def _z_torsion_witness(case, k: int) -> dict:
-    """Z/n's torsion witness k; keys in this order, which the pinned report
-    holds, not witness_entry's."""
-    return {"kind": "torsion_free", "ring": "Z", "module": case.case_id,
-            "value": k, "display": str(k)}
+    """Z/n's torsion witness k."""
+    return verdict_entry("torsion_free", "Z", case.case_id, k, str(k))
 
 
 def _rem_3_3_2(U: Universe, rep: StatementReport):

@@ -115,7 +115,7 @@ def generate_universe(limits: UniverseLimits = DEFAULT_LIMITS) -> Universe:
             mods.append(free_module(R, 2))
         cyclics = []
         for I in R.ideals():
-            if I.is_whole_ring:
+            if I.is_whole:
                 continue  # the zero module is constructible but not a universe member
             cyclics.append(cyclic_module(R, I))
         mods.extend(cyclics)

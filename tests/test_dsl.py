@@ -9,7 +9,7 @@ from zdbench.dsl import (AlgebraNode, CyclicNode, FreeNode, HomNode, IntElem,
                          XPolyElem, ZmodNode, build_algebra, build_module,
                          build_ring, parse_algebra, parse_dsl, parse_ext,
                          parse_module, parse_ring, print_node)
-from zdbench.errors import DslError
+from zdbench.errors import BoundExceeded, DslError
 from zdbench.modules import regular_module
 from zdbench.rings import Zmod
 
@@ -116,6 +116,25 @@ def test_build_ring_examples():
     assert build_ring("PolyQuot(Z2, x^2)").size == 4
     assert len(build_ring("Localize(Prod(Z2,Z2), {(1,0)})").elements) == 2
     assert build_ring("TotalQuotient(Z6)").size == 6
+
+
+@pytest.mark.parametrize("text, built", [
+    ("Z30001", "Zmod"),
+    ("Prod(Z200,Z200)", "product_ring"),
+    ("PolyQuot(Z2, x^15)", "poly_quotient"),
+])
+def test_ring_literals_past_budget_are_refused_before_they_are_built(monkeypatch, text, built):
+    def refuse(*args):
+        raise AssertionError(f"{built} called for {text}")
+
+    monkeypatch.setattr(dsl, built, refuse)
+    with pytest.raises(BoundExceeded, match="exceeds budget 30000"):
+        build_ring(text)
+
+
+def test_ring_literals_at_budget_are_built():
+    assert build_ring("Z30000").size == 30000
+    assert build_ring("PolyQuot(Z2, x^14)").size == 2 ** 14
 
 
 def test_build_module_examples():

@@ -155,6 +155,22 @@ def test_mccoy_witness_accepts_ring_cofactor():
     assert mccoy_witness(f, ring_poly(R4, {(0,): 2})) == 2
 
 
+@pytest.mark.parametrize("R", [Zmod(4), product_ring(Zmod(2), Zmod(2)),
+                               poly_quotient(Zmod(2), (0, 0, 1))],
+                         ids=lambda R: R.descriptor)
+def test_mccoy_witness_reads_a_ring_cofactor_as_one_over_reg(R):
+    """g over R is g over the regular module, with no conversion between."""
+    Reg, pairs = regular_module(R), 0
+    for cf, cg in itertools.product(itertools.product(R.elements, repeat=2), repeat=2):
+        f = ring_poly(R, dict(enumerate(cf)))
+        g = ring_poly(R, dict(enumerate(cg)))
+        if g.is_zero or exact_product(f, g):
+            continue
+        pairs += 1
+        assert mccoy_witness(f, g) == mccoy_witness(f, module_poly(Reg, dict(g.support)))
+    assert pairs > 0
+
+
 def test_mccoy_witness_rejects_bad_inputs():
     R4 = Zmod(4)
     Reg4 = regular_module(R4)

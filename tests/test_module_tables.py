@@ -286,3 +286,37 @@ def test_hom_of_z4_squared_extends_few_candidates(monkeypatch):
     H = hom_module(free_module(Zmod(4), 2))
     assert H.size == 256
     assert len(calls) == 4, calls
+
+
+def test_generating_set_matches_the_per_step_closure(small_universe):
+    """The one greedy search against the loop it replaced, which recomputed
+    the submodule generated by every generator so far at each step."""
+    for R, M in small_universe.pairs():
+        gens, closed = [], frozenset({M.zero})
+        for m in M.elements:
+            if m not in closed:
+                gens.append(m)
+                closed = submodule_generated(M, gens).elements
+        assert generating_set(M) == tuple(gens), (R.descriptor, M.tag)
+
+
+def test_small_generators_generate_every_submodule(small_universe):
+    for R, M in small_universe.pairs():
+        if M.size > 16:
+            continue
+        for N in modules.all_submodules(M):
+            gens = N.small_generators()
+            assert submodule_generated(M, gens) == N, (R.descriptor, M.tag, gens)
+            # a cyclic submodule gets one generator
+            if any(len(submodule_generated(M, [x]).elements) == len(N.elements)
+                   for x in N.elements):
+                assert len(gens) == 1, (R.descriptor, M.tag, gens)
+
+
+def test_an_ideal_is_the_submodule_of_reg_with_its_elements(small_universe):
+    for R in small_universe.rings:
+        Reg = small_universe.regular(R)
+        for I in R.ideals():
+            N = submodule_generated(Reg, I.generators)
+            assert N == I and N.small_generators() == I.small_generators(), I
+            assert I.as_module().rows == N.as_module().rows, I

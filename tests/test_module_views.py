@@ -13,7 +13,7 @@ from zdbench.errors import BoundExceeded, PresentationUnavailable
 from zdbench.localize import localize
 from zdbench.modules import (free_module, ideal_action, is_faithfully_flat,
                              is_flat, presentation)
-from zdbench.rings import Zmod, ideal_generated, multiplicative_closure
+from zdbench.rings import Zmod, ideal_generated, least_killed, multiplicative_closure
 from zdbench.universe import UniverseLimits, generate_universe
 
 
@@ -87,3 +87,18 @@ def test_tensor_bound_skips_mccoy_members(monkeypatch):
     assert bounded.notes[0] == (
         "skipped Z2 :: Free(2) (x) Algebra(PolyQuot(Z2, x^3 + x + 1), Z2): "
         "tensor: |Free(2)|^3 = 64 exceeds budget 16")
+
+
+def test_kills_nonzero_reads_a_ring_and_a_module_alike(small_universe):
+    R = Zmod(6)
+    assert statements.kills_nonzero([2], R)           # 2*3 = 0
+    assert not statements.kills_nonzero([2, 3], R)
+    C = modules.cyclic_module(R, ideal_generated(R, [2]))  # Z6/(2): 2 and 4 act as 0
+    assert statements.kills_nonzero([2, 4], C)
+    assert not statements.kills_nonzero([3], C)
+    # the element scan against least_killed's index scan, on R and on each M
+    for R, M in small_universe.pairs():
+        for I in R.ideals():
+            for X in (R, M):
+                assert (statements.kills_nonzero(I.generators, X)
+                        == (least_killed(X, I.generators) is not None)), (M.tag, I.generators)

@@ -115,7 +115,7 @@ def _zero_divisors_whole_ring(U, state, zd, M):
 def _wrong_content(U, state, c, M, m):
     """c(m) answers the unit ideal where it is proper, else the zero ideal."""
     R = M.ring
-    return ideal_generated(R, [R.zero if c.is_whole_ring else R.one])
+    return ideal_generated(R, [R.zero if c.is_whole else R.one])
 
 
 # (statement id, function its sweep reads, wrong answer from the right one)

@@ -1,12 +1,15 @@
+import functools
 import json
 
 import pytest
 
 from zdbench.cli import main
+from zdbench.errors import BoundExceeded
+from zdbench.modules import zero_divisors_module
 from zdbench.report import (analyze_report, collect_witnesses, render_text,
                             revalidate_report, revalidate_witness,
                             search_report, theorems_report, witness_report)
-from zdbench.universe import UniverseLimits
+from zdbench.universe import UniverseLimits, generate_universe
 
 SMALL = UniverseLimits(zmod_max=4, product_component_max=2, max_module=20,
                        max_sum_pairs=1)
@@ -243,6 +246,25 @@ def test_cli_module_past_budget_is_refused_before_it_is_built(capsys, module):
     assert "exceeds budget 30000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring, module, message", [
+    ("Z40000", "Reg", "Z40000 exceeds budget 30000"),
+    ("Z2000", "Cyclic(2)", "ideal lattice of Z2000"),
+])
+def test_cli_ring_past_its_bounds_is_refused(capsys, ring, module, message):
+    assert main(["analyze", "--ring", ring, "--module", module]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_reads_the_lattice_bound_before_any_ring_table(monkeypatch):
+    from zdbench import dsl
+    built, real = [], dsl.build_ring
+    monkeypatch.setattr(dsl, "build_ring", lambda spec: built.append(real(spec)) or built[-1])
+    with pytest.raises(BoundExceeded, match="ideal lattice of Z2000"):
+        analyze_report("Z2000", "Cyclic(2)")
+    # R.rows is a cached property, composed on first read
+    assert [R.descriptor for R in built] == ["Z2000"] and "rows" not in vars(built[0])
+
+
 @pytest.mark.parametrize("option, value, field", [
     ("--degree-bound", "-1", "degree_bound"),
     ("--series-precision", "0", "series_precision"),
@@ -316,6 +338,31 @@ def test_cli_search(capsys):
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["count"] == 0
+
+
+def test_failing_statement_witnesses_revalidate(capsys, monkeypatch):
+    """A planted row with genuine counterexamples: every failure carries a
+    witness entry, and --revalidate counts and confirms each one."""
+    from zdbench import statements
+    row = ("zz-planted", "every nonzero module is Auslander", statements._implication,
+           dict(hyp=("nonzero",), concl=("auslander",)), ())
+    monkeypatch.setitem(statements.REGISTRY, "zz-planted",
+                        functools.partial(statements._run, row))
+    code = main(["theorems", "--suite", "zz-planted", "--zmod-max", "2", "--max-module", "4",
+                 "--revalidate"])
+    assert code == 1
+    rep = json.loads(capsys.readouterr().out)
+    # the genuine failures: Z(R) \ {0} outside Z(M), read from raw scans
+    U = generate_universe(UniverseLimits(zmod_max=2, max_module=4))
+    expected = [f"{R.descriptor} :: {M.tag}" for R, M in U.pairs() if not M.is_zero
+                and not R.zero_divisors() - {R.zero} <= zero_divisors_module(M)]
+    failures = rep["statements"][0]["failures"]
+    assert [f["member"] for f in failures] == expected and len(expected) == 40
+    for failure in failures:
+        ring, module = failure["member"].split(" :: ")
+        assert failure["witness"]["kind"] == "auslander"
+        assert (failure["witness"]["ring"], failure["witness"]["module"]) == (ring, module)
+    assert rep["revalidation"] == {"total": 40, "failed": 0}
 
 
 def test_collect_witnesses_walks_nested():

@@ -83,7 +83,7 @@ def test_ideal_generated_idempotent():
 def test_annihilator_examples():
     R4 = Zmod(4)
     assert annihilator_of(R4, [2]).elements == frozenset({0, 2})
-    assert annihilator_of(R4, []).is_whole_ring
+    assert annihilator_of(R4, []).is_whole
     R6 = Zmod(6)
     assert annihilator_of(R6, [3]).elements == frozenset({0, 2, 4})
     R12 = Zmod(12)
