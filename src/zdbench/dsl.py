@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-import string
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -43,19 +43,12 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # tokens
 
-_SYMBOLS = set("(){},+*^;")
-# ASCII only: str.isdigit and str.isalnum also accept digits such as '²'
-_DIGITS = set(string.digits)
-_NAME_START = set(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+# an int, a name, a symbol, or any other non-space character, which is an
+# error; ASCII only, as str.isdigit and str.isalnum also accept digits such as '²'
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([(){},+*^;])|(\S)")
 
 
-def _is_number(text: str) -> bool:
-    return text != "" and set(text) <= _DIGITS
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # "name" | "int" | symbol itself
     text: str
     start: int
@@ -64,29 +57,12 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, i, i + 1))
-            i += 1
-            continue
-        j = i + 1
-        if ch in _DIGITS:
-            kind = "int"
-            while j < n and text[j] in _DIGITS:
-                j += 1
-        elif ch in _NAME_START:
-            kind = "name"
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-        else:
-            raise DslError(f"unexpected character {ch!r}", (i, i + 1))
-        tokens.append(Token(kind, text[i:j], i, j))
-        i = j
+    for m in _TOKEN.finditer(text):
+        word, group = m.group(), m.lastindex
+        if group == 4:
+            raise DslError(f"unexpected character {word!r}", m.span())
+        # a symbol is its own kind
+        tokens.append(Token(("int", "name", word)[group - 1], word, *m.span()))
     return tokens
 
 
@@ -255,7 +231,7 @@ class _Parser:
         with its arguments."""
         tok = self.expect("name")
         head, span = tok.text, (tok.start, tok.end)
-        if sort == "ring" and head.startswith("Z") and _is_number(head[1:]):
+        if sort == "ring" and head.startswith("Z") and head[1:].isdigit():
             return ZmodNode(int(head[1:]), span=span)
         if sort == "module" and head == "Reg":
             return RegNode(span=span)
@@ -604,7 +580,7 @@ def _parse_ext_term(p: _Parser, R: FiniteRing):
 
 
 def _is_ext_var(name: str) -> bool:
-    return name == "X" or (name.startswith("X") and _is_number(name[1:]))
+    return name == "X" or (name.startswith("X") and name[1:].isdigit())
 
 
 def _parse_ext_mono(p: _Parser) -> tuple:

@@ -296,12 +296,11 @@ class FiniteAlgebra:
     of R the extension IB is the submodule I*B, so the content of f in B is
     its module content."""
 
-    def __init__(self, ring: FiniteRing, base: FiniteRing, embed: dict,
-                 descriptor: str | None = None):
+    def __init__(self, ring: FiniteRing, base: FiniteRing, embed: dict):
         self.ring = ring
         self.base = base
         self.embed = dict(embed)
-        self.descriptor = descriptor or f"Algebra({ring.descriptor}, {base.descriptor})"
+        self.descriptor = f"Algebra({ring.descriptor}, {base.descriptor})"
         self._validate()
         self._module_view = None
 
@@ -345,14 +344,12 @@ class FiniteAlgebra:
 
 
 def self_algebra(R: FiniteRing) -> FiniteAlgebra:
-    return FiniteAlgebra(R, R, {r: r for r in R.elements},
-                         descriptor=f"Algebra({R.descriptor}, {R.descriptor})")
+    return FiniteAlgebra(R, R, {r: r for r in R.elements})
 
 
 def diagonal_algebra(R: FiniteRing, product) -> FiniteAlgebra:
     """Prod(R,R) over R via the diagonal."""
-    return FiniteAlgebra(product, R, {r: (r, r) for r in R.elements},
-                         descriptor=f"Algebra({product.descriptor}, {R.descriptor})")
+    return FiniteAlgebra(product, R, {r: (r, r) for r in R.elements})
 
 
 def extension_algebra(B: FiniteRing, R: FiniteRing) -> FiniteAlgebra:
@@ -361,8 +358,7 @@ def extension_algebra(B: FiniteRing, R: FiniteRing) -> FiniteAlgebra:
         raise ValueError("extension_algebra expects a polynomial quotient")
     d = len(B.zero)
     embed = {r: tuple([r] + [0] * (d - 1)) for r in R.elements}
-    return FiniteAlgebra(B, R, embed,
-                         descriptor=f"Algebra({B.descriptor}, {R.descriptor})")
+    return FiniteAlgebra(B, R, embed)
 
 
 def is_ohm_rush(algebra: FiniteAlgebra) -> Verdict:

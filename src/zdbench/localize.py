@@ -26,7 +26,6 @@ class Localization:
     source: object                 # FiniteRing | FiniteModule
     kind: str                      # "ring" | "module"
     mult_set: MultiplicativeSet
-    act: object                    # the action of R on the source: R.mul or M.act
     kernel: frozenset              # {x : u*x = 0 for some u in S}
     structure: object              # FiniteRing | FiniteModule on class representatives
     to_class: dict                 # source element -> class representative
@@ -47,7 +46,7 @@ class Localization:
         """The defining relation: exists u in S with u*(t*x - s*y) = 0."""
         x, s = p
         y, t = q
-        act, src = self.act, self.source
+        src, act = self.source, self.source.act
         diff = src.sub(act(t, x), act(s, y))
         return any(act(u, diff) == src.zero for u in self.mult_set.elements)
 
@@ -78,7 +77,7 @@ def _finish(loc: Localization) -> Localization:
     (3) at st.  The structure's operations, computed on representatives,
     are then those of X/K.  The cost is O(|K| |S| + |X| + |S| |C|).
     """
-    src, act, to_class, K = loc.source, loc.act, loc.to_class, loc.kernel
+    src, act, to_class, K = loc.source, loc.source.act, loc.to_class, loc.kernel
     S, classes = loc.mult_set.elements, loc.structure.elements
     for s in S:
         forward = {to_class[act(s, c)]: c for c in classes}
@@ -96,7 +95,7 @@ def _finish(loc: Localization) -> Localization:
     return loc
 
 
-def _localized(kind: str, source, S: MultiplicativeSet, act, structure) -> Localization:
+def _localized(kind: str, source, S: MultiplicativeSet, structure) -> Localization:
     """R_S or M_S: `structure(cls, reps, to_class)` on the kernel's cosets."""
     if not source.scalars.same_ring(S.ring):
         raise ValueError("multiplicative set belongs to a different ring")
@@ -105,7 +104,7 @@ def _localized(kind: str, source, S: MultiplicativeSet, act, structure) -> Local
     cls, reps = coset_quotient(source, map(source.index, K))
     to_class = {x: E[reps[c]] for x, c in zip(E, cls)}
     return _finish(Localization(
-        source=source, kind=kind, mult_set=S, act=act, kernel=K,
+        source=source, kind=kind, mult_set=S, kernel=K,
         structure=structure(cls, reps, to_class), to_class=to_class))
 
 
@@ -125,7 +124,7 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
         )
         RS.parts = (R, to_class)
         return RS
-    return _localized("ring", R, S, R.mul, ring_structure)
+    return _localized("ring", R, S, ring_structure)
 
 
 def localize_module(M: FiniteModule, S: MultiplicativeSet,
@@ -134,7 +133,7 @@ def localize_module(M: FiniteModule, S: MultiplicativeSet,
     if ring_localization is None:
         ring_localization = localize(M.ring, S)
     # the action on M/K is independent of the R_S representative chosen
-    return _localized("module", M, S, M.act, lambda cls, reps, _: module_on_representatives(
+    return _localized("module", M, S, lambda cls, reps, _: module_on_representatives(
         M, ring_localization.structure, cls, reps, f"Localize({M.tag}, {S.display()})"))
 
 

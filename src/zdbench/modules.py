@@ -506,7 +506,8 @@ def _combination(M: FiniteModule, scalars) -> list:
     return out
 
 
-def _ideal_tensor_kernel(I: Submodule, M: FiniteModule, budget: int):
+def ideal_tensor_kernel(I: Submodule, M: FiniteModule,
+                        budget: int = DEFAULT_PRESENTATION_BUDGET):
     """Injectivity data for I (x) M -> M; returns (injective, witness)."""
     R = M.ring
     gens = I.small_generators()
@@ -566,7 +567,7 @@ def is_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGET) -> Verdi
     R = M.ring
     verdict = Verdict(True)
     for I in R.ideals():
-        ok, witness = _ideal_tensor_kernel(I, M, budget)
+        ok, witness = ideal_tensor_kernel(I, M, budget)
         if not ok:
             verdict = Verdict(False, witness=witness)
             break
@@ -587,7 +588,7 @@ def is_faithfully_flat(M: FiniteModule, budget: int = DEFAULT_PRESENTATION_BUDGE
         for p in M.ring.maximal_ideals():
             if len(ideal_action(p, M).elements) == M.size:
                 verdict = Verdict(False, witness={
-                    "kind": "faithfully_flat", "maximal_ideal": p.small_generators()})
+                    "kind": "faithfully_flat", "ideal": p.small_generators()})
                 break
     return verdict
 

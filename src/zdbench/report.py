@@ -17,9 +17,9 @@ from .errors import BoundExceeded
 from .extensions import mccoy_witness
 from .localize import natural_map_kernel
 from .modules import (ann, content_of_element, has_property_A, ideal_action,
-                      is_auslander, is_content_module, is_faithfully_flat,
-                      is_flat, is_torsion_free, regular_module,
-                      zero_divisors_module)
+                      ideal_tensor_kernel, is_auslander, is_content_module,
+                      is_faithfully_flat, is_flat, is_torsion_free,
+                      regular_module, zero_divisors_module)
 from .rings import FiniteRing, ideal_generated, ring_predicates
 from .statements import (faithfully_flat_mccoy_algebras, kills_nonzero,
                          predicate_entry, run_suite, search_counterexample)
@@ -102,12 +102,7 @@ def analyze_report(ring_text: str, module_text: str,
         module_section["flat"] = {"holds": None, "note": str(exc)}
         module_section["faithfully_flat"] = {"holds": None, "note": str(exc)}
     report["module"] = module_section
-    witnesses = []
-    for section in ("auslander", "torsion_free", "property_a", "content_module"):
-        w = module_section[section].get("witness")
-        if w:
-            witnesses.append(w)
-    report["witnesses"] = witnesses
+    report["witnesses"] = collect_witnesses(module_section)
     return report
 
 
@@ -204,7 +199,8 @@ def revalidate_witness(entry: dict) -> bool:
         if kind == "torsion_free":
             return math.gcd(value, n) > 1
         return False
-    if kind in ("auslander", "torsion_free", "property_a", "content", "ext_ideal"):
+    if kind in ("auslander", "torsion_free", "property_a", "content", "ext_ideal",
+                "flat", "faithfully_flat"):
         node = dsl.parse_module(module_tag)
         # Tensor(..., Algebra(B, R0)) is built over R0 and lives over B
         base = node.algebra.base if isinstance(node, dsl.TensorNode) else ring_desc
@@ -229,6 +225,14 @@ def revalidate_witness(entry: dict) -> bool:
         if kind == "content":
             c = content_of_element(M, value)
             return value not in ideal_action(c, M).elements
+        I = ideal_generated(R, value)
+        if kind == "flat":
+            # I (x) M -> M is not injective
+            return not ideal_tensor_kernel(I, M)[0]
+        if kind == "faithfully_flat":
+            # M is flat, I is maximal and I*M = M
+            return (is_flat(M).holds and I in R.maximal_ideals()
+                    and len(ideal_action(I, M).elements) == M.size)
     if kind in ("mccoy", "ohm_rush"):
         alg = dsl.build_algebra(entry["algebra"])
         B, Rb, BR = alg.ring, alg.base, alg.as_module()

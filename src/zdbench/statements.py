@@ -227,8 +227,9 @@ def _check(rep: StatementReport, member: str, concl, U: Universe, R, X) -> bool:
     for name in concl:
         verdict = _PAIR_VOCABULARY[name](U, R, X)
         if not verdict:
-            return rep.visit(member, {
-                "witness": verdict.witness and predicate_entry(R, X, verdict.witness)})
+            # a Verdict may carry a witness; a plain bool carries none
+            witness = getattr(verdict, "witness", None)
+            return rep.visit(member, {"witness": witness and predicate_entry(R, X, witness)})
     return rep.visit(member)
 
 

@@ -1,4 +1,7 @@
 import random
+import re
+import string
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from zdbench.dsl import (AlgebraNode, CyclicNode, FreeNode, HomNode, IntElem,
                          SumNode, TensorNode, TupleElem, TotalQuotientNode,
                          XPolyElem, ZmodNode, build_algebra, build_module,
                          build_ring, parse_algebra, parse_dsl, parse_ext,
-                         parse_module, parse_ring, print_node)
+                         parse_module, parse_ring, print_node, tokenize)
 from zdbench.errors import BoundExceeded, DslError
 from zdbench.modules import regular_module
 from zdbench.rings import Zmod
@@ -380,3 +383,62 @@ def test_universe_descriptors_print_back_to_themselves(universe):
         texts += [(parse_module, M.tag) for M in universe.modules[R.descriptor]]
         texts += [(parse_algebra, B.descriptor) for B in universe.algebras[R.descriptor]]
     assert [text for parse, text in texts if print_node(parse(text)) != text] == []
+
+
+def _loop_tokenize(text):
+    """The character loop `tokenize` replaced, kept as its reference: tokens
+    as (kind, text, start, end)."""
+    symbols, digits = set("(){},+*^;"), set(string.digits)
+    name_start = set(string.ascii_letters + "_")
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in symbols:
+            tokens.append((ch, ch, i, i + 1))
+            i += 1
+            continue
+        j = i + 1
+        if ch in digits:
+            kind = "int"
+            while j < n and text[j] in digits:
+                j += 1
+        elif ch in name_start:
+            kind = "name"
+            while j < n and text[j] in name_start | digits:
+                j += 1
+        else:
+            raise DslError(f"unexpected character {ch!r}", (i, i + 1))
+        tokens.append((kind, text[i:j], i, j))
+        i = j
+    return tokens
+
+
+def _lexed(tokenizer, text):
+    """The token tuples, or the error's message and span."""
+    try:
+        return [tuple(tok) for tok in tokenizer(text)]
+    except DslError as exc:
+        return exc.message, exc.span
+
+
+def test_tokenize_matches_the_character_loop(small_universe):
+    texts = [R.descriptor for R in small_universe.rings]
+    for R in small_universe.rings:
+        texts += [M.tag for M in small_universe.modules[R.descriptor]]
+        texts += [B.descriptor for B in small_universe.algebras[R.descriptor]]
+    texts += [text for _, text, _ in _OUTCOMES]
+    texts += ["Prod(Z2 Z2)", "Z6 trailing", "Cyclic((0,1)", "series(8; 2*X + 2)"]
+    texts += ["Prod(Z2,\u00a0Z2)", "Cyclic(\u2003(1,0))", "Sum(Reg,\tFree(1))\n",
+              "\u00a0\u2003\t\n", "Z\u20032"]
+    texts += ["Z²", "Free(٣)", "Z٣", "Cyclic(é)", "é", "x²", "X²"]
+    # between tokens: every character below U+0180, and every one that
+    # str.isspace or a pattern's \s takes for whitespace
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = set(re.findall(r"\s", every)) | {c for c in every if c.isspace()}
+    texts += [f"Prod(Z2,{c}Z2)" for c in sorted(spaces) + list(every[:0x180])]
+    wrong = [t for t in texts if _lexed(tokenize, t) != _lexed(_loop_tokenize, t)]
+    assert wrong == []

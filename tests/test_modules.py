@@ -12,7 +12,7 @@ from zdbench.modules import (all_submodules, ann, content_of_element,
                              regular_module, submodule_generated,
                              tensor_with_algebra, verify_module_axioms,
                              zero_divisors_module, zero_module)
-from zdbench.modules import DEFAULT_PRESENTATION_BUDGET, _ideal_tensor_kernel
+from zdbench.modules import DEFAULT_PRESENTATION_BUDGET, ideal_tensor_kernel
 from zdbench.rings import (Zmod, ideal_generated, multiplicative_closure,
                            poly_quotient, product_ring)
 
@@ -158,7 +158,7 @@ def test_two_generator_ideal_tensor_kernel():
     R = poly_quotient(Zmod(4), (0, 0, 1))
     M = cyclic_module(R, ideal_generated(R, [(0, 1)]))
     I = ideal_generated(R, [(2, 0), (0, 1)])
-    assert _ideal_tensor_kernel(I, M, budget=30000) == (False, {
+    assert ideal_tensor_kernel(I, M, budget=30000) == (False, {
         "kind": "flat", "ideal": ((2, 0), (0, 1)), "kernel_element": ((0, 0), (1, 0)),
         "tensor_size": 4})
 

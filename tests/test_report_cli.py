@@ -4,6 +4,8 @@ import json
 import pytest
 
 from zdbench.cli import main
+from zdbench.dsl import build_ring
+from zdbench.encoding import to_jsonable
 from zdbench.errors import BoundExceeded
 from zdbench.modules import zero_divisors_module
 from zdbench.report import (analyze_report, collect_witnesses, render_text,
@@ -363,6 +365,44 @@ def test_failing_statement_witnesses_revalidate(capsys, monkeypatch):
         assert failure["witness"]["kind"] == "auslander"
         assert (failure["witness"]["ring"], failure["witness"]["module"]) == (ring, module)
     assert rep["revalidation"] == {"total": 40, "failed": 0}
+
+
+def test_analyze_lists_its_sections_witnesses_in_order(small_universe):
+    """`witnesses` holds the verdict sections' witnesses in section order.
+    No pair here fails two verdicts at once, so the order is read on a module
+    section whose four verdicts all fail."""
+    sections = ("auslander", "torsion_free", "property_a", "content_module")
+    seen = 0
+    for R, M in small_universe.pairs():
+        rep = analyze_report(R.descriptor, M.tag)
+        expected = [rep["module"][s]["witness"] for s in sections
+                    if "witness" in rep["module"][s]]
+        assert rep["witnesses"] == expected, (R.descriptor, M.tag)
+        seen += len(expected)
+    assert seen > 0
+    four = {"size": 2, **{s: {"holds": False, "witness": {"kind": s, "value": i}}
+                          for i, s in enumerate(sections)},
+            "flat": {"holds": True}}
+    assert [w["value"] for w in collect_witnesses(four)] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("limits, hyp, concl, count", [
+    (UniverseLimits(zmod_max=4, product_component_max=0), "nonzero", "flat", 49),
+    (UniverseLimits(zmod_max=4, product_component_max=2), "flat", "faithfully_flat", 6),
+])
+def test_flatness_witnesses_revalidate(limits, hyp, concl, count):
+    """Planted rows concluding flatness: each failure names the ideal that
+    shows it and revalidates; with the unit ideal named instead, none does."""
+    from zdbench import statements
+    rep = statements.StatementReport("zz-planted", "")
+    statements._implication(generate_universe(limits), rep, hyp=(hyp,), concl=(concl,))
+    report = rep.to_dict()
+    assert revalidate_report(report) == {"total": count, "failed": []}
+    entries = collect_witnesses(report)
+    assert {e["kind"] for e in entries} == {concl}
+    for entry in entries:
+        one = build_ring(entry["ring"]).one
+        assert not revalidate_witness({**entry, "value": to_jsonable((one,))}), entry
 
 
 def test_collect_witnesses_walks_nested():

@@ -15,7 +15,7 @@ import re
 import pytest
 
 from zdbench import statements
-from zdbench.modules import Verdict
+from zdbench.modules import Verdict, ann
 
 # (statement id, predicate its conclusion reads, whether only objects the
 # statement builds itself -- Hom modules, sums, tensors -- are conclusions;
@@ -116,6 +116,16 @@ def test_wrong_adapter_fact_fails_adapter_rows(small_universe, monkeypatch):
         assert rep.failures, f"{sid} missed a wrong adapter fact"
         assert [f["member"] for f in rep.failures
                 if f["member"] not in rep.applicable] == [], sid
+
+
+def test_a_plain_bool_conclusion_records_its_failures(small_universe):
+    """`zero_annihilator` and six more vocabulary entries return a bool, not a
+    Verdict: a member failing one is recorded with no witness."""
+    rep = statements.StatementReport("planted", "")
+    statements._implication(small_universe, rep, hyp=("nonzero",), concl=("zero_annihilator",))
+    expected = [f"{R.descriptor} :: {M.tag}" for R, M in small_universe.pairs()
+                if not M.is_zero and not ann(M).is_zero]
+    assert expected and rep.failures == [{"member": m, "witness": None} for m in expected]
 
 
 # the paper's statement labels: def-2.1, content-def, prop-a-def, thm-2.4, ...
