@@ -21,7 +21,7 @@ from .modules import (FiniteModule, Submodule, Verdict, ann, content_of_element,
 from .rings import (FiniteRing, MultiplicativeSet, Zmod, ideal_generated,
                     poly_quotient, product_ring, ring_predicates)
 from .statements import (REGISTRY, run_statement, run_suite,
-                         search_counterexample, z_adapter_check)
+                         search_counterexample)
 from .universe import UniverseLimits, generate_universe
 
 make_ring = build_ring
@@ -42,5 +42,5 @@ __all__ = [
     "parse_dsl", "poly_quotient", "print_node", "product_ring",
     "regular_module", "ring_poly", "ring_predicates", "run_statement",
     "run_suite", "search_counterexample", "tensor_with_algebra",
-    "total_quotient", "z_adapter_check", "zero_divisors_module",
+    "total_quotient", "zero_divisors_module",
 ]

@@ -17,7 +17,7 @@ from .errors import BoundExceeded, PresentationUnavailable
 from .rings import (Carrier, FiniteRing, Submodule, Table, annihilator_of,
                     coset_quotient, cyclic_subgroups, greedy_generators,
                     least_killed, represented_tables, span, submodule_generated,
-                    subgroup_lattice, sum_tables, zero_divisor_scan)
+                    subgroup_lattice, tuple_carrier, zero_divisor_scan)
 
 DEFAULT_HOM_BUDGET = 2000          # candidate generator-image tuples
 DEFAULT_PRESENTATION_BUDGET = 30000  # tuples enumerated for relation kernels and tensors
@@ -128,15 +128,9 @@ def cyclic_module(R: FiniteRing, I: Submodule) -> FiniteModule:
 def direct_sum(M1: FiniteModule, M2: FiniteModule) -> FiniteModule:
     if not M1.ring.same_ring(M2.ring):
         raise ValueError("direct sum: modules over different rings")
-    # (a, b) has index a + |M1| b, and r(a, b) = (ra, rb)
-    return FiniteModule(
-        ring=M1.ring,
-        elements=[(a, b) for b in M2.elements for a in M1.elements],
-        zero=(M1.zero, M2.zero),
-        tables=sum_tables((M1, M2), lambda: zip(M1.rows, M2.rows)),
-        tag=f"Sum({M1.tag},{M2.tag})",
-        element_str=lambda u: f"({M1.element_str(u[0])},{M2.element_str(u[1])})",
-    )
+    # r(a, b) = (ra, rb)
+    return FiniteModule(ring=M1.ring, tag=f"Sum({M1.tag},{M2.tag})",
+                        **tuple_carrier((M1, M2), lambda: zip(M1.rows, M2.rows)))
 
 
 def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModule:
@@ -145,14 +139,8 @@ def power_module(M: FiniteModule, t: int, tag: str | None = None) -> FiniteModul
     Callers bound |M|^t before asking for it."""
     if t < 1:
         raise ValueError("power_module needs t >= 1")
-    return FiniteModule(
-        ring=M.ring,
-        elements=[c[::-1] for c in itertools.product(M.elements, repeat=t)],
-        zero=tuple([M.zero] * t),
-        tables=sum_tables((M,) * t, lambda: ((row,) * t for row in M.rows)),
-        tag=tag or f"{M.tag}^{t}",
-        element_str=M.tuple_str,
-    )
+    return FiniteModule(ring=M.ring, tag=tag or f"{M.tag}^{t}",
+                        **tuple_carrier((M,) * t, lambda: ((row,) * t for row in M.rows)))
 
 
 def generating_set(M: FiniteModule) -> tuple:

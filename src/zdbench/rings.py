@@ -239,12 +239,14 @@ def Zmod(n: int) -> FiniteRing:
     )
 
 
-def sum_tables(parts, scalar_rows):
-    """The tables of a sum of `parts`, digit-wise: (a, b, ...) has index
-    a + |A| (b + |B| (...)), so the row composed from one row of each part
-    has entries row_A[a] + |A| (row_B[b] + ...).  x + y comes from the rows
-    of x's digits, and each scalar's row from the part rows that
-    `scalar_rows()` yields for it, scalar by scalar."""
+def tuple_carrier(parts, scalar_rows) -> dict:
+    """The carrier of a sum of `parts`, as keyword arguments of its
+    constructor: the tuples (a, b, ...) with the first coordinate varying
+    fastest, so (a, b, ...) has index a + |A| (b + |B| (...)); their zero;
+    their display (x,y,...); and their tables, digit-wise: the row composed
+    from one row of each part has entries row_A[a] + |A| (row_B[b] + ...).
+    x + y comes from the rows of x's digits, and each scalar's row from the
+    part rows that `scalar_rows()` yields for it, scalar by scalar."""
     sizes = [X.size for X in parts]
 
     def radix(rows):
@@ -260,25 +262,22 @@ def sum_tables(parts, scalar_rows):
             x //= n
         return radix(rows)
 
-    return (lambda S: [radix(rows) for rows in scalar_rows()],
-            lambda S: Table(plus_row),
-            lambda S: radix([X.minus for X in parts]))
+    return dict(
+        elements=[c[::-1] for c in itertools.product(*(X.elements for X in reversed(parts)))],
+        zero=tuple(X.zero for X in parts),
+        element_str=lambda u: "(" + ",".join(X.element_str(x) for X, x in zip(parts, u)) + ")",
+        tables=(lambda S: [radix(rows) for rows in scalar_rows()],
+                lambda S: Table(plus_row),
+                lambda S: radix([X.minus for X in parts])))
 
 
 def product_ring(A: FiniteRing, B: FiniteRing) -> FiniteRing:
-    # carrier order: first component varies fastest, so Prod(Z2,Z2) lists
-    # (0,0), (1,0), (0,1), (1,1); (a, b) has index a + |A| b
+    # Prod(Z2,Z2) lists (0,0), (1,0), (0,1), (1,1)
     R = FiniteRing(
-        kind="product",
-        elements=[(a, b) for b in B.elements for a in A.elements],
-        add=None, mul=None, neg=None,
-        tables=sum_tables((A, B), lambda: ((row_a, row_b) for row_b in B.rows
-                                            for row_a in A.rows)),
-        zero=(A.zero, B.zero),
-        one=(A.one, B.one),
+        kind="product", add=None, mul=None, neg=None, one=(A.one, B.one),
         descriptor=f"Prod({A.descriptor},{B.descriptor})",
-        element_str=lambda u: f"({A.element_str(u[0])},{B.element_str(u[1])})",
-    )
+        **tuple_carrier((A, B), lambda: ((row_a, row_b) for row_b in B.rows
+                                         for row_a in A.rows)))
     R.parts = (A, B)
     return R
 

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 from .encoding import to_jsonable
 from .errors import BoundExceeded
-from .extensions import (brute_force_zd, content_chain_witness,
-                         diagonal_algebra, is_mccoy_algebra, is_ohm_rush,
-                         is_zd_on_extension, ring_poly)
+from .extensions import (content_chain_witness, diagonal_algebra,
+                         is_mccoy_algebra, is_ohm_rush, is_zd_on_extension,
+                         ring_poly)
 from .localize import (localize, localize_module, localized_ring_as_base_module,
                        natural_map_kernel)
 from .modules import (all_submodules, ann, content_of_element,
@@ -46,7 +46,7 @@ from .modules import (all_submodules, ann, content_of_element,
                       zero_divisors_module)
 from .rings import (Zmod, all_mult_closed_subsets, ideal_generated,
                     product_ring, ring_predicates)
-from .universe import Z_ADAPTER_MAX, Universe, ZAdapterCase, z_adapter_cases
+from .universe import Universe, z_adapter_cases
 
 
 @dataclass
@@ -165,6 +165,7 @@ _PAIR_VOCABULARY = {
     "content_module": lambda U, R, M: is_content_module(M),
     "content_surjective": lambda U, R, M: content_surjective(M),
     "property_a": lambda U, R, M: has_property_A(M),
+    "ring_property_a": lambda U, R, M: has_property_A(U.regular(R)),
     "zero_annihilator": lambda U, R, M: ann(M).is_zero,
     "reg_module": lambda U, R, M: M.tag == "Reg",
     "nonzero": lambda U, R, M: not M.is_zero,
@@ -279,15 +280,12 @@ def _ext_profile(U: Universe, R, M) -> dict:
     return lacking
 
 
-def _extension_iff(U: Universe, rep: StatementReport, variant: str,
-                   side, ring_property_a: bool = False):
-    """The polynomial/series transfer: M[G] (or M[[X]]) has the properties
-    named in `side` iff M does; the witness is the first found, in `side` order."""
+def _extension_iff(U: Universe, rep: StatementReport, variant: str, side, hyp):
+    """For nonzero M meeting `hyp`, M[G] (or M[[X]]) has the properties named
+    in `side` iff M does; the witness is the first found, in `side` order."""
     precision = U.limits.series_precision
     for R, M in _nonzero_pairs(U):
-        if ring_property_a and not has_property_A(U.regular(R)).holds:
-            continue
-        if "auslander" in side and not has_property_A(M).holds:
+        if not _meets(rep, U, R, M, hyp):
             continue
         # a series row skips R on its first ideal with more generators than terms
         wide = variant == "series" and _memo(U, ("series-gap", R.descriptor), lambda: next(
@@ -319,10 +317,9 @@ def _mccoy_algebras_of(U: Universe, R):
                  lambda: [alg for alg in U.algebras[R.descriptor] if ffl_mccoy(alg)])
 
 
-def _mccoy_tensor(U: Universe, rep: StatementReport, flat: bool, concl):
-    """M (x) B satisfies `concl` for every nonzero Auslander M with property (A),
-    flat too with `flat`, and every faithfully flat McCoy algebra B."""
-    hyp = ("nonzero", "auslander", "property_a") + (("flat",) if flat else ())
+def _mccoy_tensor(U: Universe, rep: StatementReport, hyp, concl):
+    """M (x) B satisfies `concl` for every M meeting `hyp` and every
+    faithfully flat McCoy algebra B."""
     nontrivial = []
     for R in U.rings:
         for alg in _mccoy_algebras_of(U, R):
@@ -342,16 +339,15 @@ def _mccoy_tensor(U: Universe, rep: StatementReport, flat: bool, concl):
     rep.extra["nontrivial_applicable"] = nontrivial
 
 
-def _summands(U: Universe, rep: StatementReport, flat: bool, concl, labels):
-    """A sum of two nonzero modules (flat ones, with `flat`), the first
-    Auslander, satisfies `concl`; so does, once per ring, the first summand
-    doubled.  `labels` format the two- and three-summand member names."""
+def _summands(U: Universe, rep: StatementReport, hyp, concl, labels):
+    """A sum of two modules meeting `hyp`, the first Auslander, satisfies
+    `concl`; so does, once per ring, the first summand doubled.  `labels`
+    format the two- and three-summand member names."""
     for R in U.rings:
-        mods = [M for M in U.modules[R.descriptor]
-                if not M.is_zero and _meets(rep, U, R, M, ("flat",) if flat else ())]
+        mods = [M for M in U.modules[R.descriptor] if _meets(rep, U, R, M, hyp)]
         triple_done = False
         for M in mods:
-            if not is_auslander(M).holds:
+            if not _meets(rep, U, R, M, _AUSL):
                 continue
             for Mp in mods:
                 if M.size * Mp.size > U.limits.max_module:
@@ -580,11 +576,6 @@ def _rem_3_3_1(U: Universe, rep: StatementReport):
             rep.visit(f"{R.descriptor} @ S={S.display()}", failure)
 
 
-def _z_torsion_witness(case, k: int) -> dict:
-    """Z/n's torsion witness k."""
-    return verdict_entry("torsion_free", "Z", case.case_id, k, str(k))
-
-
 def _rem_3_3_2(U: Universe, rep: StatementReport):
     torsion_witnesses = []
     for case in z_adapter_cases():
@@ -593,7 +584,8 @@ def _rem_3_3_2(U: Universe, rep: StatementReport):
         ok = (case.is_auslander().holds and not tf.holds
               and case.contains_ideal_n() and case.in_zero_divisors(witness))
         if rep.visit(f"Z :: {case.case_id}", None if ok else {}):
-            torsion_witnesses.append(_z_torsion_witness(case, witness))
+            torsion_witnesses.append(
+                verdict_entry("torsion_free", "Z", case.case_id, witness, str(witness)))
     rep.extra["torsion_free_witnesses"] = torsion_witnesses
 
 
@@ -627,7 +619,10 @@ def _rem_3_3_3(U: Universe, rep: StatementReport):
 # the statement table, in report order
 #
 # A row is (id, description, sweep, keyword arguments of the sweep, notes);
-# the notes follow any the sweep writes and may name `{limits.<field>}`.
+# the notes follow any the sweep writes and may name `{limits.<field>}`.  A
+# row's `hyp` names every hypothesis its sweep applies to a member, apart from
+# the pair sweeps' own skip of the zero module, `_mccoy_algebras_of`'s algebra
+# filter and `_summands`' Auslander first summand.
 
 _AUSL = ("auslander",)
 _AUSL_TF = ("auslander", "torsion_free")
@@ -670,7 +665,7 @@ STATEMENTS = (
     ("prop-2.2-6",
      "a direct sum with an Auslander summand is Auslander "
      "(finite-index instantiation: two to three summands)",
-     _summands, dict(flat=False, concl=_AUSL,
+     _summands, dict(hyp=("nonzero",), concl=_AUSL,
                      labels=("Sum({0},{1})", "Sum(Sum({0},{0}),{1})")),
      ("finite-index instantiation (2-3 summands)",)),
     ("prop-2.3",
@@ -687,7 +682,7 @@ STATEMENTS = (
     ("thm-2.4",
      "for modules with property (A): M[G] is Auslander over R[G] iff M is "
      "Auslander (G = N^1, content-annihilator criterion)",
-     _extension_iff, dict(variant="monoid", side=_AUSL),
+     _extension_iff, dict(variant="monoid", side=_AUSL, hyp=("property_a",)),
      ("property (A) holds for every finite module, so the hypothesis "
       "filter never excludes a member at this scale",)),
     ("lem-2.7",
@@ -698,12 +693,12 @@ STATEMENTS = (
      "for modules with property (A) over a Noetherian (finite) ring: "
      "M[[X]] is Auslander over R[[X]] iff M is Auslander "
      "(truncated-series instantiation)",
-     _extension_iff, dict(variant="series", side=_AUSL), (_PRECISION,)),
+     _extension_iff, dict(variant="series", side=_AUSL, hyp=("property_a",)), (_PRECISION,)),
     ("cor-2.9",
      "finitely generated modules over Noetherian rings: the series "
      "Auslander transfer holds with no extra hypothesis (every finite "
      "module is finitely generated)",
-     _extension_iff, dict(variant="series", side=_AUSL), ()),
+     _extension_iff, dict(variant="series", side=_AUSL, hyp=("property_a",)), ()),
     ("rem-2.10",
      "every universe algebra is free as a module (hence projective), so "
      "each must satisfy the element-content identity f in c(f)B",
@@ -716,11 +711,11 @@ STATEMENTS = (
     ("thm-2.13",
      "tensoring an Auslander module with property (A) by a faithfully "
      "flat McCoy algebra yields an Auslander module over the algebra",
-     _mccoy_tensor, dict(flat=False, concl=_AUSL), ()),
+     _mccoy_tensor, dict(hyp=("nonzero", "auslander", "property_a"), concl=_AUSL), ()),
     ("cor-2.14",
      "content-algebra corollary checked through its faithfully-flat + "
      "McCoy consequence (the only content-algebra surface in scope)",
-     _mccoy_tensor, dict(flat=False, concl=_AUSL),
+     _mccoy_tensor, dict(hyp=("nonzero", "auslander", "property_a"), concl=_AUSL),
      ("hypothesis instantiated by the ffl+McCoy filter",)),
     ("tf-3.1",
      "the two torsion-free definitions coincide: the natural map into "
@@ -729,7 +724,8 @@ STATEMENTS = (
     ("thm-3.2",
      "over a ring with property (A): M[G] is torsion-free over R[G] iff "
      "M is torsion-free",
-     _extension_iff, dict(variant="monoid", side=("torsion_free",), ring_property_a=True),
+     _extension_iff, dict(variant="monoid", side=("torsion_free",),
+                          hyp=("ring_property_a",)),
      ("every finite ring has property (A); the filter is recorded, not vacuous",)),
     ("rem-3.3-1",
      "for S avoiding Z(R), the localization R_S viewed as an R-module "
@@ -748,7 +744,7 @@ STATEMENTS = (
     ("thm-3.4",
      "Noetherian ring, finitely generated module: M[[X]] is torsion-free "
      "over R[[X]] iff M is torsion-free (truncated-series instantiation)",
-     _extension_iff, dict(variant="series", side=("torsion_free",)), (_PRECISION,)),
+     _extension_iff, dict(variant="series", side=("torsion_free",), hyp=()), (_PRECISION,)),
     ("prop-3.5-1", "over a domain, flat modules are torsion-free Auslander",
      _implication, dict(hyp=("domain", "flat"), concl=_TF_AUSL,
                         adapter="Z (flat)"), ()),
@@ -763,31 +759,33 @@ STATEMENTS = (
     ("prop-3.5-4",
      "a direct sum of flat modules with an Auslander summand is "
      "torsion-free Auslander",
-     _summands, dict(flat=True, concl=_TF_AUSL,
+     _summands, dict(hyp=("nonzero", "flat"), concl=_TF_AUSL,
                      labels=("Sum({0},{1})", "Sum({0},{0},{1})")),
      (_FINITE_INDEX,)),
     ("prop-3.5-5",
      "over a coherent ring (every finite ring), a product of flat "
      "modules with an Auslander factor is torsion-free Auslander",
-     _summands, dict(flat=True, concl=_TF_AUSL,
+     _summands, dict(hyp=("nonzero", "flat"), concl=_TF_AUSL,
                      labels=("Prod({0},{1})", "Prod({0},{0},{1})")),
      (_FINITE_INDEX, "finite products coincide with finite direct sums")),
     ("prop-3.6",
      "when both R and M have property (A): M[G] is torsion-free Auslander "
      "over R[G] iff M is torsion-free Auslander",
-     _extension_iff, dict(variant="monoid", side=_AUSL_TF, ring_property_a=True), ()),
+     _extension_iff, dict(variant="monoid", side=_AUSL_TF,
+                          hyp=("ring_property_a", "property_a")), ()),
     ("cor-3.7",
      "Noetherian ring, finitely generated module: the monoid-extension "
      "torsion-free Auslander transfer holds with no extra hypothesis",
-     _extension_iff, dict(variant="monoid", side=_AUSL_TF), ()),
+     _extension_iff, dict(variant="monoid", side=_AUSL_TF, hyp=("property_a",)), ()),
     ("thm-3.8",
      "tensoring a flat Auslander module with property (A) by a faithfully "
      "flat McCoy algebra yields a torsion-free Auslander module over it",
-     _mccoy_tensor, dict(flat=True, concl=_AUSL_TF), ()),
+     _mccoy_tensor, dict(hyp=("nonzero", "auslander", "property_a", "flat"),
+                         concl=_AUSL_TF), ()),
     ("thm-3.9",
      "Noetherian ring, finitely generated module: M[[X]] is torsion-free "
      "Auslander over R[[X]] iff M is torsion-free Auslander",
-     _extension_iff, dict(variant="series", side=_AUSL_TF), ()),
+     _extension_iff, dict(variant="series", side=_AUSL_TF, hyp=("property_a",)), ()),
 )
 
 
@@ -853,13 +851,19 @@ def _eval_atoms(atoms, vocab, *args) -> bool | None:
 
 
 def search_counterexample(hyp: str, concl: str, U: Universe) -> list[dict]:
-    """All members satisfying hyp and failing concl, with witnesses."""
+    """All members satisfying hyp and failing concl, with witnesses.  A query
+    that no one member kind defines every predicate of raises ValueError."""
     hyp_atoms = parse_predicate_expression(hyp)
     concl_atoms = parse_predicate_expression(concl)
-    known = set(_PAIR_VOCABULARY) | set(_ALGEBRA_VOCABULARY)
-    for name, _ in hyp_atoms + concl_atoms:
-        if name not in known:
+    names = dict.fromkeys(name for name, _ in hyp_atoms + concl_atoms)
+    for name in names:
+        if name not in _PAIR_VOCABULARY and name not in _ALGEBRA_VOCABULARY:
             raise ValueError(f"unknown predicate {name!r}")
+    # a member whose kind lacks one name is skipped, so the answer could only be empty
+    if not any(names.keys() <= vocab.keys() for vocab in
+               (_PAIR_VOCABULARY, _ALGEBRA_VOCABULARY, *_ADAPTER_FACTS.values())):
+        raise ValueError("no pair, algebra or integer-adapter member defines all of "
+                         + ", ".join(names))
 
     def refuted(vocab, *args) -> bool:
         return (_eval_atoms(hyp_atoms, vocab, *args) is True
@@ -880,68 +884,7 @@ def search_counterexample(hyp: str, concl: str, U: Universe) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# adapter checks
-
-
-def z_adapter_check(case_id: str) -> dict:
-    """Analytic verification for one Z-module Z/n case (gcd arithmetic only)."""
-    if not case_id.startswith("Z/"):
-        raise ValueError(f"unknown adapter case {case_id!r}")
-    try:
-        n = int(case_id[2:])
-    except ValueError:
-        raise ValueError(f"unknown adapter case {case_id!r}") from None
-    if not 1 <= n <= Z_ADAPTER_MAX:
-        raise ValueError(
-            f"adapter case {case_id!r} outside the registered range 1..{Z_ADAPTER_MAX}")
-    case = ZAdapterCase(n)
-    if case.degenerate:
-        return {"case": case.case_id, "degenerate": True, "excluded": True}
-    tf = case.is_torsion_free()
-    return {
-        "case": case.case_id,
-        "degenerate": False,
-        "auslander": case.is_auslander().holds,
-        "torsion_free": tf.holds,
-        "torsion_free_witness": _z_torsion_witness(case, tf.witness["element"]),
-        "zero_divisors_contain_ideal_n": case.contains_ideal_n(),
-        "zero_divisor_rule": case.zero_divisor_description(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# exhaustive harness sweeps shared with the acceptance suite
-
-
-def criterion_oracle_agreement(U: Universe, max_ring: int = 6, max_module: int = 8,
-                               degree: int = 2) -> dict:
-    """Criterion vs brute force on every f of degree <= `degree`.
-
-    When the criterion holds, its witness is a constant cofactor, so the
-    degree-0 search must confirm it (and monotonicity in the degree bound
-    extends agreement to every d).  When the criterion fails, the full
-    degree-`degree` search must come up empty.
-    """
-    report = {"pairs": 0, "elements_checked": 0, "discrepancies": []}
-    exponents = [(i,) for i in range(degree + 1)]
-    for R, M in _nonzero_pairs(U):
-        if R.size > max_ring or M.size > max_module:
-            continue
-        report["pairs"] += 1
-        for coeffs in itertools.product(R.elements, repeat=len(exponents)):
-            support = {e: c for e, c in zip(exponents, coeffs) if c != R.zero}
-            if not support:
-                continue
-            f = ring_poly(R, support)
-            report["elements_checked"] += 1
-            crit = is_zd_on_extension(f, M)
-            oracle = brute_force_zd(f, M, 0 if crit.holds else degree,
-                                    budget=U.limits.brute_budget)
-            if crit.holds != oracle.holds:
-                report["discrepancies"].append({
-                    "ring": R.descriptor, "module": M.tag,
-                    "f": str(f), "criterion": crit.holds, "oracle": oracle.holds})
-    return report
+# lem-2.7's exhaustive sweep
 
 
 def _annihilating_cofactors(R, cf) -> list:
@@ -1025,8 +968,4 @@ def _poly_str(R, coefficients) -> str:
 
 def faithfully_flat_mccoy_algebras(U: Universe) -> list[str]:
     """Raw material log: universe algebras that are faithfully flat and McCoy."""
-    found = []
-    for R in U.rings:
-        for alg in _mccoy_algebras_of(U, R):
-            found.append(alg.descriptor)
-    return found
+    return [alg.descriptor for R in U.rings for alg in _mccoy_algebras_of(U, R)]

@@ -183,9 +183,6 @@ class ZAdapterCase:
         """k in Z_Z(Z/n) iff gcd(k, n) > 1 (gcd(0, n) = n covers 0)."""
         return math.gcd(k, self.n) > 1
 
-    def zero_divisor_description(self) -> str:
-        return f"{{k in Z : gcd(k, {self.n}) > 1}}"
-
     def contains_ideal_n(self) -> bool:
         """Z(Z/n) contains the ideal (n).  Membership depends on k mod n only,
         and every k*n is 0 mod n, so the residue 0 decides it for all k."""

@@ -22,7 +22,7 @@ from zdbench.modules import (all_submodules, cyclic_module, direct_sum,
                              power_module, regular_module, verify_module_axioms,
                              zero_divisors_module)
 from zdbench.rings import (Zmod, all_mult_closed_subsets, ideal_generated,
-                           poly_quotient)
+                           poly_quotient, product_ring)
 
 
 def _reference(X, formula):
@@ -430,3 +430,29 @@ def test_large_carriers_compose_few_add_rows(monkeypatch):
     assert T.size == 19683 and is_auslander(T).holds
     # T's action rows are composed from M's rows and plus, not from T's plus
     assert len(T.plus) <= T.size.bit_length()
+
+
+def _tuple_reference(parts):
+    """The element order, zero and display that product_ring, direct_sum and
+    power_module each wrote out before `tuple_carrier` made them all."""
+    if len(parts) == 2:
+        A, B = parts
+        return ([(a, b) for b in B.elements for a in A.elements], (A.zero, B.zero),
+                lambda u: f"({A.element_str(u[0])},{B.element_str(u[1])})")
+    M, t = parts[0], len(parts)
+    return ([c[::-1] for c in itertools.product(M.elements, repeat=t)],
+            tuple([M.zero] * t), M.tuple_str)
+
+
+def test_tuple_carriers_keep_the_order_zero_and_display(small_universe):
+    rings = small_universe.rings
+    built = [(product_ring(A, B), (A, B)) for A in rings for B in rings]
+    for R in rings:
+        small = [M for M in small_universe.modules[R.descriptor] if M.size <= 8]
+        built.append((free_module(R, 2), (regular_module(R),) * 2))
+        built += [(direct_sum(A, B), (A, B)) for A in small for B in small]
+        built += [(power_module(M, 3), (M,) * 3) for M in small]
+    for X, parts in built:
+        elements, zero, display = _tuple_reference(parts)
+        assert list(X.elements) == elements and X.zero == zero, X
+        assert [X.element_str(x) for x in X.elements] == list(map(display, elements)), X

@@ -342,6 +342,13 @@ def test_cli_search(capsys):
     assert rep["count"] == 0
 
 
+def test_cli_search_refuses_a_query_no_member_kind_defines(capsys):
+    code = main(["search", "--hyp", "auslander", "--concl", "mccoy", "--zmod-max", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: no pair, algebra or integer-adapter member defines all of auslander, mccoy\n")
+
+
 def test_failing_statement_witnesses_revalidate(capsys, monkeypatch):
     """A planted row with genuine counterexamples: every failure carries a
     witness entry, and --revalidate counts and confirms each one."""

@@ -4,10 +4,11 @@ from zdbench import statements
 from zdbench.modules import generating_set
 from zdbench.statements import (REGISTRY, StatementReport,
                                 parse_predicate_expression, run_statement,
-                                run_suite, search_counterexample,
-                                z_adapter_check)
+                                run_suite, search_counterexample)
 from zdbench.universe import (UniverseLimits, ZAdapterCase, generate_universe,
                               z_adapter_cases)
+
+from harness import z_adapter_check
 
 
 def test_default_universe_counts(universe):
@@ -144,6 +145,8 @@ def test_search_examples(small_universe):
     hits2 = search_counterexample("auslander", "torsion_free", small_universe)
     assert {"kind": "adapter", "member": "Z :: Z/6"} in hits2
     assert search_counterexample("reg_module", "auslander", small_universe) == []
+    # the adapter facts leave ring_property_a undefined, so only pairs answer
+    assert search_counterexample("ring_property_a", "property_a", small_universe) == []
 
 
 def test_search_expression_parsing():
@@ -160,6 +163,13 @@ def test_search_expression_parsing():
 def test_search_unknown_predicate(small_universe):
     with pytest.raises(ValueError):
         search_counterexample("bogus", "auslander", small_universe)
+
+
+def test_search_refuses_a_query_no_member_kind_defines(small_universe):
+    """No pair defines `mccoy`, no algebra `auslander`, and the adapter facts
+    define `auslander` alone: every member would be skipped."""
+    with pytest.raises(ValueError, match="defines all of auslander, mccoy$"):
+        search_counterexample("auslander", "not mccoy", small_universe)
 
 
 def test_search_algebra_members(small_universe):
