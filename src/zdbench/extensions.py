@@ -241,9 +241,9 @@ def mccoy_witness(f: ExtElement, g: ExtElement):
     the least nonzero element of c(f)^(k-1) c(g).  Finiteness guarantees the
     chain reaches zero for genuinely annihilating pairs; stabilizing at a
     nonzero value indicates an engine bug and raises.  The chain is
-    `content_chain_witness`, the kernel lem-2.7 calls on every pair; this
-    wrapper adds the refusals and the exact product before it and re-verifies
-    the postcondition f*m = 0, m != 0 after it.
+    `content_chain_witness`, the kernel lem-2.7 runs once per pair of
+    coefficient sets; this wrapper adds the refusals and the exact product
+    before it and re-verifies the postcondition f*m = 0, m != 0 after it.
     """
     if not isinstance(f.base, FiniteRing):
         raise ValueError("f must have ring coefficients")

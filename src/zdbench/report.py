@@ -22,7 +22,8 @@ from .modules import (ann, content_of_element, has_property_A, ideal_action,
                       regular_module, zero_divisors_module)
 from .rings import FiniteRing, ideal_generated, ring_predicates
 from .statements import (faithfully_flat_mccoy_algebras, kills_nonzero,
-                         predicate_entry, run_suite, search_counterexample)
+                         predicate_entry, run_suite, search_counterexample,
+                         search_query)
 from .universe import DEFAULT_LIMITS, UniverseLimits, generate_universe
 
 SCHEMA_VERSION = 1
@@ -131,8 +132,8 @@ def theorems_report(suite: str = "all",
 
 def search_report(hyp: str, concl: str,
                   limits: UniverseLimits = DEFAULT_LIMITS) -> dict:
-    U = generate_universe(limits)
-    witnesses = search_counterexample(hyp, concl, U)
+    search_query(hyp, concl)  # a refused query builds no universe
+    witnesses = search_counterexample(hyp, concl, generate_universe(limits))
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "search",

@@ -850,9 +850,10 @@ def _eval_atoms(atoms, vocab, *args) -> bool | None:
     return True
 
 
-def search_counterexample(hyp: str, concl: str, U: Universe) -> list[dict]:
-    """All members satisfying hyp and failing concl, with witnesses.  A query
-    that no one member kind defines every predicate of raises ValueError."""
+def search_query(hyp: str, concl: str) -> tuple[list, list]:
+    """The atoms of hyp and concl.  Raises ValueError, before any member is
+    built, on an unparseable expression, an unknown predicate, or a query
+    that no one member kind defines every predicate of."""
     hyp_atoms = parse_predicate_expression(hyp)
     concl_atoms = parse_predicate_expression(concl)
     names = dict.fromkeys(name for name, _ in hyp_atoms + concl_atoms)
@@ -864,6 +865,13 @@ def search_counterexample(hyp: str, concl: str, U: Universe) -> list[dict]:
                (_PAIR_VOCABULARY, _ALGEBRA_VOCABULARY, *_ADAPTER_FACTS.values())):
         raise ValueError("no pair, algebra or integer-adapter member defines all of "
                          + ", ".join(names))
+    return hyp_atoms, concl_atoms
+
+
+def search_counterexample(hyp: str, concl: str, U: Universe) -> list[dict]:
+    """All members satisfying hyp and failing concl, with witnesses; a query
+    `search_query` refuses raises its ValueError."""
+    hyp_atoms, concl_atoms = search_query(hyp, concl)
 
     def refuted(vocab, *args) -> bool:
         return (_eval_atoms(hyp_atoms, vocab, *args) is True
@@ -887,64 +895,95 @@ def search_counterexample(hyp: str, concl: str, U: Universe) -> list[dict]:
 # lem-2.7's exhaustive sweep
 
 
-def _annihilating_cofactors(R, cf) -> list:
+def _solution_tables(R) -> list:
+    """solutions[a][t]: the carrier indices x with a x = t, ascending."""
+    solutions = [[[] for _ in range(R.size)] for _ in range(R.size)]
+    for row, by_value in zip(R.rows, solutions):
+        for x, t in enumerate(row):
+            by_value[t].append(x)
+    return solutions
+
+
+def _annihilating_cofactors(R, cf, solutions) -> list:
     """The nonzero g with f*g = 0, deg g <= deg f = d, for f given by the
     carrier indices `cf` of its coefficients: index tuples in
-    `itertools.product` order, grown one coefficient at a time.
-    Coefficient j <= d of f*g is f_0 g_j + rest_j, where rest_j reads only
-    g_0..g_(j-1), so g_j runs over the solutions x of f_0 x = -rest_j,
-    ascending, from a table built once per f; coefficients d+1..2d are
-    tested on the whole g.  Only non-solutions are skipped."""
+    `itertools.product` order, grown one coefficient at a time, with
+    every x read from R's table `solutions` (`_solution_tables`, built
+    once per ring).  need_k is minus the terms of coefficient k of f*g
+    that read only g_0..g_(d-1), leaving out f_0 g_k.  For j < d, g_j
+    runs over the x with f_0 x = need_j.  The last cell g_d appears in
+    each coefficient k = d..2d exactly once, as f_(k-d) g_d, so it is
+    solved from all of them at once: the x with f_0 x = need_d and
+    f_i x = need_(d+i) for i = 1..d.  Only non-solutions are skipped."""
     d, zero, plus, minus = len(cf) - 1, R.index(R.zero), R.plus, R.minus
     f_rows = [R.rows[c] for c in cf]
-    solutions = [[] for _ in range(R.size)]  # solutions[t]: the x with f_0 x = t
-    for x, t in enumerate(f_rows[0]):
-        solutions[t].append(x)
+    by_value = solutions[cf[0]]
 
-    def rest(g, k):
-        # coefficient k of f*g without its f_0 g_k term, the whole of it for k > d
+    # coefficient k of f*g without its f_0 g_k and f_(k-d) g_d terms has
+    # the f_i g_(k-i) with i in terms[k]
+    terms = [range(max(1, k - d + 1), min(d, k) + 1) for k in range(2 * d + 1)]
+
+    def need(g, k):
         total = zero
-        for i in range(max(1, k - d), min(d, k) + 1):
+        for i in terms[k]:
             total = plus[total][f_rows[i][g[k - i]]]
-        return total
+        return minus[total]
 
     prefixes = [()]
-    for j in range(d + 1):
-        prefixes = [g + (x,) for g in prefixes for x in solutions[minus[rest(g, j)]]]
-    return [g for g in prefixes if any(b != zero for b in g)
-            and all(rest(g, k) == zero for k in range(d + 1, 2 * d + 1))]
+    for j in range(d):
+        prefixes = [g + (x,) for g in prefixes for x in by_value[need(g, j)]]
+    found = []
+    for g in prefixes:
+        xs = by_value[need(g, d)]
+        for i in range(1, d + 1):
+            if not xs:
+                break
+            t, row = need(g, d + i), f_rows[i]
+            xs = [x for x in xs if row[x] == t]
+        found.extend(g + (x,) for x in xs)
+    found.remove((zero,) * (d + 1))  # g = 0 always solves
+    return found
 
 
 def mccoy_witness_sweep(U: Universe, max_ring: int = _MCCOY_RING_MAX, degree: int = 2) -> dict:
     """Exhaustive annihilating pairs (f, g) of bounded degree over regular
     modules; every pair must yield a valid constructive witness.
 
-    Runs on R's carrier indices.  Each pair the walk yields gets three
-    checks apart from the walk: every coefficient 0..2d of f*g recomputed
-    by a full convolution, the content chain of `content_chain_witness`
-    (the kernel of `mccoy_witness`), and the postcondition m != 0 with
-    f_i m = 0 for every i.  Extension elements are built only to name a
-    failing pair."""
+    Runs on R's carrier indices, with R's solution tables built once per
+    ring for the walk, which solves the last cell g_d from all of its
+    equations at once.  Each pair the walk yields gets three checks apart
+    from the walk: every coefficient 0..2d of f*g recomputed by its own
+    full convolution, the content chain of `content_chain_witness` (the
+    kernel of `mccoy_witness`), and its own postcondition m != 0 with
+    f_i m = 0 for every i.  The chain reads only the sets of f's and g's
+    coefficients, so it runs once per pair of coefficient sets in a ring
+    and the pairs sharing them reuse its answer.  Extension elements are
+    built only to name a failing pair."""
     out = {"pairs_checked": 0, "failures": [], "per_ring": {}}
     for R in U.rings:
         if R.size > max_ring:
             continue
         Reg = U.regular(R)
         zero, plus = R.index(R.zero), R.plus
+        solutions, chains = _solution_tables(R), {}
+        zeros = [zero] * (2 * degree + 1)
         count = 0
         for cf in itertools.product(range(R.size), repeat=degree + 1):
-            f_rows = [R.rows[c] for c in cf]
-            for cg in _annihilating_cofactors(R, cf):
+            f_rows, f_set = [R.rows[c] for c in cf], frozenset(cf)
+            for cg in _annihilating_cofactors(R, cf, solutions):
                 count += 1
-                product = [zero] * (2 * degree + 1)
+                product = zeros.copy()
                 for i, row in enumerate(f_rows):
                     for j, c in enumerate(cg):
                         product[i + j] = plus[product[i + j]][row[c]]
-                if any(p != zero for p in product):
+                if product != zeros:
                     failure = {"error": "f*g != 0: no annihilation witness exists"}
                 else:
+                    key = (f_set, frozenset(cg))
                     try:
-                        m = content_chain_witness(Reg, f_rows, cg)
+                        if key not in chains:
+                            chains[key] = content_chain_witness(Reg, f_rows, cg)
+                        m = chains[key]
                     except RuntimeError as exc:
                         failure = {"error": str(exc)}
                     else:

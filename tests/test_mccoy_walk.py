@@ -8,12 +8,14 @@ maps its input and output to elements, so both sides compare elements.
 """
 
 import itertools
+import random
 
 from zdbench.extensions import (content_chain_witness, mccoy_witness, module_poly,
                                ring_poly)
 from zdbench.modules import regular_module, submodule_generated
 from zdbench.rings import Zmod, poly_quotient
-from zdbench.statements import _annihilating_cofactors, mccoy_witness_sweep
+from zdbench.statements import (_annihilating_cofactors, _solution_tables,
+                                 mccoy_witness_sweep)
 
 MAX_RING = 6
 DEGREES = (0, 1, 2)
@@ -38,7 +40,7 @@ def _annihilators(R, cf):
 
 def _walk(R, cf):
     """The walk's cofactors of f, with f and the cofactors as elements."""
-    found = _annihilating_cofactors(R, tuple(map(R.index, cf)))
+    found = _annihilating_cofactors(R, tuple(map(R.index, cf)), _solution_tables(R))
     return [tuple(map(R.elements.__getitem__, cg)) for cg in found]
 
 
@@ -72,6 +74,69 @@ def test_walk_solves_with_the_negated_rest():
         assert _walk(R, (three, c)) == expected, c
         found += len(expected)
     assert found > 100
+
+
+def test_last_cell_solve_where_cross_terms_are_nonzero():
+    """The walk solves g_d from coefficients d..2d at once.  Over Z/n every
+    f_i g_j of an annihilating pair is 0, so a wrong equation index there
+    shows on no universe ring.  Over Z4[x]/(x^2), (2 + xX)(2 + 3xX) = 0
+    with 2 * 3x != 0: the walk is compared, order included, with the filter
+    at degree 2 on f = 2 + xX and a seeded sample of f with coefficients in
+    the ideal (2, x)."""
+    R = poly_quotient(Zmod(4), (0, 0, 1))
+    two, x, zero = (2, 0), (0, 1), R.zero
+    ideal = sorted({R.add(R.mul(two, r), R.mul(x, s)) for r in R.elements
+                    for s in R.elements}, key=R.index)
+    assert len(ideal) == 8
+    sample = random.Random(2).sample(list(itertools.product(ideal, repeat=3)), 12)
+    pairs = crossed = 0
+    for cf in [(two, x, zero), *sample]:
+        expected = _annihilators(R, cf)
+        assert _walk(R, cf) == expected, cf
+        pairs += len(expected)
+        crossed += sum(any(R.mul(a, b) != zero for a in cf for b in cg) for cg in expected)
+    assert (two, R.mul((3, 0), x), zero) in _walk(R, (two, x, zero))
+    assert pairs > 100
+    assert crossed > 0
+
+
+def _scanned(R, cf):
+    """The nonzero g with f*g = 0 in `itertools.product` order, grown one
+    coefficient at a time: g_j is kept when a scan of all of R finds it
+    makes coefficient j of f*g zero; coefficients d+1..2d are tested on the
+    whole g.  Nothing is solved, so it shares no equation with the walk."""
+    d = len(cf) - 1
+
+    def coefficient(g, k):
+        total = R.zero
+        for i, a in enumerate(cf):
+            if 0 <= k - i < len(g):
+                total = R.add(total, R.mul(a, g[k - i]))
+        return total
+
+    prefixes = [()]
+    for j in range(d + 1):
+        prefixes = [g + (b,) for g in prefixes for b in R.elements
+                    if coefficient(g + (b,), j) == R.zero]
+    return [g for g in prefixes if any(b != R.zero for b in g)
+            and all(coefficient(g, k) == R.zero for k in range(d + 1, 2 * d + 1))]
+
+
+def test_last_cell_signs_where_minus_differs():
+    """Flipping the sign of need_(d+i), i >= 1, changes the walk's answer on
+    no degree-2 f over Z4[x]/(x^2), but on thousands over Z9[x]/(x^2): there
+    the walk is compared with the scan at degree 2 on a seeded sample of f
+    with coefficients in the ideal (3, x)."""
+    R = poly_quotient(Zmod(9), (0, 0, 1))
+    three, x = (3, 0), (0, 1)
+    ideal = sorted({R.add(R.mul(three, r), R.mul(x, s)) for r in R.elements
+                    for s in R.elements}, key=R.index)
+    pairs = 0
+    for cf in random.Random(0).sample(list(itertools.product(ideal, repeat=3)), 4):
+        expected = _scanned(R, cf)
+        assert _walk(R, cf) == expected, cf
+        pairs += len(expected)
+    assert pairs > 100
 
 
 def test_sweep_counts_match_the_filter(small_universe):

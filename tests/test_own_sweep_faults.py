@@ -8,6 +8,8 @@ prop-2.2-5 (one check per element or submodule); the six own sweeps are
 prop-2.3, lem-2.7, def-2.11 and rem-3.3-1/2/3.
 """
 
+import itertools
+
 import pytest
 
 from zdbench import statements
@@ -158,8 +160,8 @@ def test_extra_cofactor_fails_lem_2_7(small_universe, monkeypatch):
     real = statements._annihilating_cofactors
     planted = []
 
-    def one_extra(R, cf):
-        found = real(R, cf)
+    def one_extra(R, cf, *tables):
+        found = real(R, cf, *tables)
         one, zero = R.index(R.one), R.index(R.zero)
         if planted or cf[0] != one:
             return found
@@ -171,6 +173,42 @@ def test_extra_cofactor_fails_lem_2_7(small_universe, monkeypatch):
     assert planted, "lem-2.7 never walked an f with f_0 = 1"
     assert [f["ring"] for f in rep.failures] == [planted[0][0]]
     assert rep.failures[0]["error"] == "f*g != 0: no annihilation witness exists"
+    assert rep.passed is False
+
+
+def test_wrong_chain_for_one_key_fails_the_pairs_sharing_it(small_universe, monkeypatch):
+    """lem-2.7 runs the content chain once per ring and pair of coefficient
+    sets (set of f's, set of g's) and gives its answer to every pair with
+    that key.  A chain that answers the zero index for one key must fail
+    exactly the pairs sharing it, counted here by running the walk alone."""
+    degree = min(2, small_universe.limits.degree_bound)
+    keyed = {}
+    for R in small_universe.rings:
+        if R.size > statements._MCCOY_RING_MAX:
+            continue
+        solutions = statements._solution_tables(R)
+        for cf in itertools.product(range(R.size), repeat=degree + 1):
+            for cg in statements._annihilating_cofactors(R, cf, solutions):
+                keyed.setdefault((R.descriptor, frozenset(cf), frozenset(cg)), []).append(
+                    {"ring": R.descriptor, "f": statements._poly_str(R, cf),
+                     "g": statements._poly_str(R, cg)})
+    # the most shared key: its pairs' f tuples differ in order and repetition
+    key = max(keyed, key=lambda k: len(keyed[k]))
+    assert len(keyed[key]) > 2
+    real = statements.content_chain_witness
+    calls = []
+
+    def wrong_for_one_key(M, f_rows, g_cols):
+        if (M.ring.descriptor, frozenset(map(M.rows.index, f_rows)), frozenset(g_cols)) != key:
+            return real(M, f_rows, g_cols)
+        calls.append(g_cols)
+        return M.index(M.zero)
+
+    monkeypatch.setattr(statements, "content_chain_witness", wrong_for_one_key)
+    rep = statements.run_statement("lem-2.7", small_universe)
+    assert len(calls) == 1
+    assert [{k: f[k] for k in ("ring", "f", "g")} for f in rep.failures] == keyed[key]
+    assert {f["error"] for f in rep.failures} == {"postcondition violated"}
     assert rep.passed is False
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from zdbench import report
 from zdbench.cli import main
 from zdbench.dsl import build_ring
 from zdbench.encoding import to_jsonable
@@ -11,6 +12,7 @@ from zdbench.modules import zero_divisors_module
 from zdbench.report import (analyze_report, collect_witnesses, render_text,
                             revalidate_report, revalidate_witness,
                             search_report, theorems_report, witness_report)
+from zdbench.statements import search_counterexample
 from zdbench.universe import UniverseLimits, generate_universe
 
 SMALL = UniverseLimits(zmod_max=4, product_component_max=2, max_module=20,
@@ -347,6 +349,28 @@ def test_cli_search_refuses_a_query_no_member_kind_defines(capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: no pair, algebra or integer-adapter member defines all of auslander, mccoy\n")
+
+
+@pytest.mark.parametrize("hyp, concl, message", [
+    ("bogus", "auslander", "unknown predicate 'bogus'"),
+    ("auslander", "mccoy",
+     "no pair, algebra or integer-adapter member defines all of auslander, mccoy"),
+], ids=["unknown-predicate", "no-member-kind"])
+def test_search_refuses_before_building_the_universe(monkeypatch, hyp, concl, message):
+    """`search_report` refuses with `search_counterexample`'s message before
+    it builds any universe."""
+    U = generate_universe(UniverseLimits(zmod_max=2, max_module=4))
+    with pytest.raises(ValueError) as on_a_universe:
+        search_counterexample(hyp, concl, U)
+    assert str(on_a_universe.value) == message
+
+    def no_universe(*args, **kwargs):
+        raise AssertionError("a refused search built a universe")
+
+    monkeypatch.setattr(report, "generate_universe", no_universe)
+    with pytest.raises(ValueError) as refused:
+        search_report(hyp, concl)
+    assert str(refused.value) == message
 
 
 def test_failing_statement_witnesses_revalidate(capsys, monkeypatch):
