@@ -19,7 +19,7 @@ from .modules import (FiniteModule, Submodule, Verdict, ann, content_of_element,
                       is_flat, is_torsion_free, regular_module,
                       tensor_with_algebra, zero_divisors_module)
 from .rings import (FiniteRing, MultiplicativeSet, Zmod, ideal_generated,
-                    poly_quotient, product_ring, ring_predicates)
+                    poly_quotient, product_ring)
 from .statements import (REGISTRY, run_statement, run_suite,
                          search_counterexample)
 from .universe import UniverseLimits, generate_universe
@@ -40,7 +40,7 @@ __all__ = [
     "is_torsion_free", "is_zd_on_extension", "localize", "localize_module",
     "make_ring", "mccoy_witness", "module_poly", "natural_map_kernel",
     "parse_dsl", "poly_quotient", "print_node", "product_ring",
-    "regular_module", "ring_poly", "ring_predicates", "run_statement",
+    "regular_module", "ring_poly", "run_statement",
     "run_suite", "search_counterexample", "tensor_with_algebra",
     "total_quotient", "zero_divisors_module",
 ]

@@ -11,7 +11,7 @@ match the standard pair relation for every pair, without comparing pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .extensions import FiniteAlgebra
 from .modules import FiniteModule, Submodule, module_on_representatives
@@ -24,31 +24,10 @@ class Localization:
     """A localized ring or module together with its construction data."""
 
     source: object                 # FiniteRing | FiniteModule
-    kind: str                      # "ring" | "module"
     mult_set: MultiplicativeSet
     kernel: frozenset              # {x : u*x = 0 for some u in S}
     structure: object              # FiniteRing | FiniteModule on class representatives
     to_class: dict                 # source element -> class representative
-    # s -> {class: class of x with s*x ~ given}
-    inverse_action: dict = field(default_factory=dict)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.mult_set.ring.zero in self.mult_set.elements
-
-    def class_of_pair(self, x, s):
-        """The class of the fraction x/s."""
-        if s not in self.mult_set.elements:
-            raise ValueError("denominator is not in the multiplicative set")
-        return self.inverse_action[s][self.to_class[x]]
-
-    def pairs_related(self, p, q) -> bool:
-        """The defining relation: exists u in S with u*(t*x - s*y) = 0."""
-        x, s = p
-        y, t = q
-        src, act = self.source, self.source.act
-        diff = src.sub(act(t, x), act(s, y))
-        return any(act(u, diff) == src.zero for u in self.mult_set.elements)
 
 
 def _kernel(source, denominators) -> frozenset:
@@ -59,7 +38,7 @@ def _kernel(source, denominators) -> frozenset:
 
 
 def _finish(loc: Localization) -> Localization:
-    """Invert the action of every denominator on the classes, then check them.
+    """Check the classes on the source's index tables.
 
     With phi = to_class, K the kernel and C the classes (the structure's
     carrier), the checks are: (1) each k in K has u*k = 0 for some u in S;
@@ -75,27 +54,30 @@ def _finish(loc: Localization) -> Localization:
     s*c - x in K.  For c = class(x/s), d = class(y/t): t*x - s*y =
     st*(c-d) mod K, which is in K iff phi(st*c) = phi(st*d) iff c = d, by
     (3) at st.  The structure's operations, computed on representatives,
-    are then those of X/K.  The cost is O(|K| |S| + |X| + |S| |C|).
+    are then those of X/K.  phi, C, K and S are mapped to carrier indices,
+    and s*x, x + y and -x read from `rows`, `plus` and `minus`.  The cost
+    is O(|K| |S| + |X| + |S| |C|).
     """
-    src, act, to_class, K = loc.source, loc.source.act, loc.to_class, loc.kernel
-    S, classes = loc.mult_set.elements, loc.structure.elements
-    for s in S:
-        forward = {to_class[act(s, c)]: c for c in classes}
-        if len(forward) < len(classes):
+    src = loc.source
+    E, index, plus, minus = src.elements, src.index, src.plus, src.minus
+    phi = [index(loc.to_class[x]) for x in E]
+    classes = [index(c) for c in loc.structure.elements]
+    S = [src.rows[src.scalars.index(s)] for s in loc.mult_set.elements]
+    for row in S:
+        if len({phi[row[c]] for c in classes}) < len(classes):
             raise RuntimeError("localized action of a denominator is not injective")
-        loc.inverse_action[s] = forward
-    for k in K:
-        if all(act(u, k) != src.zero for u in S):
+    zero = index(src.zero)
+    for k in loc.kernel:
+        if all(row[index(k)] != zero for row in S):
             raise RuntimeError(f"kernel element {k!r} is killed by no denominator")
-    class_set = frozenset(classes)
-    for x in src.elements:
-        c = to_class[x]
-        if c not in class_set or src.sub(x, c) not in K:
-            raise RuntimeError(f"{x!r} is not sent to the representative of its coset")
+    K, class_set = frozenset(map(index, loc.kernel)), frozenset(classes)
+    for x, c in enumerate(phi):
+        if c not in class_set or plus[x][minus[c]] not in K:
+            raise RuntimeError(f"{E[x]!r} is not sent to the representative of its coset")
     return loc
 
 
-def _localized(kind: str, source, S: MultiplicativeSet, structure) -> Localization:
+def _localized(source, S: MultiplicativeSet, structure) -> Localization:
     """R_S or M_S: `structure(cls, reps, to_class)` on the kernel's cosets."""
     if not source.scalars.same_ring(S.ring):
         raise ValueError("multiplicative set belongs to a different ring")
@@ -104,7 +86,7 @@ def _localized(kind: str, source, S: MultiplicativeSet, structure) -> Localizati
     cls, reps = coset_quotient(source, map(source.index, K))
     to_class = {x: E[reps[c]] for x, c in zip(E, cls)}
     return _finish(Localization(
-        source=source, kind=kind, mult_set=S, kernel=K,
+        source=source, mult_set=S, kernel=K,
         structure=structure(cls, reps, to_class), to_class=to_class))
 
 
@@ -124,7 +106,7 @@ def localize(R: FiniteRing, S: MultiplicativeSet) -> Localization:
         )
         RS.parts = (R, to_class)
         return RS
-    return _localized("ring", R, S, ring_structure)
+    return _localized(R, S, ring_structure)
 
 
 def localize_module(M: FiniteModule, S: MultiplicativeSet,
@@ -133,13 +115,13 @@ def localize_module(M: FiniteModule, S: MultiplicativeSet,
     if ring_localization is None:
         ring_localization = localize(M.ring, S)
     # the action on M/K is independent of the R_S representative chosen
-    return _localized("module", M, S, lambda cls, reps, _: module_on_representatives(
+    return _localized(M, S, lambda cls, reps, _: module_on_representatives(
         M, ring_localization.structure, cls, reps, f"Localize({M.tag}, {S.display()})"))
 
 
 def localized_ring_as_base_module(loc: Localization) -> FiniteModule:
     """R_S viewed as a module over the source ring R (action through R -> R_S)."""
-    if loc.kind != "ring":
+    if not isinstance(loc.structure, FiniteRing):
         raise ValueError("expected a ring localization")
     return FiniteAlgebra(loc.structure, loc.source, loc.to_class).as_module()
 

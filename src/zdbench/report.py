@@ -20,7 +20,7 @@ from .modules import (ann, content_of_element, has_property_A, ideal_action,
                       ideal_tensor_kernel, is_auslander, is_content_module,
                       is_faithfully_flat, is_flat, is_torsion_free,
                       regular_module, zero_divisors_module)
-from .rings import FiniteRing, ideal_generated, ring_predicates
+from .rings import FiniteRing, ideal_generated
 from .statements import (faithfully_flat_mccoy_algebras, kills_nonzero,
                          predicate_entry, run_suite, search_counterexample,
                          search_query)
@@ -57,7 +57,6 @@ def analyze_report(ring_text: str, module_text: str,
     R = dsl.build_ring(ring_text)
     ideals = R.ideals()  # refuses a ring past its bound before any |R|^2 table
     M = dsl.build_module(R, module_text)
-    preds = ring_predicates(R)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -66,11 +65,11 @@ def analyze_report(ring_text: str, module_text: str,
         "ring": {
             "descriptor": R.descriptor,
             "size": R.size,
-            "is_field": preds.is_field,
-            "is_domain": preds.is_domain,
-            "is_local": preds.is_local,
+            "is_field": R.is_field(),
+            "is_domain": R.is_domain(),
+            "is_local": R.is_local(),
             "maximal_ideals": [R.tuple_str(I.small_generators())
-                               for I in preds.maximal_ideals],
+                               for I in R.maximal_ideals()],
             "ideal_count": len(ideals),
             "zero_divisors": _zd_section(R, R.zero_divisors()),
             "units": _zd_section(R, R.units()),
@@ -133,7 +132,7 @@ def theorems_report(suite: str = "all",
 def search_report(hyp: str, concl: str,
                   limits: UniverseLimits = DEFAULT_LIMITS) -> dict:
     search_query(hyp, concl)  # a refused query builds no universe
-    witnesses = search_counterexample(hyp, concl, generate_universe(limits))
+    witnesses, skipped = search_counterexample(hyp, concl, generate_universe(limits))
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "search",
@@ -141,6 +140,7 @@ def search_report(hyp: str, concl: str,
         "bounds": limits.as_dict(),
         "witnesses": witnesses,
         "count": len(witnesses),
+        "skipped": skipped,
     }
 
 
@@ -307,7 +307,8 @@ def render_text(report: dict) -> str:
         lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
     elif cmd == "search":
         lines.append(f"search hyp={report['inputs']['hyp']!r} "
-                     f"concl={report['inputs']['concl']!r}: {report['count']} witnesses")
+                     f"concl={report['inputs']['concl']!r}: {report['count']} witnesses, "
+                     f"{len(report['skipped'])} skipped")
         for w in report["witnesses"]:
             lines.append(f"  {w['kind']}: {w['member']}")
     elif cmd == "witness":

@@ -99,9 +99,6 @@ class Carrier:
         """(x1,x2,...): how a tuple of elements, or a generator list, displays."""
         return "(" + ",".join(map(self.element_str, xs)) + ")"
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def sorted_elements(self, subset: Iterable) -> list:
         return sorted(subset, key=self.index)
 
@@ -168,6 +165,15 @@ class FiniteRing(Carrier):
         proper = [I for I in self.ideals() if not I.is_whole]
         return tuple(I for I in proper if not any(I.elements < J.elements for J in proper))
 
+    def is_field(self) -> bool:
+        return self.units() >= set(self.elements) - {self.zero}
+
+    def is_domain(self) -> bool:
+        return self.zero_divisors() == {self.zero}
+
+    def is_local(self) -> bool:
+        return len(self.maximal_ideals()) == 1
+
     def local_factors(self) -> tuple[tuple, ...]:
         """R = prod eR over its primitive idempotents e, each factor local: one
         (e, eR, m_e) per e in carrier order, all on indices, with m_e the
@@ -196,27 +202,6 @@ class FiniteRing(Carrier):
                 factors.append((e, factor, maximal))
             self._local_factors = tuple(factors)
         return self._local_factors
-
-
-@dataclass(frozen=True)
-class RingPredicates:
-    is_field: bool
-    is_domain: bool
-    is_local: bool
-    maximal_ideals: tuple
-
-
-def ring_predicates(R: FiniteRing) -> RingPredicates:
-    zd = R.zero_divisors()
-    is_domain = zd == frozenset({R.zero})
-    is_field = all(a in R.units() for a in R.elements if a != R.zero)
-    maximal = R.maximal_ideals()
-    return RingPredicates(
-        is_field=is_field,
-        is_domain=is_domain,
-        is_local=len(maximal) == 1,
-        maximal_ideals=maximal,
-    )
 
 
 # ---------------------------------------------------------------------------

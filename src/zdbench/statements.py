@@ -44,8 +44,7 @@ from .modules import (all_submodules, ann, content_of_element,
                       is_auslander, is_content_module, is_faithfully_flat,
                       is_flat, is_torsion_free, tensor_with_algebra,
                       zero_divisors_module)
-from .rings import (Zmod, all_mult_closed_subsets, ideal_generated,
-                    product_ring, ring_predicates)
+from .rings import Zmod, all_mult_closed_subsets, ideal_generated, product_ring
 from .universe import Universe, z_adapter_cases
 
 
@@ -169,9 +168,9 @@ _PAIR_VOCABULARY = {
     "zero_annihilator": lambda U, R, M: ann(M).is_zero,
     "reg_module": lambda U, R, M: M.tag == "Reg",
     "nonzero": lambda U, R, M: not M.is_zero,
-    "domain": lambda U, R, M: ring_predicates(R).is_domain,
-    "field": lambda U, R, M: ring_predicates(R).is_field,
-    "local": lambda U, R, M: ring_predicates(R).is_local,
+    "domain": lambda U, R, M: R.is_domain(),
+    "field": lambda U, R, M: R.is_field(),
+    "local": lambda U, R, M: R.is_local(),
 }
 
 _ALGEBRA_VOCABULARY = {
@@ -868,27 +867,31 @@ def search_query(hyp: str, concl: str) -> tuple[list, list]:
     return hyp_atoms, concl_atoms
 
 
-def search_counterexample(hyp: str, concl: str, U: Universe) -> list[dict]:
-    """All members satisfying hyp and failing concl, with witnesses; a query
-    `search_query` refuses raises its ValueError."""
+def search_counterexample(hyp: str, concl: str, U: Universe) -> tuple[list, list]:
+    """The members satisfying hyp and failing concl, with witnesses, and the
+    members a bound left undecided, each with its reason, as `_meets` skips
+    them; a query `search_query` refuses raises its ValueError."""
     hyp_atoms, concl_atoms = search_query(hyp, concl)
+    results, skipped = [], []
 
-    def refuted(vocab, *args) -> bool:
-        return (_eval_atoms(hyp_atoms, vocab, *args) is True
-                and _eval_atoms(concl_atoms, vocab, *args) is False)
+    def visit(entry, vocab, *args):
+        try:
+            if (_eval_atoms(hyp_atoms, vocab, *args) is True
+                    and _eval_atoms(concl_atoms, vocab, *args) is False):
+                results.append(entry)
+        except BoundExceeded as exc:
+            skipped.append({**entry, "reason": str(exc)})
 
-    results = []
     for R, M in U.pairs():
-        if refuted(_PAIR_VOCABULARY, U, R, M):
-            results.append({"kind": "pair", "member": _member(R, M),
-                             "ring": R.descriptor, "module": M.tag})
+        visit({"kind": "pair", "member": _member(R, M), "ring": R.descriptor,
+               "module": M.tag}, _PAIR_VOCABULARY, U, R, M)
     for R, alg in U.all_algebras():
-        if refuted(_ALGEBRA_VOCABULARY, U, alg):
-            results.append({"kind": "algebra", "member": alg.descriptor})
+        visit({"kind": "algebra", "member": alg.descriptor}, _ALGEBRA_VOCABULARY, U, alg)
     for facts, members in _adapter_members():
-        if refuted({name: (lambda v=v: v) for name, v in facts.items()}):
-            results.extend({"kind": "adapter", "member": m} for m in members)
-    return results
+        vocab = {name: (lambda v=v: v) for name, v in facts.items()}
+        for m in members:
+            visit({"kind": "adapter", "member": m}, vocab)
+    return results, skipped
 
 
 # ---------------------------------------------------------------------------

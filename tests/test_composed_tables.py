@@ -91,7 +91,7 @@ def test_regular_and_cyclic_tables(small_universe):
             def coset_of(r, c, C=C, I=I):
                 # the representative c' with r*c - c' in I
                 rc = R.mul(r, c)
-                c2, = [x for x in C.elements if R.sub(rc, x) in I.elements]
+                c2, = [x for x in C.elements if R.add(rc, R.neg(x)) in I.elements]
                 return c2
 
             assert C.rows == _reference(C, coset_of), C.descriptor()
@@ -293,7 +293,7 @@ def test_regular_and_cyclic_add_tables(small_universe):
             C = cyclic_module(R, I)
 
             def coset_of(x, C=C, I=I):
-                c, = [c for c in C.elements if R.sub(x, c) in I.elements]
+                c, = [c for c in C.elements if R.add(x, R.neg(c)) in I.elements]
                 return c
 
             _assert_additive(C, lambda a, b: coset_of(R.add(a, b)), lambda a: coset_of(R.neg(a)))

@@ -9,9 +9,9 @@ from zdbench.localize import (_finish, closed_multiplicative_set, localize,
 from zdbench.modules import (cyclic_module, direct_sum, is_auslander,
                              is_torsion_free, regular_module,
                              zero_divisors_module)
-from zdbench.rings import (MultiplicativeSet, Zmod, all_mult_closed_subsets,
-                           ideal_generated, multiplicative_closure,
-                           product_ring)
+from zdbench.rings import (Carrier, FiniteRing, MultiplicativeSet, Zmod,
+                           all_mult_closed_subsets, ideal_generated,
+                           multiplicative_closure, product_ring)
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ def test_localize_kills_second_factor(prod22):
     assert len(loc.structure.elements) == 2
     # inverting (1,0) annihilates the classes of (0,b)
     assert loc.to_class[(0, 1)] == loc.to_class[(0, 0)]
-    assert not loc.degenerate
+    assert prod22.zero not in S.elements
 
 
 def test_localize_at_units_is_isomorphism():
@@ -56,18 +56,35 @@ def test_localize_with_zero_is_degenerate():
     R = Zmod(4)
     S = multiplicative_closure(R, [0])
     loc = localize(R, S)
-    assert loc.degenerate
+    assert R.zero in S.elements
     assert len(loc.structure.elements) == 1
+
+
+def _class_of_pair(loc, x, s):
+    """The class of the fraction x/s: the one class c with s*c ~ x."""
+    if s not in loc.mult_set.elements:
+        raise ValueError("denominator is not in the multiplicative set")
+    X, to_class = loc.source, loc.to_class
+    c, = [c for c in loc.structure.elements if to_class[X.act(s, c)] == to_class[x]]
+    return c
+
+
+def _pairs_related(loc, p, q) -> bool:
+    """The defining relation: exists u in S with u*(t*x - s*y) = 0."""
+    (x, s), (y, t) = p, q
+    X = loc.source
+    diff = X.add(X.act(t, x), X.neg(X.act(s, y)))
+    return any(X.act(u, diff) == X.zero for u in loc.mult_set.elements)
 
 
 def test_class_of_pair_and_relation(prod22):
     S = MultiplicativeSet(prod22, frozenset({(1, 1), (1, 0)}))
     loc = localize(prod22, S)
     # (x, s) with s invertible-after-localization: x/(1,0) = class of x * (1,0)^-1
-    assert loc.class_of_pair((1, 1), (1, 0)) == loc.to_class[(1, 1)]
-    assert loc.pairs_related(((0, 1), (1, 1)), ((0, 0), (1, 1)))
+    assert _class_of_pair(loc, (1, 1), (1, 0)) == loc.to_class[(1, 1)]
+    assert _pairs_related(loc, ((0, 1), (1, 1)), ((0, 0), (1, 1)))
     with pytest.raises(ValueError):
-        loc.class_of_pair((1, 1), (0, 1))
+        _class_of_pair(loc, (1, 1), (0, 1))
 
 
 def test_total_quotient_is_identity_sized():
@@ -110,25 +127,56 @@ def test_mismatched_ring_rejected(prod22):
         localize_module(M, S)
 
 
+def _small_localizations(U):
+    """Each ring of U localized at each of its multiplicative sets, each
+    followed by its modules of at most 12 elements localized at that set."""
+    for R in U.rings:
+        for S in all_mult_closed_subsets(R, R.elements):
+            ring_loc = localize(R, S)
+            yield ring_loc
+            for M in U.modules[R.descriptor]:
+                if M.size <= 12:
+                    yield localize_module(M, S, ring_loc)
+
+
 def test_pair_relation_matches_classes(small_universe):
     """class(x/s) = class(y/t) iff (x,s) ~ (y,t), on every pair of every
     localization of the small modules: what the check in `_finish` proves."""
     localizations = comparisons = 0
-    for R in small_universe.rings:
-        for S in all_mult_closed_subsets(R, R.elements):
-            ring_loc = localize(R, S)
-            for M in small_universe.modules[R.descriptor]:
-                if M.size > 12:
-                    continue
-                loc = localize_module(M, S, ring_loc)
-                pairs = [(x, s) for s in R.sorted_elements(S.elements) for x in M.elements]
-                classes = [loc.class_of_pair(*p) for p in pairs]
-                for p, cp in zip(pairs, classes):
-                    for q, cq in zip(pairs, classes):
-                        assert loc.pairs_related(p, q) == (cp == cq), (M.descriptor(), S, p, q)
-                localizations += 1
-                comparisons += len(pairs) ** 2
+    for loc in _small_localizations(small_universe):
+        if isinstance(loc.structure, FiniteRing):
+            continue
+        M, S = loc.source, loc.mult_set
+        pairs = [(x, s) for s in S.ring.sorted_elements(S.elements) for x in M.elements]
+        classes = [_class_of_pair(loc, *p) for p in pairs]
+        for p, cp in zip(pairs, classes):
+            for q, cq in zip(pairs, classes):
+                assert _pairs_related(loc, p, q) == (cp == cq), (M.descriptor(), S, p, q)
+        localizations += 1
+        comparisons += len(pairs) ** 2
     assert (localizations, comparisons) == (958, 565_222)
+
+
+def test_localizing_reads_no_element_arithmetic(small_universe, monkeypatch):
+    """Every localization of the pair test builds again, with the same
+    classes, while element-level act (mul on a ring), add and neg raise."""
+    def refuse(*args):
+        raise AssertionError("element-level arithmetic while localizing")
+
+    rings = modules = 0
+    for loc in _small_localizations(small_universe):
+        X, S = loc.source, loc.mult_set
+        with monkeypatch.context() as patch:
+            for cls, name in ((Carrier, "act"), (Carrier, "add"), (Carrier, "neg"),
+                              (FiniteRing, "mul")):
+                patch.setattr(cls, name, refuse)
+            is_ring = isinstance(loc.structure, FiniteRing)
+            again = localize(X, S) if is_ring else localize_module(X, S)
+        assert (again.kernel, again.to_class) == (loc.kernel, loc.to_class)
+        assert again.structure.elements == loc.structure.elements
+        rings += is_ring
+        modules += not is_ring
+    assert (rings, modules) == (145, 958)
 
 
 @pytest.fixture(params=["ring", "module"])
@@ -143,7 +191,7 @@ def z6_at_3(request):
 
 
 def _refinish(loc, **changes):
-    return _finish(dataclasses.replace(loc, inverse_action={}, **changes))
+    return _finish(dataclasses.replace(loc, **changes))
 
 
 def test_every_wrong_class_fails_finish(z6_at_3):
@@ -192,7 +240,8 @@ def test_kernel_too_large_with_matching_classes_fails_finish(z6_at_3):
     # each other; only the kernel check sees that neither 1 nor 3 kills all of X
     src, R = z6_at_3.source, z6_at_3.mult_set.ring
     at_zero = multiplicative_closure(R, [0])
-    collapsed = localize(src, at_zero) if z6_at_3.kind == "ring" else localize_module(src, at_zero)
+    collapsed = (localize(src, at_zero) if isinstance(z6_at_3.structure, FiniteRing)
+                 else localize_module(src, at_zero))
     with pytest.raises(RuntimeError, match="killed by no denominator"):
         _refinish(collapsed, mult_set=z6_at_3.mult_set)
 

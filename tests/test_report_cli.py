@@ -140,6 +140,19 @@ def test_search_report():
     assert rep["count"] == len(rep["witnesses"]) > 0
 
 
+def test_search_skips_members_past_a_budget():
+    """A member whose flatness check is past the presentation budget is
+    listed under `skipped`, as `theorems` notes it, and the search goes on."""
+    small = search_report("flat", "auslander",
+                          UniverseLimits(zmod_max=4, presentation_budget=16))
+    full = search_report("flat", "auslander", UniverseLimits(zmod_max=4))
+    assert full["skipped"] == []
+    skipped = {entry["member"] for entry in small["skipped"]}
+    assert skipped and all("exceeds budget 16" in entry["reason"]
+                           for entry in small["skipped"])
+    assert small["witnesses"] == [w for w in full["witnesses"] if w["member"] not in skipped]
+
+
 def test_witness_report():
     rep = witness_report("2*X+2", "2", "Z4")
     assert rep["witness"]["value"] == 2

@@ -6,8 +6,7 @@ from zdbench.errors import BoundExceeded
 from zdbench.rings import (FiniteRing, MultiplicativeSet, Zmod,
                            all_mult_closed_subsets, annihilator_of,
                            ideal_generated, multiplicative_closure,
-                           poly_quotient, product_ring, ring_predicates,
-                           verify_ring_axioms)
+                           poly_quotient, product_ring, verify_ring_axioms)
 
 
 def test_zmod_basics():
@@ -48,7 +47,7 @@ def test_poly_quotient_galois_field():
     # Z2[x]/(x^2+x+1) = F4: every nonzero element is a unit
     F4 = poly_quotient(Zmod(2), (1, 1, 1))
     assert len(F4.units()) == 3
-    assert ring_predicates(F4).is_field
+    assert F4.is_field()
 
 
 def test_poly_quotient_rejects_bad_relations():
@@ -141,13 +140,13 @@ def test_nonunits_are_zero_divisors():
 
 
 def test_ring_predicates():
-    p5 = ring_predicates(Zmod(5))
-    assert p5.is_field and p5.is_domain and p5.is_local
-    p4 = ring_predicates(Zmod(4))
-    assert not p4.is_domain and p4.is_local
-    assert p4.maximal_ideals[0].elements == frozenset({0, 2})
-    pp = ring_predicates(product_ring(Zmod(2), Zmod(2)))
-    assert not pp.is_local and len(pp.maximal_ideals) == 2
+    p5 = Zmod(5)
+    assert p5.is_field() and p5.is_domain() and p5.is_local()
+    p4 = Zmod(4)
+    assert not p4.is_domain() and p4.is_local()
+    assert p4.maximal_ideals()[0].elements == frozenset({0, 2})
+    pp = product_ring(Zmod(2), Zmod(2))
+    assert not pp.is_local() and len(pp.maximal_ideals()) == 2
 
 
 def test_ring_axioms_pass_on_sample():

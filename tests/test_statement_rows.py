@@ -9,7 +9,6 @@ import pytest
 
 from zdbench import statements
 from zdbench.modules import Verdict
-from zdbench.rings import ring_predicates
 
 ROWS = {row[0]: row for row in statements.STATEMENTS}
 
@@ -17,7 +16,7 @@ ROWS = {row[0]: row for row in statements.STATEMENTS}
 def _over_field(U, member: str) -> bool:
     ring = member.split(" :: ")[0]
     R, = [R for R in U.rings if R.descriptor == ring]
-    return ring_predicates(R).is_field
+    return R.is_field()
 
 
 @pytest.mark.parametrize("sid", ["thm-3.2", "thm-3.4", "prop-3.6", "thm-3.8", "prop-2.2-6"])

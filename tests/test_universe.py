@@ -139,14 +139,15 @@ def test_statement_report_warning_when_not_exercised():
 
 
 def test_search_examples(small_universe):
-    hits = search_counterexample("torsion_free", "auslander", small_universe)
+    hits, skipped = search_counterexample("torsion_free", "auslander", small_universe)
+    assert skipped == []
     members = {h["member"] for h in hits}
     assert "Prod(Z2,Z2) :: Cyclic((0,1))" in members
-    hits2 = search_counterexample("auslander", "torsion_free", small_universe)
+    hits2, _ = search_counterexample("auslander", "torsion_free", small_universe)
     assert {"kind": "adapter", "member": "Z :: Z/6"} in hits2
-    assert search_counterexample("reg_module", "auslander", small_universe) == []
+    assert search_counterexample("reg_module", "auslander", small_universe) == ([], [])
     # the adapter facts leave ring_property_a undefined, so only pairs answer
-    assert search_counterexample("ring_property_a", "property_a", small_universe) == []
+    assert search_counterexample("ring_property_a", "property_a", small_universe) == ([], [])
 
 
 def test_search_expression_parsing():
@@ -173,8 +174,8 @@ def test_search_refuses_a_query_no_member_kind_defines(small_universe):
 
 
 def test_search_algebra_members(small_universe):
-    hits = search_counterexample("faithfully_flat and mccoy",
-                                 "nontrivial_extension", small_universe)
+    hits, _ = search_counterexample("faithfully_flat and mccoy",
+                                    "nontrivial_extension", small_universe)
     members = {h["member"] for h in hits}
     assert "Algebra(Z2, Z2)" in members  # self algebras are the trivial ones
 
