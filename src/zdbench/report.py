@@ -23,7 +23,7 @@ from .modules import (ann, content_of_element, has_property_A, ideal_action,
 from .rings import FiniteRing, ideal_generated
 from .statements import (faithfully_flat_mccoy_algebras, kills_nonzero,
                          predicate_entry, run_suite, search_counterexample,
-                         search_query)
+                         search_query, witness_entry)
 from .universe import DEFAULT_LIMITS, UniverseLimits, generate_universe
 
 SCHEMA_VERSION = 1
@@ -43,12 +43,12 @@ def _zd_section(R: FiniteRing, values) -> dict:
             "display": [R.element_str(v) for v in ordered]}
 
 
-def _verdict_section(verdict, R, M) -> dict:
+def _verdict_section(verdict, M) -> dict:
     out = {"holds": verdict.holds}
     if verdict.degenerate:
         out["degenerate"] = True
     if verdict.witness is not None:
-        out["witness"] = predicate_entry(R, M, verdict.witness)
+        out["witness"] = predicate_entry(M, verdict.witness)
     return out
 
 
@@ -77,20 +77,16 @@ def analyze_report(ring_text: str, module_text: str,
     }
     # a Tensor(...) module lives over its algebra, not over the input ring
     S = M.ring
-    ausl = is_auslander(M)
-    tf = is_torsion_free(M)
-    prop_a = has_property_A(M)
-    content = is_content_module(M)
     module_section = {
         "descriptor": M.tag,
         "size": M.size,
         "is_zero": M.is_zero,
         "zero_divisors": _zd_section(S, zero_divisors_module(M)),
         "annihilator": S.tuple_str(ann(M).small_generators()),
-        "auslander": _verdict_section(ausl, S, M),
-        "torsion_free": _verdict_section(tf, S, M),
-        "property_a": _verdict_section(prop_a, S, M),
-        "content_module": _verdict_section(content, S, M),
+        "auslander": _verdict_section(is_auslander(M), M),
+        "torsion_free": _verdict_section(is_torsion_free(M), M),
+        "property_a": _verdict_section(has_property_A(M), M),
+        "content_module": _verdict_section(is_content_module(M), M),
         "natural_map_kernel_trivial": natural_map_kernel(M).is_zero,
     }
     try:
@@ -151,18 +147,13 @@ def witness_report(f_text: str, g_text: str, ring_text: str) -> dict:
     g = dsl.parse_ext(g_text, R, M, dsl.parse_ext(f_text, R).arity)
     f = dsl.parse_ext(f_text, R, arity=g.arity)
     m = mccoy_witness(f, g)
+    entry = witness_entry("mccoy_witness", R.descriptor, M.tag, m, R.element_str(m))
+    entry["f_support"] = to_jsonable(list(f.support))
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "witness",
         "inputs": {"ring": ring_text, "f": f_text, "g": g_text},
-        "witness": {
-            "kind": "mccoy_witness",
-            "ring": R.descriptor,
-            "module": M.tag,
-            "f_support": to_jsonable(list(f.support)),
-            "value": to_jsonable(m),
-            "display": R.element_str(m),
-        },
+        "witness": entry,
     }
 
 

@@ -166,7 +166,8 @@ class FiniteRing(Carrier):
         return tuple(I for I in proper if not any(I.elements < J.elements for J in proper))
 
     def is_field(self) -> bool:
-        return self.units() >= set(self.elements) - {self.zero}
+        # a field has 0 != 1, so the zero ring is none
+        return self.zero != self.one and self.units() >= set(self.elements) - {self.zero}
 
     def is_domain(self) -> bool:
         return self.zero_divisors() == {self.zero}

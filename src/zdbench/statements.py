@@ -98,40 +98,34 @@ def _member(R, M) -> str:
     return f"{R.descriptor} :: {M.tag}"
 
 
-def verdict_entry(kind, ring: str, module: str, value, display: str) -> dict:
-    """A failing verdict's re-checkable entry, keys in the order the pinned
-    reports hold: analyze's verdicts, the failures of `_check` and the
-    integer adapter's torsion witnesses."""
-    return {"kind": kind, "ring": ring, "module": module,
-            "value": to_jsonable(value), "display": display}
+def witness_entry(kind, ring=None, module=None, value=None, display="", *,
+                  algebra=None, variant=None) -> dict:
+    """A re-checkable witness entry: `ring`, `module` and `algebra` are
+    descriptor strings, and the keys run kind, ring, module, algebra, value,
+    display, variant, leaving out those not named."""
+    entry = {"kind": kind}
+    for key, name in (("ring", ring), ("module", module), ("algebra", algebra)):
+        if name is not None:
+            entry[key] = name
+    entry["value"] = to_jsonable(value)
+    entry["display"] = display
+    if variant is not None:
+        entry["variant"] = variant
+    return entry
 
 
-def predicate_entry(R, M, witness: dict) -> dict:
-    """The entry of a predicate's `witness` on M over R: its value is an
-    element, of M for content and of R otherwise, or an ideal's generators;
-    a witness naming no kind gives an entry no revalidator accepts."""
-    kind = witness.get("kind")
+def predicate_entry(M, witness: dict) -> dict:
+    """The entry of a predicate's `witness` on M: its value is an element, of
+    M for content and of M's ring otherwise, or an ideal's generators; a
+    witness naming no kind gives an entry no revalidator accepts."""
+    R, kind = M.ring, witness.get("kind")
     if "element" in witness:
         value = witness["element"]
         display = (M if kind == "content" else R).element_str(value)
     else:
         value = witness.get("ideal")
         display = "" if value is None else R.tuple_str(value)
-    return verdict_entry(kind, R.descriptor, M.tag, value, display)
-
-
-def witness_entry(kind, *, ring=None, module=None, algebra=None, value=None,
-                  display="", variant=None) -> dict:
-    entry = {"kind": kind, "display": display, "value": to_jsonable(value)}
-    if ring is not None:
-        entry["ring"] = ring.descriptor
-    if module is not None:
-        entry["module"] = module.tag
-    if algebra is not None:
-        entry["algebra"] = algebra.descriptor
-    if variant is not None:
-        entry["variant"] = variant
-    return entry
+    return witness_entry(kind, R.descriptor, M.tag, value, display)
 
 
 def _nonzero_pairs(U: Universe):
@@ -229,7 +223,7 @@ def _check(rep: StatementReport, member: str, concl, U: Universe, R, X) -> bool:
         if not verdict:
             # a Verdict may carry a witness; a plain bool carries none
             witness = getattr(verdict, "witness", None)
-            return rep.visit(member, {"witness": witness and predicate_entry(R, X, witness)})
+            return rep.visit(member, {"witness": witness and predicate_entry(X, witness)})
     return rep.visit(member)
 
 
@@ -300,8 +294,8 @@ def _extension_iff(U: Universe, rep: StatementReport, variant: str, side, hyp):
         gens = next((lacking[p] for p in side if p in lacking), None)
         rep.visit(_member(R, M), None if agree else {
             "extension": ext, "base": base, "witness": None if gens is None else witness_entry(
-                "ext_ideal", ring=R, module=M, value=gens, variant=variant,
-                display="c(f) = " + R.tuple_str(gens))})
+                "ext_ideal", R.descriptor, M.tag, gens, "c(f) = " + R.tuple_str(gens),
+                variant=variant)})
 
 
 def _mccoy_algebras_of(U: Universe, R):
@@ -462,13 +456,18 @@ def _property_a_direct(R, M):
             break
     if v.holds and direct:
         return None
-    return {"verdict": v.holds, "direct_recheck": direct,
-            "ideal": to_jsonable(offending), "witness": v.witness}
+    return {"verdict": v.holds, "direct_recheck": direct, "ideal": to_jsonable(offending),
+            "witness": v.witness and predicate_entry(M, v.witness)}
 
 
 def _ohm_rush_identity(R, alg):
     v = is_ohm_rush(alg)
-    return None if v.holds else {"witness": v.witness}
+    if v.holds:
+        return None
+    f = v.witness.get("element")
+    return {"witness": witness_entry(v.witness.get("kind"), None, None, f,
+                                     "" if f is None else alg.ring.element_str(f),
+                                     algebra=alg.descriptor)}
 
 
 def _torsion_free_kernel(R, M):
@@ -540,10 +539,11 @@ def _def_2_11(U: Universe, rep: StatementReport):
     diag = diagonal_algebra(Z2, product_ring(Z2, Z2))
     v = is_mccoy_algebra(diag)
     pair = (v.witness or {}).get("pair")
-    rep.visit(diag.descriptor, {"verdict": v.holds, "witness": v.witness}
+    display = "" if pair is None else "f={}, g={}".format(*map(diag.ring.element_str, pair))
+    rejection = witness_entry("mccoy", value=pair, display=display, algebra=diag.descriptor)
+    rep.visit(diag.descriptor, {"verdict": v.holds, "witness": rejection}
               if v.holds or pair != ((1, 0), (0, 1)) else None)
-    rep.extra["rejection"] = witness_entry(
-        "mccoy", algebra=diag, value=pair, display="f=(1,0), g=(0,1)")
+    rep.extra["rejection"] = rejection
     # independent inline re-derivation on small algebras
     for R, alg in U.all_algebras():
         B = alg.ring
@@ -584,7 +584,7 @@ def _rem_3_3_2(U: Universe, rep: StatementReport):
               and case.contains_ideal_n() and case.in_zero_divisors(witness))
         if rep.visit(f"Z :: {case.case_id}", None if ok else {}):
             torsion_witnesses.append(
-                verdict_entry("torsion_free", "Z", case.case_id, witness, str(witness)))
+                witness_entry("torsion_free", "Z", case.case_id, witness, str(witness)))
     rep.extra["torsion_free_witnesses"] = torsion_witnesses
 
 
@@ -608,9 +608,7 @@ def _rem_3_3_3(U: Universe, rep: StatementReport):
         "ring": R.descriptor,
         "module": M.tag,
         **found,
-        "auslander_witness": witness_entry(
-            "auslander", ring=R, module=M,
-            value=ausl.witness["element"], display=R.element_str((1, 0))),
+        "auslander_witness": ausl.witness and predicate_entry(M, ausl.witness),
     }
 
 

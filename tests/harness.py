@@ -6,7 +6,7 @@ them."""
 import itertools
 
 from zdbench.extensions import brute_force_zd, is_zd_on_extension, ring_poly
-from zdbench.statements import verdict_entry
+from zdbench.statements import witness_entry
 from zdbench.universe import Z_ADAPTER_MAX, Universe, ZAdapterCase
 
 
@@ -31,7 +31,7 @@ def z_adapter_check(case_id: str) -> dict:
         "degenerate": False,
         "auslander": case.is_auslander().holds,
         "torsion_free": tf.holds,
-        "torsion_free_witness": verdict_entry("torsion_free", "Z", case.case_id, k, str(k)),
+        "torsion_free_witness": witness_entry("torsion_free", "Z", case.case_id, k, str(k)),
         "zero_divisors_contain_ideal_n": case.contains_ideal_n(),
         "zero_divisor_rule": f"{{k in Z : gcd(k, {case.n}) > 1}}",
     }

@@ -143,7 +143,7 @@ def test_criterion_10_determinism_and_witness_integrity():
     # the digest of the default report as separate interpreter runs print it,
     # so one run checks determinism across processes and hash seeds
     digest = hashlib.sha256(canonical_json(first).encode()).hexdigest()
-    assert digest == "8a130b2f48cd8361f516a1f3c23807518a9270ce99ed7c1367de46d969aa2372"
+    assert digest == "3a4af5c0f3294e2e4e72a59e11de0b0f02a1c0e33f21735e5a79ab9e2bbfe2a8"
     assert first["passed"] is True
     reval = revalidate_report(first)
     assert not reval["failed"], reval["failed"][:3]
@@ -174,14 +174,14 @@ ROW_DIGESTS = {
     "thm-2.8": "51c9d8bdf780a080b69bd586f413e3ed09e44d092407d978f2efaa425369b331",
     "cor-2.9": "28d29e10b92a8fb708a025a34e449b4be809e664bf8273b3cf3d2f14496e42c3",
     "rem-2.10": "93de8a5babbd25d073522c13f950c33d1fc6dcc349a929856f6b60501556b264",
-    "def-2.11": "47e5e8dc02cb36b565314db1f4e5e587f4b2e7255bd73146596445c890c37888",
+    "def-2.11": "50bc744adc7c0bc9b12635354e3f4ccc1e5feac89a62bfe5091bd748a666ea80",
     "thm-2.13": "c7e50995122fa03d6646a702582a0245e6bd164f1fdfaea4b7efe26c85298c6b",
     "cor-2.14": "ded38a738d42603d65676184706eb96fed56ccf153dc18c04766a6f2061b7d55",
     "tf-3.1": "19e4775a133ea6e42e3679764bf9151d71536ff8cb7f2f2914900f72ddde2435",
     "thm-3.2": "6b9ccf0031f8a5b66ece286d280bbd2dc11cbdffd5480ff9dd0f923498464171",
     "rem-3.3-1": "c8a950a7ba868e3895c8619d1b9afb068b900427bf528cf335d8f385b66f160c",
     "rem-3.3-2": "76c074cf16bbdfd44100e847799781487baf49f88daa1a006fdc523da6b1e0de",
-    "rem-3.3-3": "f95c04652098ce8ce2dd3bc7274012aa56d0ddb62919177de08df3b5b5e62b92",
+    "rem-3.3-3": "676e64e2a33985ba3c7a7418e7c421b4a6707545b7a7e8444bd853458f12dbd0",
     "thm-3.4": "b81644303cdd937d1a7effd02a8a4d107de9813d6700c4833dd9c80240d47ab6",
     "prop-3.5-1": "838fe5eead9b9255232a2956d2d383bed3582b5b7e11a25dfbf4dce956dbdcdc",
     "prop-3.5-2": "86591dc2e38e3ae42214b6e4327bef277d89f21d20929ecc1efd1eca73ea0a68",

@@ -7,7 +7,10 @@ report bytes shows up here first.
 
 import hashlib
 
-from zdbench.report import analyze_report, canonical_json, theorems_report
+import pytest
+
+from zdbench.report import (analyze_report, canonical_json, collect_witnesses,
+                            theorems_report, witness_report)
 from zdbench.universe import UniverseLimits
 
 # every field given, so a change to the default limits leaves this universe alone
@@ -26,15 +29,34 @@ ANALYZE_PAIRS = (
 )
 
 
+# the keys of a witness entry, in the one order every entry holds them
+WITNESS_KEYS = ("kind", "ring", "module", "algebra", "value", "display", "variant", "f_support")
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_theorems_report_digest():
-    text = canonical_json(theorems_report("all", limits=LIMITS))
-    assert _sha256(text) == "e1bbb5ad703dd3b496882f096419e50750637f14d38477498b41f550b3292bae"
+@pytest.fixture(scope="module")
+def golden_theorems():
+    return theorems_report("all", limits=LIMITS)
+
+
+def test_theorems_report_digest(golden_theorems):
+    text = canonical_json(golden_theorems)
+    assert _sha256(text) == "f55383fb1414fff8c25269df470221a9713aee034f5a452e5b116b9af8af688d"
 
 
 def test_analyze_reports_digest():
     text = "".join(canonical_json(analyze_report(r, m)) for r, m in ANALYZE_PAIRS)
     assert _sha256(text) == "0a8b230262960cea47b651e8abb7b9eefb1b019d98d174bc428623b42df7de35"
+
+
+def test_witness_entries_hold_one_key_order(golden_theorems):
+    reports = [golden_theorems, *(analyze_report(r, m) for r, m in ANALYZE_PAIRS),
+               witness_report("2*X+2", "2", "Z4")]
+    entries = [e for rep in reports for e in collect_witnesses(rep)]
+    kinds = {e["kind"] for e in entries}
+    assert {"torsion_free", "mccoy", "auslander", "mccoy_witness"} <= kinds
+    for entry in entries:
+        assert list(entry) == [k for k in WITNESS_KEYS if k in entry], entry

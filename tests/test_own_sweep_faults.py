@@ -14,6 +14,7 @@ import pytest
 
 from zdbench import statements
 from zdbench.modules import Verdict
+from zdbench.report import collect_witnesses, revalidate_report
 from zdbench.rings import ideal_generated
 from zdbench.universe import ZAdapterCase
 
@@ -63,6 +64,49 @@ def test_wrong_diagonal_verdict_fails_def_2_11(small_universe, monkeypatch):
     monkeypatch.setattr(statements, "is_mccoy_algebra", accepts_diagonal)
     rep = statements.run_statement("def-2.11", small_universe)
     assert diagonal in [f["member"] for f in rep.failures]
+
+
+# (statement id, predicate, descriptor of the one object it answers wrongly
+# or None for the first, witness of the wrong negative verdict)
+ROUTED_ROWS = (
+    # the zero ideal kills every element, so it shows no failure of (A)
+    pytest.param("prop-a-def", "has_property_A", None,
+                 lambda M: {"kind": "property_a", "ideal": (M.ring.zero,)}, id="prop-a-def"),
+    # 1 lies in c(1)B
+    pytest.param("rem-2.10", "is_ohm_rush", None,
+                 lambda alg: {"kind": "ohm_rush", "element": alg.ring.one}, id="rem-2.10"),
+    # (1,1)(0,1) = (0,1) is no annihilating pair
+    pytest.param("def-2.11", "is_mccoy_algebra", "Algebra(Prod(Z2,Z2), Z2)",
+                 lambda alg: {"kind": "mccoy", "pair": ((1, 1), (0, 1))}, id="def-2.11"),
+    # a witness naming no kind gives an entry no revalidator accepts
+    pytest.param("prop-a-def", "has_property_A", None,
+                 lambda M: {"injected": M.tag}, id="prop-a-def, no kind"),
+    pytest.param("rem-2.10", "is_ohm_rush", None,
+                 lambda alg: {"injected": alg.descriptor}, id="rem-2.10, no kind"),
+)
+
+
+@pytest.mark.parametrize("sid, predicate, target, witness", ROUTED_ROWS)
+def test_wrong_negative_verdict_files_a_refuted_entry(small_universe, monkeypatch,
+                                                      sid, predicate, target, witness):
+    """The failure a wrong negative verdict causes carries a witness entry,
+    and revalidation collects that entry and refutes it."""
+    real = getattr(statements, predicate)
+    flipped = []
+
+    def wrong_once(X, *args, **kwargs):
+        if flipped or (target is not None and X.descriptor != target):
+            return real(X, *args, **kwargs)
+        flipped.append(X)
+        return Verdict(False, witness=witness(X))
+
+    monkeypatch.setattr(statements, predicate, wrong_once)
+    doc = statements.run_statement(sid, small_universe).to_dict()
+    assert flipped, f"{sid} never called {predicate}"
+    filed = [f["witness"] for f in doc["failures"]]
+    entries = collect_witnesses(doc)
+    assert filed and all(w in entries for w in filed), doc["failures"]
+    assert revalidate_report({"statements": [doc]}) == {"total": len(entries), "failed": entries}
 
 
 def test_wrong_localized_verdict_fails_prop_2_3(small_universe, monkeypatch):

@@ -153,6 +153,14 @@ def test_search_skips_members_past_a_budget():
     assert small["witnesses"] == [w for w in full["witnesses"] if w["member"] not in skipped]
 
 
+def test_the_zero_ring_is_no_field():
+    """0 = 1 in the zero ring, so it is no field, no domain and not local."""
+    R = build_ring("Localize(Z4, {0})")
+    assert R.size == 1
+    assert not (R.is_field() or R.is_domain() or R.is_local())
+    assert analyze_report("Localize(Z4, {0})", "Reg")["ring"]["is_field"] is False
+
+
 def test_witness_report():
     rep = witness_report("2*X+2", "2", "Z4")
     assert rep["witness"]["value"] == 2
