@@ -9,7 +9,6 @@ request, since it would break byte-level determinism.
 from __future__ import annotations
 
 import json
-import math
 
 from . import dsl
 from .encoding import from_jsonable, to_jsonable
@@ -21,7 +20,8 @@ from .modules import (ann, content_of_element, has_property_A, ideal_action,
                       is_faithfully_flat, is_flat, is_torsion_free,
                       regular_module, zero_divisors_module)
 from .rings import FiniteRing, ideal_generated
-from .statements import (faithfully_flat_mccoy_algebras, kills_nonzero,
+from .statements import (ADAPTER_MODULI, adapter_torsion,
+                         faithfully_flat_mccoy_algebras, kills_nonzero,
                          predicate_entry, run_suite, search_counterexample,
                          search_query, witness_entry)
 from .universe import DEFAULT_LIMITS, UniverseLimits, generate_universe
@@ -186,11 +186,10 @@ def revalidate_witness(entry: dict) -> bool:
     ring_desc = entry.get("ring")
     module_tag = entry.get("module")
     if ring_desc == "Z":
-        # integer-adapter witnesses: gcd arithmetic
-        n = int(module_tag.split("/")[1])
-        if kind == "torsion_free":
-            return math.gcd(value, n) > 1
-        return False
+        # integer-adapter witnesses: the gcd rule on a Z/n that rem-3.3-2 names
+        moduli = {f"Z/{n}": n for n in ADAPTER_MODULI}
+        return (kind == "torsion_free" and module_tag in moduli
+                and adapter_torsion(value, moduli[module_tag]))
     if kind in ("auslander", "torsion_free", "property_a", "content", "ext_ideal",
                 "flat", "faithfully_flat"):
         node = dsl.parse_module(module_tag)

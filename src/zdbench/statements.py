@@ -14,7 +14,10 @@ asserts on members failing its hypotheses, and zero applicable members
 surfaces as a warning instead of a silent pass.
 
 Hypotheses and conclusions are named by one predicate vocabulary, which the
-counterexample `search` reads too.
+counterexample `search` reads too.  The integer adapter (Z/n over Z for n in
+`ADAPTER_MODULI`, and Z itself) has no carrier: `_ADAPTER_FACTS` answers the
+vocabulary on it, and rem-3.3-2 checks those facts against the gcd rule
+`adapter_torsion`, which revalidation applies to the adapter's witnesses.
 
 Extension-ring statements quantify over the ideal lattice and name the
 properties they compare.  A polynomial or series element is a zero-divisor on
@@ -29,6 +32,7 @@ from __future__ import annotations
 import fnmatch
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .encoding import to_jsonable
@@ -45,7 +49,7 @@ from .modules import (all_submodules, ann, content_of_element,
                       is_flat, is_torsion_free, tensor_with_algebra,
                       zero_divisors_module)
 from .rings import Zmod, all_mult_closed_subsets, ideal_generated, product_ring
-from .universe import Universe, z_adapter_cases
+from .universe import Universe
 
 
 @dataclass
@@ -178,10 +182,11 @@ _ALGEBRA_VOCABULARY = {
 }
 
 
-# the integer adapter's facts, keyed by the vocabulary's names; `_implication`
-# and `search` both read them
+# the integer adapter's Z/n cases, and its facts keyed by the vocabulary's names
+ADAPTER_MODULI = range(2, 31)
+
 _ADAPTER_FACTS = {
-    # Z/n over Z for n >= 2; flatness and friends are analytic facts
+    # Z/n over Z; flatness and friends are analytic facts
     "quotient": {
         "auslander": True, "torsion_free": False, "reg_module": False,
         "nonzero": True, "domain": True, "field": False, "local": False,
@@ -199,11 +204,14 @@ _ADAPTER_FACTS = {
 }
 
 
+def adapter_torsion(k: int, n: int) -> bool:
+    """k lies in Z(Z/n) but not in Z(Z) = {0}: k != 0 and gcd(k, n) > 1."""
+    return k != 0 and math.gcd(k, n) > 1
+
+
 def _adapter_members(z_label: str = "Z"):
-    """(facts, member names) of the integer adapter: Z/n over Z, then Z over
-    itself, named `z_label`."""
-    return ((_ADAPTER_FACTS["quotient"],
-             [f"Z :: {case.case_id}" for case in z_adapter_cases()]),
+    """(facts, member names) of Z/n over Z, then of Z over itself as `z_label`."""
+    return ((_ADAPTER_FACTS["quotient"], [f"Z :: Z/{n}" for n in ADAPTER_MODULI]),
             (_ADAPTER_FACTS["regular"], [f"Z :: {z_label}"]))
 
 
@@ -576,15 +584,16 @@ def _rem_3_3_1(U: Universe, rep: StatementReport):
 
 
 def _rem_3_3_2(U: Universe, rep: StatementReport):
-    torsion_witnesses = []
-    for case in z_adapter_cases():
-        tf = case.is_torsion_free()
-        witness = tf.witness["element"]
-        ok = (case.is_auslander().holds and not tf.holds
-              and case.contains_ideal_n() and case.in_zero_divisors(witness))
-        if rep.visit(f"Z :: {case.case_id}", None if ok else {}):
-            torsion_witnesses.append(
-                witness_entry("torsion_free", "Z", case.case_id, witness, str(witness)))
+    """The Z/n facts against gcd arithmetic.  Membership in Z(Z/n) depends on
+    k mod n only, so Z/n is Auslander, and Z(Z/n) holds the ideal (n), iff
+    gcd(0, n) > 1, and Z/n is torsion-free iff no k in 1..n is torsion."""
+    facts, torsion_witnesses = _ADAPTER_FACTS["quotient"], []
+    for n in ADAPTER_MODULI:
+        k = next((k for k in range(1, n + 1) if adapter_torsion(k, n)), None)
+        found = (math.gcd(0, n) > 1, k is None)  # (auslander, torsion_free)
+        ok = (facts["auslander"], facts["torsion_free"]) == found == (True, False)
+        if rep.visit(f"Z :: Z/{n}", None if ok else {}):
+            torsion_witnesses.append(witness_entry("torsion_free", "Z", f"Z/{n}", k, str(k)))
     rep.extra["torsion_free_witnesses"] = torsion_witnesses
 
 

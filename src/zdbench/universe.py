@@ -7,14 +7,12 @@ two cyclics, and Hom of each cyclic, capped by size bounds and the hom
 budget.  Algebras per ring: the ring over itself, the diagonal into its
 square, and polynomial quotient extensions over Zmod bases.
 
-Also hosts the analytic integer-ring adapter: Z and Z/n handled by gcd
-arithmetic, never by enumerating an infinite carrier.
+The integer adapter (Z/n over Z, decided by gcd arithmetic) is in `statements`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, fields
 
 from .errors import BoundExceeded
@@ -22,7 +20,7 @@ from .extensions import (DEFAULT_BRUTE_BUDGET, DEFAULT_SERIES_PRECISION,
                          FiniteAlgebra, diagonal_algebra, extension_algebra,
                          self_algebra)
 from .modules import (DEFAULT_HOM_BUDGET, DEFAULT_PRESENTATION_BUDGET, FiniteModule,
-                      Verdict, cyclic_module, direct_sum, free_module, hom_module,
+                      cyclic_module, direct_sum, free_module, hom_module,
                       regular_module, verify_module_axioms)
 from .rings import (FiniteRing, Zmod, poly_quotient, product_ring,
                     verify_ring_axioms)
@@ -157,49 +155,3 @@ def generate_universe(limits: UniverseLimits = DEFAULT_LIMITS) -> Universe:
     U.counts = {**counts, "algebras": sum(map(len, U.algebras.values()))}
     return U
 
-
-# ---------------------------------------------------------------------------
-# the integer-ring adapter
-
-
-Z_ADAPTER_MAX = 30  # the registered cases are Z/n, 1 <= n <= this; Z/1 is degenerate
-
-
-@dataclass(frozen=True)
-class ZAdapterCase:
-    """The Z-module Z/n, analyzed with gcd arithmetic only."""
-
-    n: int
-
-    @property
-    def case_id(self) -> str:
-        return f"Z/{self.n}"
-
-    @property
-    def degenerate(self) -> bool:
-        return self.n == 1
-
-    def in_zero_divisors(self, k: int) -> bool:
-        """k in Z_Z(Z/n) iff gcd(k, n) > 1 (gcd(0, n) = n covers 0)."""
-        return math.gcd(k, self.n) > 1
-
-    def contains_ideal_n(self) -> bool:
-        """Z(Z/n) contains the ideal (n).  Membership depends on k mod n only,
-        and every k*n is 0 mod n, so the residue 0 decides it for all k."""
-        return self.in_zero_divisors(0)
-
-    def is_auslander(self) -> Verdict:
-        # Z(Z) = {0} and 0 annihilates 1 in Z/n, so the inclusion always holds
-        if self.degenerate:
-            return Verdict(False, degenerate=True)
-        return Verdict(True)
-
-    def is_torsion_free(self) -> Verdict:
-        if self.degenerate:
-            return Verdict(False, degenerate=True)
-        witness = min(k for k in range(2, self.n + 1) if math.gcd(k, self.n) > 1)
-        return Verdict(False, witness={"kind": "torsion_free", "element": witness})
-
-
-def z_adapter_cases() -> list[ZAdapterCase]:
-    return [ZAdapterCase(n) for n in range(2, Z_ADAPTER_MAX + 1)]

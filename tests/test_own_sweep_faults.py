@@ -16,7 +16,6 @@ from zdbench import statements
 from zdbench.modules import Verdict
 from zdbench.report import collect_witnesses, revalidate_report
 from zdbench.rings import ideal_generated
-from zdbench.universe import ZAdapterCase
 
 # (statement id, predicate its conclusion reads)
 OWN_ROWS = (
@@ -256,24 +255,26 @@ def test_wrong_chain_for_one_key_fails_the_pairs_sharing_it(small_universe, monk
     assert rep.passed is False
 
 
-@pytest.mark.parametrize("method", ("is_auslander", "in_zero_divisors"))
-def test_wrong_adapter_answer_fails_rem_3_3_2(small_universe, monkeypatch, method):
-    """rem-3.3-2 reads the integer adapter's Auslander verdict and Z-set
-    membership; the first answer it gets is wrong."""
-    real = getattr(ZAdapterCase, method)
-    changed = []
-
-    def wrong_once(case, *args):
-        answer = real(case, *args)
-        if changed:
-            return answer
-        changed.append(case.case_id)
-        if isinstance(answer, Verdict):
-            return _wrong_verdict(answer, case.case_id)
-        return not answer
-
-    monkeypatch.setattr(ZAdapterCase, method, wrong_once)
+@pytest.mark.parametrize("fact, wrong", (("auslander", False), ("torsion_free", True)))
+def test_wrong_adapter_fact_fails_rem_3_3_2(small_universe, monkeypatch, fact, wrong):
+    """rem-3.3-2 checks the Z/n facts that the adapter rows and `search` read
+    against gcd arithmetic; a wrong one fails every case."""
+    monkeypatch.setitem(statements._ADAPTER_FACTS["quotient"], fact, wrong)
     rep = statements.run_statement("rem-3.3-2", small_universe)
-    assert changed, f"rem-3.3-2 never called {method}"
-    assert rep.failures, f"rem-3.3-2 missed a wrong {method} on {changed[0]}"
+    assert [f["member"] for f in rep.failures] == [
+        f"Z :: Z/{n}" for n in statements.ADAPTER_MODULI]
+    assert rep.extra["torsion_free_witnesses"] == []
+    assert rep.passed is False
+
+
+def test_rule_without_a_witness_fails_rem_3_3_2(small_universe, monkeypatch):
+    """A gcd rule that finds no torsion element of Z/6 makes Z/6 read as
+    torsion-free: rem-3.3-2 fails that case, files no witness for it and
+    raises nothing."""
+    real = statements.adapter_torsion
+    monkeypatch.setattr(statements, "adapter_torsion", lambda k, n: n != 6 and real(k, n))
+    rep = statements.run_statement("rem-3.3-2", small_universe)
+    assert [f["member"] for f in rep.failures] == ["Z :: Z/6"]
+    witnesses = rep.extra["torsion_free_witnesses"]
+    assert len(witnesses) == 28 and "Z/6" not in {w["module"] for w in witnesses}
     assert rep.passed is False

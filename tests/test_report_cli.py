@@ -117,6 +117,22 @@ def test_malformed_witness_counts_as_failed(entry):
     assert revalidate_report({"witnesses": [entry]})["failed"] == [entry]
 
 
+@pytest.mark.parametrize("module, value", [("Z", 2), ("Z/6", 0), ("Z/0", 2), ("Q/6", 2)],
+                         ids=["no_modulus", "zero_element", "Z_itself", "other_ring"])
+def test_forged_adapter_witness_fails(module, value):
+    """Z is torsion-free, 0 is in Z(Z), and Q/6 is no adapter case: each
+    entry is refuted, not raised on."""
+    entry = {"kind": "torsion_free", "ring": "Z", "module": module, "value": value,
+             "display": str(value)}
+    assert not revalidate_witness(entry)
+    assert revalidate_report({"witnesses": [entry]}) == {"total": 1, "failed": [entry]}
+
+
+def test_adapter_witnesses_revalidate():
+    rep = theorems_report("rem-3.3-2", limits=SMALL)
+    assert revalidate_report(rep) == {"total": 29, "failed": []}
+
+
 def test_in_carrier_mccoy_witness_still_revalidates():
     assert revalidate_witness(
         {"kind": "mccoy_witness", "ring": "Z4", "value": 2, "f_support": [[[0], 2]]})

@@ -5,8 +5,7 @@ from zdbench.modules import generating_set
 from zdbench.statements import (REGISTRY, StatementReport,
                                 parse_predicate_expression, run_statement,
                                 run_suite, search_counterexample)
-from zdbench.universe import (UniverseLimits, ZAdapterCase, generate_universe,
-                              z_adapter_cases)
+from zdbench.universe import UniverseLimits, generate_universe
 
 from harness import z_adapter_check
 
@@ -67,24 +66,29 @@ def test_deterministic_generation_order():
 
 
 def test_adapter_cases():
-    case = ZAdapterCase(6)
-    assert case.is_auslander().holds
-    tf = case.is_torsion_free()
-    assert not tf.holds and tf.witness["element"] == 2
-    assert ZAdapterCase(5).is_torsion_free().witness["element"] == 5
-    assert case.contains_ideal_n()
-    assert case.in_zero_divisors(0)  # gcd(0, 6) = 6
-    assert not case.in_zero_divisors(5)
-    assert len(z_adapter_cases()) == 29
+    """The registered Z/n cases, analyzed by the harness's gcd arithmetic."""
+    cases = [z_adapter_check(f"Z/{n}") for n in statements.ADAPTER_MODULI]
+    assert [case["case"] for case in cases] == [f"Z/{n}" for n in range(2, 31)]
+    six = z_adapter_check("Z/6")
+    assert six["auslander"] is True and six["zero_divisors_contain_ideal_n"] is True
+    assert six["torsion_free"] is False and six["torsion_free_witness"]["value"] == 2
+    assert z_adapter_check("Z/5")["torsion_free_witness"]["value"] == 5
+    assert len(cases) == 29
 
 
 def test_adapter_facts_agree_with_the_gcd_analysis():
-    """The Z/n facts that the implication sweeps and `search` read match the
-    verdicts rem-3.3-2 computes for every case."""
+    """The Z/n facts that the implication sweeps, `search` and rem-3.3-2 read,
+    and the rule that rem-3.3-2 and revalidation apply, match the harness's
+    gcd analysis of every case."""
     facts = statements._ADAPTER_FACTS["quotient"]
-    for case in z_adapter_cases():
-        assert facts["auslander"] == case.is_auslander().holds, case.case_id
-        assert facts["torsion_free"] == case.is_torsion_free().holds, case.case_id
+    for n in statements.ADAPTER_MODULI:
+        case = z_adapter_check(f"Z/{n}")
+        assert facts["auslander"] == case["auslander"], n
+        assert facts["torsion_free"] == case["torsion_free"], n
+        torsion = [k for k in range(n + 1) if statements.adapter_torsion(k, n)]
+        assert torsion[0] == case["torsion_free_witness"]["value"], n
+    # 0 is in Z(Z), and 5 is a unit mod 6
+    assert not statements.adapter_torsion(0, 6) and not statements.adapter_torsion(5, 6)
 
 
 def test_z_adapter_check_reports():
