@@ -6,10 +6,10 @@ and verifies a registry of transfer statements exhaustively over an
 enumerated universe, with constructive witnesses throughout.
 """
 
-from .dsl import build_algebra, build_module, build_ring, parse_dsl, print_node
+from .dsl import build_algebra, build_module, build_ring
 from .extensions import (ExtElement, FiniteAlgebra, brute_force_zd,
                          is_mccoy_algebra, is_ohm_rush, is_zd_on_extension,
-                         mccoy_witness, module_poly, ring_poly)
+                         mccoy_witness, ring_poly)
 from .localize import (Localization, localize, localize_module,
                        natural_map_kernel, total_quotient)
 from .modules import (FiniteModule, Submodule, Verdict, ann, content_of_element,
@@ -24,8 +24,6 @@ from .statements import (REGISTRY, run_statement, run_suite,
                          search_counterexample)
 from .universe import UniverseLimits, generate_universe
 
-make_ring = build_ring
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -38,9 +36,8 @@ __all__ = [
     "ideal_generated", "is_auslander", "is_content_module",
     "is_faithfully_flat", "is_flat", "is_mccoy_algebra", "is_ohm_rush",
     "is_torsion_free", "is_zd_on_extension", "localize", "localize_module",
-    "make_ring", "mccoy_witness", "module_poly", "natural_map_kernel",
-    "parse_dsl", "poly_quotient", "print_node", "product_ring",
-    "regular_module", "ring_poly", "run_statement",
-    "run_suite", "search_counterexample", "tensor_with_algebra",
-    "total_quotient", "zero_divisors_module",
+    "mccoy_witness", "natural_map_kernel", "poly_quotient", "product_ring",
+    "regular_module", "ring_poly", "run_statement", "run_suite",
+    "search_counterexample", "tensor_with_algebra", "total_quotient",
+    "zero_divisors_module",
 ]

@@ -1,8 +1,8 @@
-"""Construction DSL: parsing, printing, and building of rings, modules,
-algebras, and extension-element literals.
+"""Construction DSL: parsing and building of rings, modules, algebras, and
+extension-element literals.
 
 Grammar (whitespace-insensitive).  Z<digits> and Reg are atoms; every other
-head is one row of GRAMMAR, which the parser and print_node both read:
+head is one row of GRAMMAR, which the parser reads:
 
     Ring    := Z<digits> | Prod(Ring,Ring) | PolyQuot(Ring, xpoly)
              | Localize(Ring, {elem,...}) | TotalQuotient(Ring)
@@ -14,8 +14,9 @@ head is one row of GRAMMAR, which the parser and print_node both read:
     extpoly := term + term + ...             # coefficients times X-monomials
     series  := series(<precision>; extpoly)
 
-Printing then reparsing yields an equal tree (spans excluded from equality),
-and every descriptor and tag the constructions write prints back to itself.
+The constructions alone write names and the parser alone reads them: every
+descriptor and tag they write parses and builds to a structure of that name,
+as build_module(R, M.tag).tag == M.tag, which witness revalidation relies on.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 import logging
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import BoundExceeded, DslError
@@ -34,8 +35,7 @@ from .localize import closed_multiplicative_set, localize, total_quotient
 from .modules import (DEFAULT_PRESENTATION_BUDGET, FiniteModule, cyclic_module,
                       direct_sum, free_module, hom_module, regular_module,
                       tensor_with_algebra)
-from .rings import (FiniteRing, Zmod, ideal_generated, poly_quotient,
-                    poly_display, poly_str, product_ring)
+from .rings import FiniteRing, Zmod, ideal_generated, poly_quotient, product_ring
 
 log = logging.getLogger(__name__)
 
@@ -159,7 +159,7 @@ class AlgebraNode(Node):
 
 
 # ---------------------------------------------------------------------------
-# the grammar, read by both the parser and the printer
+# the grammar, read by the parser
 #
 # Z<n> (a ring) and Reg (a module) are the only atoms; every other ring,
 # module or algebra is a head from GRAMMAR applied to parenthesized
@@ -170,20 +170,19 @@ class Rule(NamedTuple):
     sort: str      # "ring" | "module" | "algebra"
     cls: type      # node class; its fields after span take the arguments
     args: tuple    # argument sorts, keys of _ARGUMENTS
-    sep: str = ""  # printed between arguments
 
 
 GRAMMAR = {
-    "Prod": Rule("ring", ProdNode, ("ring", "ring"), ","),
-    "PolyQuot": Rule("ring", PolyQuotNode, ("ring", "xpoly"), ", "),
-    "Localize": Rule("ring", LocalizeNode, ("ring", "set"), ", "),
+    "Prod": Rule("ring", ProdNode, ("ring", "ring")),
+    "PolyQuot": Rule("ring", PolyQuotNode, ("ring", "xpoly")),
+    "Localize": Rule("ring", LocalizeNode, ("ring", "set")),
     "TotalQuotient": Rule("ring", TotalQuotientNode, ("ring",)),
     "Free": Rule("module", FreeNode, ("int",)),
     "Cyclic": Rule("module", CyclicNode, ("elems",)),
-    "Sum": Rule("module", SumNode, ("module", "module"), ","),
+    "Sum": Rule("module", SumNode, ("module", "module")),
     "Hom": Rule("module", HomNode, ("module",)),
-    "Tensor": Rule("module", TensorNode, ("module", "algebra"), ", "),
-    "Algebra": Rule("algebra", AlgebraNode, ("ring", "ring"), ", "),
+    "Tensor": Rule("module", TensorNode, ("module", "algebra")),
+    "Algebra": Rule("algebra", AlgebraNode, ("ring", "ring")),
 }
 
 _UNKNOWN_HEAD = {"ring": "unknown ring constructor {!r}",
@@ -243,7 +242,7 @@ class _Parser:
         for i, arg in enumerate(rule.args):
             if i:
                 self.expect(",")
-            args.append(_ARGUMENTS[arg][0](self))
+            args.append(_ARGUMENTS[arg](self))
         close = self.expect(")")
         return rule.cls(*args, span=(tok.start, close.end))
 
@@ -353,63 +352,16 @@ def parse_algebra(text: str) -> object:
     return _parse(text, "algebra")
 
 
-def parse_dsl(text: str) -> object:
-    """Parse a ring, module or algebra, the sort read off the leading name."""
-    tokens = tokenize(text)
-    if not tokens:
-        raise DslError("empty input", (0, 0))
-    head = tokens[0].text
-    rule = GRAMMAR.get(head)
-    return _parse(text, rule.sort if rule else "module" if head == "Reg" else "ring")
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def _print_elem(node) -> str:
-    if isinstance(node, IntElem):
-        return str(node.value)
-    if isinstance(node, TupleElem):
-        return "(" + _print_elems(node.items) + ")"
-    if isinstance(node, XPolyElem):
-        return poly_display(node.coeffs)
-    raise TypeError(f"not an element node: {node!r}")
-
-
-def _print_elems(items) -> str:
-    return ",".join(map(_print_elem, items))
-
-
-def print_node(node) -> str:
-    printed = _PRINTED.get(type(node))
-    if printed is not None:
-        head, names, args, sep = printed
-        return head + "(" + sep.join(
-            _ARGUMENTS[a][1](getattr(node, f)) for a, f in zip(args, names)) + ")"
-    if isinstance(node, ZmodNode):
-        return f"Z{node.n}"
-    if isinstance(node, RegNode):
-        return "Reg"
-    if isinstance(node, (IntElem, TupleElem, XPolyElem)):
-        return _print_elem(node)
-    raise TypeError(f"cannot print {node!r}")
-
-
-# each argument sort's reader, called on the parser, and its printer
+# each argument sort's reader, called on the parser
 _ARGUMENTS = {
-    "ring": (lambda p: p.node("ring"), print_node),
-    "module": (lambda p: p.node("module"), print_node),
-    "algebra": (lambda p: p.node("algebra"), print_node),
-    "int": (lambda p: int(p.expect("int").text), str),
-    "xpoly": (lambda p: p.xpoly().coeffs, poly_str),
-    "set": (lambda p: p.delimited("{", "}")[0], lambda items: "{" + _print_elems(items) + "}"),
-    "elems": (_Parser.element_list, _print_elems),
+    "ring": lambda p: p.node("ring"),
+    "module": lambda p: p.node("module"),
+    "algebra": lambda p: p.node("algebra"),
+    "int": lambda p: int(p.expect("int").text),
+    "xpoly": lambda p: p.xpoly().coeffs,
+    "set": lambda p: p.delimited("{", "}")[0],
+    "elems": _Parser.element_list,
 }
-
-# node class -> (head, argument field names, argument sorts, separator)
-_PRINTED = {rule.cls: (head, [f.name for f in fields(rule.cls)][1:], rule.args, rule.sep)
-            for head, rule in GRAMMAR.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +409,7 @@ def _errors_at(node):
 
 
 def build_ring(spec) -> FiniteRing:
-    """make_ring: build a FiniteRing from DSL text or a parsed ring node."""
+    """Build a FiniteRing from DSL text or a parsed ring node."""
     node = parse_ring(spec) if isinstance(spec, str) else spec
     with _errors_at(node):
         if isinstance(node, ZmodNode):
@@ -476,8 +428,8 @@ def build_ring(spec) -> FiniteRing:
             seed = [resolve_element(e, R) for e in node.elements]
             S, enlarged = closed_multiplicative_set(R, seed)
             if enlarged:
-                log.warning("multiplicative set %s was closed under multiplication",
-                            print_node(node))
+                log.warning("multiplicative set of %s was closed under multiplication to %s",
+                            R.descriptor, S.display())
             return localize(R, S).structure
         if isinstance(node, TotalQuotientNode):
             return total_quotient(build_ring(node.ring)).structure

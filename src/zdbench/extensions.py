@@ -125,10 +125,6 @@ def ring_poly(R: FiniteRing, support, arity: int = 1) -> ExtElement:
     return make_ext(R, support, "monoid", arity)
 
 
-def module_poly(M: FiniteModule, support, arity: int = 1) -> ExtElement:
-    return make_ext(M, support, "monoid", arity)
-
-
 # ---------------------------------------------------------------------------
 # the exact product
 

@@ -249,9 +249,9 @@ def revalidate_report(report: dict) -> dict:
     for entry in entries:
         try:
             ok = revalidate_witness(entry)
-        except (KeyError, TypeError, ValueError):
-            # a malformed entry: a missing field, a value of the wrong shape
-            # or an element outside its carrier
+        except (KeyError, TypeError, ValueError, BoundExceeded):
+            # a malformed entry: a missing field, a value of the wrong shape,
+            # an element outside its carrier or a name past a budget
             ok = False
         if not ok:
             failed.append(entry)

@@ -7,8 +7,7 @@ from zdbench.extensions import (FiniteAlgebra, brute_force_zd,
                                 diagonal_algebra, exact_product,
                                 extension_algebra, is_mccoy_algebra,
                                 is_ohm_rush, is_zd_on_extension, make_ext,
-                                mccoy_witness, module_poly, ring_poly,
-                                self_algebra)
+                                mccoy_witness, ring_poly, self_algebra)
 from zdbench.modules import regular_module, zero_divisors_module
 from zdbench.rings import Zmod, ideal_generated, poly_quotient, product_ring
 
@@ -20,24 +19,24 @@ def series(R, support, precision=8):
 def test_ext_mul_collapses_to_zero():
     R = Zmod(4)
     f = ring_poly(R, {(1,): 2, (0,): 2})
-    two = module_poly(regular_module(R), {(0,): 2})
+    two = make_ext(regular_module(R), {(0,): 2})
     assert exact_product(f, two) == {}  # 4X + 4 = 0 mod 4
 
 
 def test_ext_mul_identity_and_add():
     R = Zmod(6)
     M = regular_module(R)
-    g = module_poly(M, {(2,): 3, (0,): 2})
+    g = make_ext(M, {(2,): 3, (0,): 2})
     assert exact_product(ring_poly(R, {(0,): 1}), g) == dict(g.support)
     # colliding terms add: (1 + X)(2 + 4X) = 2 + (4 + 2)X + 4X^2 = 2 + 4X^2
     f = ring_poly(R, {(0,): 1, (1,): 1})
-    assert exact_product(f, module_poly(M, {(0,): 2, (1,): 4})) == {(0,): 2, (2,): 4}
+    assert exact_product(f, make_ext(M, {(0,): 2, (1,): 4})) == {(0,): 2, (2,): 4}
 
 
 def test_bivariate_frobenius():
     R = Zmod(2)
     f = ring_poly(R, {(1, 0): 1, (0, 1): 1}, arity=2)
-    g = module_poly(regular_module(R), dict(f.support), arity=2)
+    g = make_ext(regular_module(R), dict(f.support), arity=2)
     assert exact_product(f, g) == {(2, 0): 1, (0, 2): 1}  # cross term 2*X1*X2 = 0
 
 
@@ -59,7 +58,7 @@ def test_variant_mismatch_rejected():
 
 def test_scalar_action_requires_mixed_kinds():
     # f acts on the cofactor g, so f takes ring coefficients
-    g = module_poly(regular_module(Zmod(4)), {(0,): 2})
+    g = make_ext(regular_module(Zmod(4)), {(0,): 2})
     with pytest.raises(ValueError, match="^f must have ring coefficients$"):
         mccoy_witness(g, g)
 
@@ -123,16 +122,16 @@ def test_mccoy_witness_examples():
     R4 = Zmod(4)
     Reg4 = regular_module(R4)
     f = ring_poly(R4, {(1,): 2, (0,): 2})
-    g = module_poly(Reg4, {(0,): 2})
+    g = make_ext(Reg4, {(0,): 2})
     assert mccoy_witness(f, g) == 2
     # f = 0: any nonzero element of the coefficient span works
     zero_f = ring_poly(R4, {})
-    g2 = module_poly(Reg4, {(3,): 2, (0,): 2})
+    g2 = make_ext(Reg4, {(3,): 2, (0,): 2})
     assert mccoy_witness(zero_f, g2) == 2
     P = product_ring(Zmod(2), Zmod(2))
     RegP = regular_module(P)
     fp = ring_poly(P, {(0,): (1, 0)})
-    gp = module_poly(RegP, {(0,): (0, 1), (1,): (0, 1)})
+    gp = make_ext(RegP, {(0,): (0, 1), (1,): (0, 1)})
     assert mccoy_witness(fp, gp) == (0, 1)
 
 
@@ -142,7 +141,7 @@ def test_mccoy_witness_steps_the_content_chain():
     # the least nonzero element of c(f)c(g)
     R = poly_quotient(Zmod(9), (0, 0, 1))
     f = ring_poly(R, {(0,): (3, 0), (1,): (0, 1)})
-    g = module_poly(regular_module(R), {(0,): (3, 0), (1,): (0, 2)})
+    g = make_ext(regular_module(R), {(0,): (3, 0), (1,): (0, 2)})
     cfcg = ideal_generated(R, [R.mul(a, b) for a in f.coefficients()
                                for b in g.coefficients()])
     assert cfcg.elements == {(0, 0), (0, 3), (0, 6)}
@@ -167,7 +166,7 @@ def test_mccoy_witness_reads_a_ring_cofactor_as_one_over_reg(R):
         if g.is_zero or exact_product(f, g):
             continue
         pairs += 1
-        assert mccoy_witness(f, g) == mccoy_witness(f, module_poly(Reg, dict(g.support)))
+        assert mccoy_witness(f, g) == mccoy_witness(f, make_ext(Reg, dict(g.support)))
     assert pairs > 0
 
 
@@ -176,9 +175,9 @@ def test_mccoy_witness_rejects_bad_inputs():
     Reg4 = regular_module(R4)
     f = ring_poly(R4, {(1,): 2, (0,): 2})
     with pytest.raises(ValueError, match="^g must be nonzero$"):
-        mccoy_witness(f, module_poly(Reg4, {}))
+        mccoy_witness(f, make_ext(Reg4, {}))
     with pytest.raises(ValueError, match=r"^f\*g != 0"):
-        mccoy_witness(f, module_poly(Reg4, {(0,): 1}))
+        mccoy_witness(f, make_ext(Reg4, {(0,): 1}))
 
 
 def test_series_decider_agrees_with_polynomial():

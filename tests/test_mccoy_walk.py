@@ -10,7 +10,7 @@ maps its input and output to elements, so both sides compare elements.
 import itertools
 import random
 
-from zdbench.extensions import (content_chain_witness, mccoy_witness, module_poly,
+from zdbench.extensions import (content_chain_witness, make_ext, mccoy_witness,
                                ring_poly)
 from zdbench.modules import regular_module, submodule_generated
 from zdbench.rings import Zmod, poly_quotient
@@ -172,7 +172,7 @@ def test_witness_matches_closed_chain(small_universe):
             for cf in itertools.product(R.elements, repeat=degree + 1):
                 f = ring_poly(R, {(i,): c for i, c in enumerate(cf) if c != R.zero})
                 for cg in _annihilators(R, cf):
-                    g = module_poly(Reg, {(i,): c for i, c in enumerate(cg) if c != R.zero})
+                    g = make_ext(Reg, {(i,): c for i, c in enumerate(cg) if c != R.zero})
                     expected = _chain_witness(Reg, f.coefficients(), g.coefficients())
                     assert mccoy_witness(f, g) == expected, (R.descriptor, cf, cg)
                     pairs += 1

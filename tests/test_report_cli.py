@@ -128,6 +128,26 @@ def test_forged_adapter_witness_fails(module, value):
     assert revalidate_report({"witnesses": [entry]}) == {"total": 1, "failed": [entry]}
 
 
+# names whose rebuild passes a budget: Free(40) and Z40000 the DSL's, Hom(Free(3))
+# over Z4 the hom budget and Z600 the ideal-lattice bound
+_PAST_A_BUDGET = [
+    {"kind": "auslander", "ring": "Z2", "module": "Free(40)", "value": 1},
+    {"kind": "auslander", "ring": "Z40000", "module": "Reg", "value": 2},
+    {"kind": "auslander", "ring": "Z4", "module": "Hom(Free(3))", "value": 2},
+    {"kind": "faithfully_flat", "ring": "Z600", "module": "Reg", "value": [2]},
+    {"kind": "mccoy_witness", "ring": "Z40000", "value": 2, "f_support": [[[0], 2]]},
+]
+
+
+def test_witnesses_past_a_budget_count_as_failed():
+    for entry in _PAST_A_BUDGET:
+        with pytest.raises(BoundExceeded):
+            revalidate_witness(entry)
+    rep = theorems_report("all")
+    rep["witnesses"] = _PAST_A_BUDGET
+    assert revalidate_report(rep) == {"total": 31 + 5, "failed": _PAST_A_BUDGET}
+
+
 def test_adapter_witnesses_revalidate():
     rep = theorems_report("rem-3.3-2", limits=SMALL)
     assert revalidate_report(rep) == {"total": 29, "failed": []}
