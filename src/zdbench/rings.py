@@ -38,9 +38,10 @@ class Carrier:
     built at first use: rows[r][x] = r*x for r in `scalars` (itself for a
     ring), plus[x][y] = x + y (a `Table`) and minus[x] = -x.  A
     construction's `tables` compose them from its parts' tables; a base
-    carrier fills them from its formulas `action`, `add` and `neg` through
-    `index`, so a value outside the carrier raises ValueError.  Element-level
-    add, neg and action read the tables.  `name` is what errors call it."""
+    carrier, Z/n or the zero module, fills them from its formulas `action`,
+    `add` and `neg` through `index`, so a value outside the carrier raises
+    ValueError.  Element-level act and add read the tables.  `name` is what
+    errors call it."""
 
     def __init__(self, elements, add, neg, zero, element_str, name, scalars,
                  action, tables):
@@ -74,9 +75,6 @@ class Carrier:
 
     def add(self, a, b):
         return self.elements[self.plus[self._index[a]][self._index[b]]]
-
-    def neg(self, a):
-        return self.elements[self.minus[self._index[a]]]
 
     def __len__(self):
         return len(self.elements)
@@ -273,7 +271,7 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
 
     `relation` lists the coefficients of f from the constant term up; the
     leading coefficient must be 1.  Elements are reduced coefficient vectors
-    of length deg(f).
+    of length deg(f), and the tables are composed from base's.
     """
     if base.kind != "zmod":
         raise ValueError("PolyQuot base must be a Zmod ring")
@@ -286,28 +284,25 @@ def poly_quotient(base: FiniteRing, relation: tuple[int, ...]) -> FiniteRing:
     d = len(rel) - 1
     # x^d = -(rel[0] + rel[1] x + ... + rel[d-1] x^(d-1))
     top = tuple((-rel[i]) % n for i in range(d))
+    # the coefficient vectors of Z/n^d, so Z2[x]/(x^2) lists 0, 1, x, 1+x;
+    # its constants act digit-wise
+    carrier = tuple_carrier([base] * d, lambda: ((row,) * d for row in base.rows))
+    constant_rows, *additive = carrier["tables"]
 
-    def mul(u, v):
-        # Horner: u v = (...(u_(d-1) v) x + u_(d-2) v) x + ... + u_0 v, where
-        # w x shifts w's coefficients up and puts w_(d-1) x^d = w_(d-1) top
-        out = (0,) * d
-        for c in reversed(u):
-            out = tuple((a + out[-1] * t + c * b) % n
-                        for a, t, b in zip((0,) + out[:-1], top, v))
-        return out
+    def horner_rows(R):
+        # Horner: u = u_0 + x u' has index u_0 + n index(u'), so u v = u_0 v +
+        # u' (x v), where x v shifts v up and adds v_(d-1) x^d = v_(d-1) top
+        rows, plus, t, high = constant_rows(R), R.plus, R.index(top), n ** (d - 1)
+        times_x = [plus[n * (v % high)][rows[v // high][t]] for v in range(R.size)]
+        for u in range(n, R.size):
+            low, rest = rows[u % n], rows[u // n]
+            rows.append([plus[a][rest[b]] for a, b in zip(low, times_x)])
+        return rows
 
     R = FiniteRing(
-        kind="polyquot",
-        # little-endian on coefficients, so Z2[x]/(x^2) lists 0, 1, x, 1+x
-        elements=[c[::-1] for c in itertools.product(range(n), repeat=d)],
-        add=lambda u, v: tuple((a + b) % n for a, b in zip(u, v)),
-        mul=mul,
-        neg=lambda u: tuple((-a) % n for a in u),
-        zero=tuple([0] * d),
-        one=tuple([1] + [0] * (d - 1)),
+        kind="polyquot", add=None, mul=None, neg=None, one=(1,) + (0,) * (d - 1),
         descriptor=f"PolyQuot({base.descriptor}, {poly_str(rel)})",
-        element_str=poly_display,
-    )
+        **dict(carrier, element_str=poly_display, tables=(horner_rows, *additive)))
     R.parts = (base, top if d == 1 else (0, 1) + (0,) * (d - 2))  # x = -f(0) if d = 1
     return R
 

@@ -1,7 +1,7 @@
 """Exhaustive harnesses that the acceptance and universe tests share: the
 integer adapter's per-case analysis and the extension criterion against the
-brute-force oracle.  They check the program from outside; no report runs
-them."""
+brute-force oracle; and `negative`, element-level negation for the table
+tests.  They check the program from outside; no report runs them."""
 
 import itertools
 import math
@@ -12,6 +12,11 @@ from zdbench.statements import witness_entry
 from zdbench.universe import Universe
 
 Z_CASE_MAX = 30  # the cases are Z/n, 1 <= n <= this; Z/1 is degenerate
+
+
+def negative(X, a):
+    """-a in the carrier X, read off its `minus` table."""
+    return X.elements[X.minus[X.index(a)]]
 
 
 def z_adapter_check(case_id: str) -> dict:

@@ -6,7 +6,10 @@ arithmetic.  The reference tables here are filled instead from the
 element-wise formula of each construction, r*x computed from the parts'
 elements, and compared entry by entry over the rings and modules of the
 small universe.  A part's own table is checked by its own case, so the
-checks chain down to the base rings' arithmetic.
+checks chain down to the base rings' arithmetic.  A polynomial quotient
+Z/n[x]/(f), composed from Z/n's tables by Horner's rule, is checked
+against the schoolbook product and long division by f, on every PolyQuot
+ring and algebra ring of the default universe.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import re
 import pytest
 
 from zdbench import modules
+from zdbench.dsl import parse_ring
 from zdbench.extensions import extension_algebra
 from zdbench.localize import localize, localize_module
 from zdbench.modules import (all_submodules, cyclic_module, direct_sum,
@@ -22,7 +26,9 @@ from zdbench.modules import (all_submodules, cyclic_module, direct_sum,
                              power_module, regular_module, verify_module_axioms,
                              zero_divisors_module)
 from zdbench.rings import (Zmod, all_mult_closed_subsets, ideal_generated,
-                           poly_quotient, product_ring)
+                           poly_display, poly_quotient, product_ring)
+
+from harness import negative
 
 
 def _reference(X, formula):
@@ -52,13 +58,36 @@ def _mult_sets(R):
     return all_mult_closed_subsets(R, R.elements)
 
 
+def _polyquot_rings(universe):
+    """Z/n[x]/(f) as (R, n, f): the PolyQuot rings and algebra rings of the
+    default universe (|B| <= 64), one per name, with f read off the name;
+    degree 1 and odd characteristic; and Z/n[x]/(f) for n = 2, 3, 4 and
+    four relations f."""
+    rings = [R for R in universe.rings if R.kind == "polyquot"]
+    rings += [alg.ring for _, alg in universe.all_algebras()
+              if alg.ring.kind == "polyquot" and alg.ring.size <= 64]
+    rings += [poly_quotient(Zmod(4), (2, 1)), poly_quotient(Zmod(9), (0, 0, 1)),
+              poly_quotient(Zmod(3), (1, 0, 1))]
+    rings += [poly_quotient(Zmod(n), rel) for n, rel in itertools.product(
+        (2, 3, 4), ((0, 0, 1), (0, 0, 0, 1), (1, 1, 1), (1, 1, 0, 1)))]
+    named = {R.descriptor: R for R in rings}
+    return [(R, R.parts[0].size, parse_ring(name).relation) for name, R in named.items()]
+
+
 def test_base_ring_tables_match_their_arithmetic(small_universe):
     for R in small_universe.rings:
         if R.kind == "zmod":
             assert R.rows == _reference(R, lambda a, b: a * b % R.size), R.descriptor
-    for n, rel in itertools.product((2, 3, 4), ((0, 0, 1), (0, 0, 0, 1), (1, 1, 1), (1, 1, 0, 1))):
-        R = poly_quotient(Zmod(n), rel)
+
+
+def test_polyquot_tables_match_the_schoolbook_product(universe):
+    checked = []
+    for R, n, rel in _polyquot_rings(universe):
         assert R.rows == _reference(R, _schoolbook(n, rel)), R.descriptor
+        checked.append(R.descriptor)
+    assert len(checked) == 23
+    assert {"PolyQuot(Z4, x + 2)", "PolyQuot(Z9, x^2)", "PolyQuot(Z3, x^2 + 1)",
+            "PolyQuot(Z8, x^2 + x + 1)", "PolyQuot(Z3, x^3 + x + 1)"} <= set(checked)
 
 
 def test_product_ring_table_is_componentwise(small_universe):
@@ -91,7 +120,7 @@ def test_regular_and_cyclic_tables(small_universe):
             def coset_of(r, c, C=C, I=I):
                 # the representative c' with r*c - c' in I
                 rc = R.mul(r, c)
-                c2, = [x for x in C.elements if R.add(rc, R.neg(x)) in I.elements]
+                c2, = [x for x in C.elements if R.add(rc, negative(R, x)) in I.elements]
                 return c2
 
             assert C.rows == _reference(C, coset_of), C.descriptor()
@@ -259,9 +288,11 @@ def test_base_ring_add_tables_match_their_arithmetic(small_universe):
         if R.kind == "zmod":
             n = R.size
             _assert_additive(R, lambda a, b: (a + b) % n, lambda a: -a % n)
-    for n, rel in itertools.product((2, 3, 4), ((0, 0, 1), (0, 0, 0, 1), (1, 1, 1), (1, 1, 0, 1))):
-        _assert_additive(poly_quotient(Zmod(n), rel),
-                         lambda u, v: tuple((a + b) % n for a, b in zip(u, v)),
+
+
+def test_polyquot_add_tables_are_coefficientwise(universe):
+    for R, n, _ in _polyquot_rings(universe):
+        _assert_additive(R, lambda u, v: tuple((a + b) % n for a, b in zip(u, v)),
                          lambda u: tuple(-a % n for a in u))
 
 
@@ -271,7 +302,7 @@ def test_product_ring_add_table_is_componentwise(small_universe):
     for R in products:
         A, B = R.parts
         _assert_additive(R, lambda u, v: (A.add(u[0], v[0]), B.add(u[1], v[1])),
-                         lambda u: (A.neg(u[0]), B.neg(u[1])))
+                         lambda u: (negative(A, u[0]), negative(B, u[1])))
 
 
 def test_localized_ring_add_table_goes_through_the_class_map(small_universe):
@@ -280,7 +311,7 @@ def test_localized_ring_add_table_goes_through_the_class_map(small_universe):
         for S in _mult_sets(R):
             loc = localize(R, S)
             _assert_additive(loc.structure, lambda a, b: loc.to_class[R.add(a, b)],
-                             lambda a: loc.to_class[R.neg(a)])
+                             lambda a: loc.to_class[negative(R, a)])
             checked += 1
     assert checked > 50
 
@@ -293,10 +324,11 @@ def test_regular_and_cyclic_add_tables(small_universe):
             C = cyclic_module(R, I)
 
             def coset_of(x, C=C, I=I):
-                c, = [c for c in C.elements if R.add(x, R.neg(c)) in I.elements]
+                c, = [c for c in C.elements if R.add(x, negative(R, c)) in I.elements]
                 return c
 
-            _assert_additive(C, lambda a, b: coset_of(R.add(a, b)), lambda a: coset_of(R.neg(a)))
+            _assert_additive(C, lambda a, b: coset_of(R.add(a, b)),
+                             lambda a: coset_of(negative(R, a)))
 
 
 def test_sum_and_power_add_tables_are_coordinatewise(small_universe):
@@ -308,7 +340,7 @@ def test_sum_and_power_add_tables_are_coordinatewise(small_universe):
                 continue
             _assert_additive(direct_sum(A, B),
                              lambda u, v: (A.add(u[0], v[0]), B.add(u[1], v[1])),
-                             lambda u: (A.neg(u[0]), B.neg(u[1])))
+                             lambda u: (negative(A, u[0]), negative(B, u[1])))
             sums += 1
         for M in mods:
             for t in (1, 2, 3):
@@ -316,7 +348,7 @@ def test_sum_and_power_add_tables_are_coordinatewise(small_universe):
                     continue
                 _assert_additive(power_module(M, t),
                                  lambda u, v: tuple(M.add(a, b) for a, b in zip(u, v)),
-                                 lambda u: tuple(M.neg(a) for a in u))
+                                 lambda u: tuple(negative(M, a) for a in u))
                 powers += 1
     assert sums > 200 and powers > 100
 
@@ -327,7 +359,7 @@ def test_hom_add_table_is_pointwise(small_universe):
         if M.size > 12:
             continue
         _assert_additive(hom_module(M), lambda f, g: tuple(M.add(a, b) for a, b in zip(f, g)),
-                         lambda f: tuple(M.neg(a) for a in f))
+                         lambda f: tuple(negative(M, a) for a in f))
         checked += 1
     assert checked > 50
 
@@ -338,7 +370,7 @@ def test_submodule_add_tables_restrict_the_module(small_universe):
         if M.size > 16:
             continue
         for N in all_submodules(M):
-            _assert_additive(N.as_module(), M.add, M.neg)
+            _assert_additive(N.as_module(), M.add, lambda a: negative(M, a))
             checked += 1
     assert checked > 300
 
@@ -364,14 +396,14 @@ def test_localized_module_add_tables_at_every_mult_set(small_universe):
             for S, ring_loc in zip(sets, rings):
                 loc = localize_module(M, S, ring_loc)
                 _assert_additive(loc.structure, lambda a, b: loc.to_class[M.add(a, b)],
-                                 lambda a: loc.to_class[M.neg(a)])
+                                 lambda a: loc.to_class[negative(M, a)])
                 checked += 1
     assert checked > 500
 
 
 def _every_add_fault_is_rejected(M):
     """Plant each wrong entry in M's composed plus and minus tables in turn,
-    check that `add` or `neg` reads it and that the axiom check rejects it,
+    check that `add` or `negative` reads it and that the axiom check rejects it,
     then restore it."""
     verify_module_axioms(M)
     E, faults = M.elements, 0
@@ -384,7 +416,7 @@ def _every_add_fault_is_rejected(M):
                 continue
             table[cell] = wrong
             try:
-                assert (M.neg(a) if b is None else M.add(a, b)) == E[wrong]
+                assert (negative(M, a) if b is None else M.add(a, b)) == E[wrong]
                 with pytest.raises(ValueError, match=re.escape(M.descriptor())):
                     verify_module_axioms(M)
             finally:
@@ -456,3 +488,9 @@ def test_tuple_carriers_keep_the_order_zero_and_display(small_universe):
         elements, zero, display = _tuple_reference(parts)
         assert list(X.elements) == elements and X.zero == zero, X
         assert [X.element_str(x) for x in X.elements] == list(map(display, elements)), X
+    # poly_quotient's coefficient vectors, constant term first, as it wrote them out
+    for R, n, _ in _polyquot_rings(small_universe):
+        d = len(R.zero)
+        elements = [c[::-1] for c in itertools.product(range(n), repeat=d)]
+        assert list(R.elements) == elements and R.zero == (0,) * d, R
+        assert [R.element_str(u) for u in R.elements] == list(map(poly_display, elements)), R

@@ -19,9 +19,11 @@ from zdbench.modules import (FiniteModule, _extend_linear, _tables, ann,
 from zdbench.rings import (Zmod, ideal_generated, poly_quotient, product_ring,
                            span)
 
+from harness import negative
+
 
 def _with(M, **ops):
-    parts = {"add": M.add, "neg": M.neg, "act": M.act, **ops}
+    parts = {"add": M.add, "neg": lambda a: negative(M, a), "act": M.act, **ops}
     return FiniteModule(M.ring, M.elements, parts["add"], parts["neg"], M.zero,
                         parts["act"], tag="planted")
 
@@ -75,7 +77,7 @@ def test_non_abelian_group_fails_commutativity():
 ], ids=["zero", "neg", "one"])
 def test_wrong_identity_or_inverse_fails_axioms(ops, message):
     M = regular_module(Zmod(4))
-    parts = {"add": M.add, "neg": M.neg, "zero": M.zero, "act": M.act, **ops}
+    parts = {"add": M.add, "neg": lambda a: negative(M, a), "zero": M.zero, "act": M.act, **ops}
     bad = FiniteModule(M.ring, M.elements, parts["add"], parts["neg"], parts["zero"],
                        parts["act"], tag="planted")
     with pytest.raises(ValueError, match=re.escape(message)):

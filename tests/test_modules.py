@@ -16,6 +16,8 @@ from zdbench.modules import DEFAULT_PRESENTATION_BUDGET, ideal_tensor_kernel
 from zdbench.rings import (Zmod, ideal_generated, multiplicative_closure,
                            poly_quotient, product_ring)
 
+from harness import negative
+
 
 @pytest.fixture
 def prod22():
@@ -291,7 +293,7 @@ def test_module_axiom_checker_catches_bad_action():
     R = Zmod(4)
     M = regular_module(R)
     from zdbench.modules import FiniteModule
-    bad = FiniteModule(R, M.elements, M.add, M.neg, M.zero,
+    bad = FiniteModule(R, M.elements, M.add, lambda a: negative(M, a), M.zero,
                        act=lambda r, m: m, tag="bad")  # not an action: 0*m != 0
     with pytest.raises(ValueError):
         verify_module_axioms(bad)
